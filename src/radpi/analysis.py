@@ -10,10 +10,10 @@ reference never pollutes reported digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._record import NEW_DICT, Record
 from .arith import (
     FixedReal,
     PrecisionContext,
@@ -42,8 +42,8 @@ from .recursion import (
 _RATIO_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
+    __slots__ = ("index", "approximant", "abs_error", "correct_digits", "error_ratio")
     index: int
     approximant: str
     abs_error: str
@@ -51,8 +51,7 @@ class ReportRow:
     error_ratio: str | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Tabulated approximants with errors against the reference target.
 
     Rows are exactly recomputable: parsing a row's approximant string at
@@ -60,12 +59,13 @@ class ConvergenceReport:
     reproduces the stored abs_error string byte for byte.
     """
 
+    __slots__ = ("rows", "meta")
     rows: list[ReportRow]
     meta: dict[str, object]
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
+    __slots__ = ("k", "naive_error", "stable_error", "digits_lost")
     k: int
     naive_error: FixedReal
     stable_error: FixedReal
@@ -233,19 +233,19 @@ def cancellation_audit(
 # -- classical catalog --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One classical formula: coefficient times an all-twos nested radical."""
 
+    __slots__ = ("name", "seed", "coefficient")
     name: str  # rendered coefficient, e.g. "2^n"
     seed: Seed
     coefficient: "CoefficientRule"
 
 
-@dataclass(frozen=True)
-class CoefficientRule:
+class CoefficientRule(Record):
     """Printed coefficient c * 2**(n + shift) at n nested square roots."""
 
+    __slots__ = ("factor", "shift")
     factor: Fraction
     shift: int
 
@@ -271,8 +271,9 @@ CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogResult:
+class CatalogResult(Record):
+    __slots__ = ("name", "seed", "prefactor_exact", "radical_shape_ok",
+                 "error_at_depth", "converged")
     name: str
     seed: str
     prefactor_exact: bool
@@ -281,8 +282,8 @@ class CatalogResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(Record):
+    __slots__ = ("results", "meta")
     results: list[CatalogResult]
     meta: dict[str, object]
 
@@ -370,18 +371,19 @@ def reproduce_catalog(
 # -- identity suite -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(Record):
+    __slots__ = ("name", "passed", "worst_residual", "detail")
     name: str
     passed: bool
     worst_residual: str
     detail: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
+    __slots__ = ("results", "meta")
+    _defaults = {"meta": NEW_DICT}
     results: list[IdentityResult]
-    meta: dict[str, object] = field(default_factory=dict)
+    meta: dict[str, object]
 
     @property
     def all_passed(self) -> bool:
@@ -508,9 +510,9 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
                     f_ok = False
                 continue
             # |f(k) - 2| = 2(e^u - 1) with u = ln(m/2)/2^(k-2), bounded by u*f(k)
+            # compared exactly in units of 2**-work: 2**work overflows a float
             u = abs(math.log(m / 2)) / 2 ** (k - 2)
-            bound = u * float(val) + 2.0 ** (-work + 8)
-            if gap.mantissa > bound * (1 << work):
+            if gap.mantissa > Fraction(u) * val.mantissa + (1 << 8):
                 f_ok = False
     results.append(
         IdentityResult(

@@ -15,10 +15,10 @@ half-angle recursions they are used to check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record, set_field
 from .errors import DomainError, PrecisionError, UsageError
 
 # log10(2) ~= 30103/100000 (4.3e-9 high; exact enough for digit counts at any
@@ -58,16 +58,18 @@ def isqrt(n: int) -> int:
         x = y
 
 
-@dataclass(frozen=True, slots=True)
-class FixedReal:
+class FixedReal(Record):
     """Signed fixed-point real: value = mantissa * 2**-scale_bits."""
 
+    __slots__ = ("mantissa", "scale_bits")
     mantissa: int
     scale_bits: int
 
-    def __post_init__(self) -> None:
-        if self.scale_bits < 0:
+    def __init__(self, mantissa: int, scale_bits: int) -> None:
+        if scale_bits < 0:
             raise UsageError("scale_bits must be non-negative")
+        set_field(self, "mantissa", mantissa)
+        set_field(self, "scale_bits", scale_bits)
 
     # -- constructors ------------------------------------------------------
 
@@ -228,8 +230,7 @@ def fixed_sqrt(x: FixedReal) -> FixedReal:
     return x.sqrt()
 
 
-@dataclass(frozen=True, slots=True)
-class PrecisionContext:
+class PrecisionContext(Record):
     """Working precision: output scale plus guard bits for internal slack.
 
     ``guard_bits=None`` lets each driver size the guard for its own recursion
@@ -238,14 +239,17 @@ class PrecisionContext:
     An explicit guard is honored as a hard budget instead.
     """
 
+    __slots__ = ("scale_bits", "guard_bits")
     scale_bits: int
-    guard_bits: int | None = None
+    guard_bits: int | None
 
-    def __post_init__(self) -> None:
-        if self.scale_bits < 64:
+    def __init__(self, scale_bits: int, guard_bits: int | None = None) -> None:
+        if scale_bits < 64:
             raise UsageError("scale_bits must be >= 64")
-        if self.guard_bits is not None and self.guard_bits < 32:
+        if guard_bits is not None and guard_bits < 32:
             raise UsageError("guard_bits must be >= 32")
+        set_field(self, "scale_bits", scale_bits)
+        set_field(self, "guard_bits", guard_bits)
 
     @classmethod
     def for_depth(cls, scale_bits: int, depth: int) -> "PrecisionContext":

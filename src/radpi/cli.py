@@ -11,7 +11,6 @@ errors, 64 usage errors, 74 unwritable output path.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -80,7 +79,7 @@ def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sign", choices=["+", "-"], default="+",
                    help="sign of the starting term (default +)")
     p.add_argument("--d", type=_fraction_arg, help="offset d with s = m^2 - d^2")
-    p.add_argument("--x0", type=str, default=None,
+    p.add_argument("--x0", type=_fraction_arg, default=None,
                    help="starting term as a decimal; forces self-consistent ratio mode")
 
 
@@ -142,7 +141,7 @@ def build_parser() -> _Parser:
 
 def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Seed:
     if args.x0 is not None:
-        return Seed.from_x0(Fraction(args.x0))
+        return Seed.from_x0(args.x0)
     if args.m is not None and args.d is not None and args.s is None:
         return Seed.from_m_d(args.m, args.d, 1 if args.sign == "+" else -1)
     if args.m is not None and args.s is not None:
@@ -327,6 +326,8 @@ def _cmd_arccos(args: argparse.Namespace) -> ConvergenceReport:
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     seed = _seed_from_args(args, default=Seed(2, 2, 1))
     reference = PrecisionContext(max(args.bits, 4 * args.audited_bits), args.guard_bits)
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
@@ -342,6 +343,12 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
 # -- rendering ----------------------------------------------------------------
 
 
+def _render_json(payload: dict) -> str:
+    import json  # imported here so that text and csv requests never load it
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def render_report(report: ConvergenceReport, fmt: str) -> str:
     if fmt == "csv":
         lines = [_CSV_HEADER]
@@ -352,7 +359,7 @@ def render_report(report: ConvergenceReport, fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
+        return _render_json({
             "meta": report.meta,
             "rows": [
                 {
@@ -364,8 +371,7 @@ def render_report(report: ConvergenceReport, fmt: str) -> str:
                 }
                 for r in report.rows
             ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
     lines = [f"# {key} = {value}" for key, value in sorted(report.meta.items(), key=str)]
     if not report.rows:
         return "\n".join(lines + ["(no rows)"]) + "\n"
@@ -403,7 +409,7 @@ def render_audit(rows: list[AuditRow], meta: dict, fmt: str) -> str:
         lines += [f"{r['k']},{r['naive_error']},{r['stable_error']},{r['digits_lost']}" for r in rendered]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps({"meta": meta, "rows": rendered}, indent=2, sort_keys=True) + "\n"
+        return _render_json({"meta": meta, "rows": rendered})
     lines = [f"# {key} = {value}" for key, value in sorted(meta.items(), key=str)]
     widths = {
         "k": max(len(str(r["k"])) for r in rendered),
@@ -433,7 +439,7 @@ def render_catalog(report: CatalogReport, fmt: str) -> str:
         for r in report.results
     ]
     if fmt == "json":
-        return json.dumps({"meta": report.meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        return _render_json({"meta": report.meta, "rows": rows})
     if fmt == "csv":
         lines = ["form,seed,prefactor_exact,radical_shape_ok,converged,abs_error_at_depth"]
         for r in rows:
@@ -459,7 +465,7 @@ def render_identities(report: IdentityReport, fmt: str) -> str:
         for r in report.results
     ]
     if fmt == "json":
-        return json.dumps({"meta": report.meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        return _render_json({"meta": report.meta, "rows": rows})
     if fmt == "csv":
         lines = ["identity,passed,worst_residual,detail"]
         for r in rows:

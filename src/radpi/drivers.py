@@ -11,9 +11,9 @@ used so callers can tell the two apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import NEW_DICT, Record
 from .arith import FixedReal, PrecisionContext, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError
 from .recursion import Seed, half_angle_step, run_at_scale, sine_step_naive
@@ -39,13 +39,14 @@ MISPRINT_DIAGNOSTIC = (
 )
 
 
-@dataclass(frozen=True)
-class AngleRatio:
+class AngleRatio(Record):
     """2*pi/theta0, exact rational when cataloged, else a computed value."""
 
+    __slots__ = ("kind", "rational", "fixed")
+    _defaults = {"rational": None, "fixed": None}
     kind: str  # "exact" | "self_consistent"
-    rational: Fraction | None = None
-    fixed: FixedReal | None = None
+    rational: Fraction | None
+    fixed: FixedReal | None
 
     def apply(self, value: FixedReal) -> FixedReal:
         if self.kind == "exact":
@@ -53,16 +54,17 @@ class AngleRatio:
         return value * self.fixed.rescale(value.scale_bits)
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(Record):
     """A single approximant with the parameters needed to reproduce it."""
 
+    __slots__ = ("value", "target", "method", "params", "ratio_kind", "diagnostic")
+    _defaults = {"params": NEW_DICT, "ratio_kind": None, "diagnostic": None}
     value: FixedReal
     target: str  # "pi" | "one" | "seed_value"
     method: str
-    params: dict[str, str] = field(default_factory=dict)
-    ratio_kind: str | None = None
-    diagnostic: str | None = None
+    params: dict[str, str]
+    ratio_kind: str | None
+    diagnostic: str | None
 
 
 def exact_ratio_lookup(seed: Seed) -> Fraction | None:

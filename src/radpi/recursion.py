@@ -11,9 +11,9 @@ relative precision per step instead of losing k bits to rescaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .arith import FixedReal, PrecisionContext
 from .errors import DomainError, UsageError
 
@@ -27,10 +27,10 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PowerForm:
+class PowerForm(Record):
     """Exact value 2**p * m**q with rational exponents."""
 
+    __slots__ = ("p", "q", "m")
     p: Fraction
     q: Fraction
     m: Fraction
@@ -100,8 +100,7 @@ def f_power_form(k: int, m) -> PowerForm:
     return PowerForm(Fraction(den - 1, den), Fraction(1, den), _to_fraction(m))
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """Starting term x0 = sign * sqrt(s) / m of the recursion.
 
     m and s are exact rationals so that seeds whose angle is a rational
@@ -109,23 +108,26 @@ class Seed:
     (x0 = 1, theta0 = 0) is rejected; x0 = -1 is allowed.
     """
 
+    __slots__ = ("m", "s", "sign")
     m: Fraction
     s: Fraction
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _to_fraction(self.m))
-        object.__setattr__(self, "s", _to_fraction(self.s))
-        if self.sign not in (1, -1):
+    def __init__(self, m, s, sign: int = 1) -> None:
+        m, s = _to_fraction(m), _to_fraction(s)
+        if sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
-        if self.m <= 0:
+        if m <= 0:
             raise DomainError("m must be positive")
-        if self.s < 0:
+        if s < 0:
             raise DomainError("s must be non-negative")
-        if self.s > self.m**2:
+        if s > m**2:
             raise DomainError("s must satisfy s <= m**2 (|x0| <= 1)")
-        if self.s == self.m**2 and self.sign > 0:
+        if s == m**2 and sign > 0:
             raise DomainError("x0 = 1 is rejected (zero angle divides by zero)")
+        set_field(self, "m", m)
+        set_field(self, "s", s)
+        set_field(self, "sign", sign)
 
     @classmethod
     def from_m_d(cls, m, d, sign: int = 1) -> "Seed":
@@ -164,8 +166,7 @@ class Seed:
         return f"m={self.m}, s={self.s}, sign={sgn}"
 
 
-@dataclass(frozen=True)
-class RecursionState:
+class RecursionState(Record):
     """One step of the coupled recursion.
 
     Invariants (within rounding at the carried scale): x**2 + c**2 = 1,
@@ -174,6 +175,7 @@ class RecursionState:
     implicitly; no angle value is stored.
     """
 
+    __slots__ = ("k", "x", "c", "scaled_sine", "g", "f", "f_form", "seed")
     k: int
     x: FixedReal
     c: FixedReal

@@ -1,6 +1,10 @@
 """Command-line contract: subcommands, exit codes, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, "compute", "--method", "method1", "--k", "3")
         assert code == 64
 
+    @pytest.mark.parametrize("x0", ["nan", "inf", "abc"])
+    def test_malformed_x0_is_64(self, capsys, x0):
+        code, out, err = run(capsys, "arccos", "--x0", x0)
+        assert (code, out) == (64, "")
+        assert f"argument --x0: not a rational number: '{x0}'" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_audit_depth_below_one_is_64(self, capsys, k):
+        code, out, err = run(capsys, "audit", "--k", k)
+        assert (code, out) == (64, "")
+        assert err == "radpi: usage error: --k must be >= 1\n"
+
     def test_unwritable_out_is_74(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "compute", "--method", "viete", "--k", "2",
@@ -190,6 +206,14 @@ class TestSubcommands:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_verify_passes_at_1024_bits(self, capsys):
+        code, out, err = run(capsys, "verify", "--bits", "1024")
+        assert (code, err) == (0, "")
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 7
+
+    def test_verify_256_bits_output_is_unchanged(self, capsys):
+        assert run(capsys, "verify", "--bits", "256") == (0, VERIFY_256_TEXT, "")
+
     def test_audit_shape(self, capsys):
         code, out, _ = run(
             capsys, "audit", "--k", "6", "--audited-bits", "53", "--bits", "256",
@@ -208,6 +232,19 @@ class TestSubcommands:
         assert code == 0
         last = out.splitlines()[-1].split(",")
         assert float(last[1]) < 0.2  # nowhere near pi
+
+
+VERIFY_256_TEXT = """\
+# bits = 256
+# working_bits = 360
+PASS scale identity f(k+1)^2 = 2 f(k) (exact exponents, k in [2,64], m in {2,3,5,10})  [0]
+PASS pythagorean x^2 + c^2 = 1 within 2^(-B+k+6)  [4 units at 360 bits]
+PASS normalization x * f = g within 2^(-B+k+6)  [3 units at 360 bits]
+PASS literal radical = stable recursion within 2^(-B+2k+8)  [worst gap < 2^0 units at 256 bits]
+PASS product form = matched recursion form within 2^(-B+8)  [0 units at 256 bits]
+PASS doubled sines strictly increase and stay below theta0  [-]
+PASS scale factor tends to 2: |f(k) - 2| <= |ln(m/2)|/2^(k-2) * f(k), exact 2 at m=2  [-]
+"""
 
 
 MATRIX = [
@@ -254,3 +291,36 @@ def test_empty_report_renders_header_only_csv():
 def test_help_exits_zero(capsys):
     assert run_command(["--help"]) == 0
     capsys.readouterr()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+GOLDEN_CASES = [entry for entry in GOLDEN if entry["stdout"] is not None]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_CASES, ids=[" ".join(e["argv"]) for e in GOLDEN_CASES])
+def test_golden_stdout_is_byte_identical(entry, capsys):
+    code = run_command(entry["argv"])
+    assert (code, capsys.readouterr().out) == (0, entry["stdout"])
+
+
+# Run in a fresh interpreter: the modules that `import argparse, fractions`
+# already loads are the floor; a text request must add none of the listed ones.
+_FOOTPRINT_PROBE = """
+import sys
+import argparse, fractions
+floor = set(sys.modules)
+from radpi.cli import run_command
+run_command(["compute", "--method", "method1", "--m", "2", "--s", "2", "--k", "20"])
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json")
+print(sorted(name for name in heavy if name in sys.modules and name not in floor))
+"""
+
+
+def test_text_request_imports_no_heavy_stdlib_modules():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"

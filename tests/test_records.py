@@ -1,0 +1,56 @@
+"""Record types: field-wise construction, equality, hashing, immutability."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from radpi import AngleRatio, Approximant, FixedReal, IdentityReport, PrecisionContext, Seed
+
+
+def test_equality_and_hash_are_field_wise():
+    assert FixedReal(5, 64) == FixedReal(5, 64)
+    assert hash(FixedReal(5, 64)) == hash((5, 64))
+    assert FixedReal(5, 64) != FixedReal(5, 65)
+    assert FixedReal(5, 64) != (5, 64)
+    assert Seed(2, 2) == Seed(Fraction(2), Fraction(2), 1)
+    assert PrecisionContext(128) != PrecisionContext(128, 64)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    x = FixedReal(5, 64)
+    with pytest.raises(AttributeError):
+        x.mantissa = 6
+    with pytest.raises(AttributeError):
+        del x.scale_bits
+    with pytest.raises(AttributeError):
+        Seed(2, 2).extra = 1
+    assert x == FixedReal(5, 64)
+
+
+def test_dict_defaults_are_fresh_per_instance():
+    a = Approximant(FixedReal.one(64), "one", "unity")
+    a.params["k"] = "1"
+    assert Approximant(FixedReal.one(64), "one", "unity").params == {}
+    assert IdentityReport([]).meta is not IdentityReport([]).meta
+
+
+def test_constructor_takes_fields_by_position_or_name():
+    assert AngleRatio("exact", rational=Fraction(4)) == AngleRatio("exact", Fraction(4), None)
+    with pytest.raises(TypeError):
+        AngleRatio()
+    with pytest.raises(TypeError):
+        AngleRatio("exact", None, None, None)
+    with pytest.raises(TypeError):
+        AngleRatio("exact", ratio=Fraction(4))
+
+
+def test_repr_names_every_field():
+    assert repr(Seed(2, 3, -1)) == "Seed(m=Fraction(2, 1), s=Fraction(3, 1), sign=-1)"
+
+
+def test_copy_and_pickle_rebuild_through_the_constructor():
+    seed = Seed(2, 3, -1)
+    assert copy.deepcopy(seed) == seed
+    assert pickle.loads(pickle.dumps(FixedReal(7, 64))) == FixedReal(7, 64)
