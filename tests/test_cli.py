@@ -304,6 +304,20 @@ def test_golden_stdout_is_byte_identical(entry, capsys):
     assert (code, capsys.readouterr().out) == (0, entry["stdout"])
 
 
+# Every MATRIX argv in every format, plus the self-consistent audit, a
+# cataloged method2 seed and the as-printed MISPRINT diagnostic: exit code,
+# stdout and stderr as the CLI printed them before its row, ratio and driver
+# paths were merged into analysis/drivers.
+CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", CLI_MATRIX, ids=[" ".join(e["argv"]) for e in CLI_MATRIX])
+def test_cli_matrix_bytes_are_pinned(entry, capsys):
+    code = run_command(entry["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
 # Run in a fresh interpreter: the modules that `import argparse, fractions`
 # already loads are the floor; a text request must add none of the listed ones.
 _FOOTPRINT_PROBE = """
