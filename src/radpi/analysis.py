@@ -22,6 +22,7 @@ from .arith import (
 )
 from .drivers import (
     Approximant,
+    _resolve_ratio,
     arccos_by_recursion,
     exact_ratio_lookup,
     pi_combined,
@@ -120,7 +121,32 @@ def empirical_rate(errors: Sequence[FixedReal]) -> list[FixedReal]:
     return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
 
 
-def _build_approximant(method: str, params: dict, index: int, ctx: PrecisionContext) -> Approximant:
+def _measure_row(
+    index: int, value: FixedReal, reference: FixedReal, prev_err: FixedReal | None = None
+) -> tuple[ReportRow, FixedReal]:
+    """One report row and its error.
+
+    The error is taken against the printed approximant parsed at the
+    reference's scale, so it is exactly recomputable from the row; the ratio
+    is prev_err over this error, empty without a positive prev_err.
+    """
+    digits = decimal_digits_for_bits(value.scale_bits)
+    shown = value.to_decimal(digits)
+    err = abs(FixedReal.from_decimal(shown, reference.scale_bits) - reference)
+    ratio = None
+    if prev_err is not None and err.mantissa > 0 and prev_err.mantissa > 0:
+        ratio = (prev_err / err).to_decimal(_RATIO_DIGITS)
+    row = ReportRow(
+        index=index,
+        approximant=shown,
+        abs_error=err.rescale(value.scale_bits).to_decimal(digits),
+        correct_digits=correct_decimal_digits(err),
+        error_ratio=ratio,
+    )
+    return row, err
+
+
+def _build_approximant(method: str, params: dict, index, ctx: PrecisionContext) -> Approximant:
     if method == "method1":
         return pi_method1(params["seed"], index, ctx, params.get("ratio_mode", "auto"),
                           params.get("variant", "stable"))
@@ -151,25 +177,11 @@ def convergence_table(
     worst_guard = max(int(a.params["guard_bits"]) for a in approximants)
     scale = _measure_scale(ctx.scale_bits + worst_guard)
     target_ref = _target_value(approximants[0].target, scale)
-    digits = decimal_digits_for_bits(ctx.scale_bits)
     rows: list[ReportRow] = []
     prev_err: FixedReal | None = None
     for index, approx in zip(sweep, approximants):
-        shown = approx.value.to_decimal(digits)
-        err = abs(FixedReal.from_decimal(shown, scale) - target_ref)
-        ratio = None
-        if prev_err is not None and err.mantissa > 0 and prev_err.mantissa > 0:
-            ratio = (prev_err / err).to_decimal(_RATIO_DIGITS)
-        rows.append(
-            ReportRow(
-                index=index,
-                approximant=shown,
-                abs_error=err.rescale(ctx.scale_bits).to_decimal(digits),
-                correct_digits=correct_decimal_digits(err),
-                error_ratio=ratio,
-            )
-        )
-        prev_err = err
+        row, prev_err = _measure_row(index, approx.value, target_ref, prev_err)
+        rows.append(row)
     return ConvergenceReport(
         rows=rows, meta=_table_meta(method, params, ctx, worst_guard, scale)
     )
@@ -204,15 +216,9 @@ def cancellation_audit(
     """
     if audited_bits < 24:
         raise DomainError("audited_bits must be >= 24")
-    if ctx_reference.scale_bits < 4 * audited_bits:
+    if ctx_reference.scale_bits < _measure_scale(audited_bits):
         raise DomainError("reference precision must be >= 4x audited_bits")
-    ratio = exact_ratio_lookup(seed)
-    if ratio is None:
-        work = ctx_reference.scale_bits + 64
-        theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
-        ratio_fixed = ((pi_fixed(work) * 2) / theta0).rescale(audited_bits)
-    else:
-        ratio_fixed = None
+    ratio = _resolve_ratio(seed, "auto", ctx_reference.scale_bits + 64)
     scale = ctx_reference.scale_bits
     pi_ref = pi_fixed(scale)
     naive_states = run_at_scale(seed, k_max, audited_bits, "naive")
@@ -221,8 +227,7 @@ def cancellation_audit(
     for k in range(1, k_max + 1):
         errs = []
         for states in (naive_states, stable_states):
-            s_k = states[k].scaled_sine
-            value = s_k.mul_fraction(ratio / 2) if ratio is not None else (s_k * ratio_fixed) / 2
+            value = ratio.apply(states[k].scaled_sine) / 2
             errs.append(abs(value.rescale(scale) - pi_ref))
         naive_err, stable_err = errs
         lost = (correct_decimal_digits(stable_err) or 0) - (correct_decimal_digits(naive_err) or 0)

@@ -225,11 +225,6 @@ class FixedReal(Record):
         return f"FixedReal({self.to_decimal(decimal_digits_for_bits(max(shown * 4, 16)))}@{self.scale_bits}b)"
 
 
-def fixed_sqrt(x: FixedReal) -> FixedReal:
-    """Module-level alias for :meth:`FixedReal.sqrt`."""
-    return x.sqrt()
-
-
 class PrecisionContext(Record):
     """Working precision: output scale plus guard bits for internal slack.
 
@@ -251,10 +246,6 @@ class PrecisionContext(Record):
         set_field(self, "scale_bits", scale_bits)
         set_field(self, "guard_bits", guard_bits)
 
-    @classmethod
-    def for_depth(cls, scale_bits: int, depth: int) -> "PrecisionContext":
-        return cls(scale_bits, 2 * depth + 64)
-
     def guard_for_depth(self, depth: int) -> int:
         """Guard bits to use for ``depth`` halvings; explicit guards are budgets."""
         if self.guard_bits is None:
@@ -269,10 +260,6 @@ class PrecisionContext(Record):
     @property
     def working_bits(self) -> int:
         return self.scale_bits + (self.guard_bits if self.guard_bits is not None else 64)
-
-    @property
-    def oracle_digits(self) -> int:
-        return decimal_digits_for_bits(self.scale_bits)
 
 
 # -- reference constants ----------------------------------------------------

@@ -19,28 +19,17 @@ from .analysis import (
     CatalogReport,
     ConvergenceReport,
     IdentityReport,
-    ReportRow,
+    _build_approximant,
+    _measure_row,
+    _measure_scale,
+    _target_value,
     cancellation_audit,
     convergence_table,
-    correct_decimal_digits,
     reproduce_catalog,
     verify_identities,
 )
-from .arith import (
-    FixedReal,
-    PrecisionContext,
-    arccos_oracle,
-    decimal_digits_for_bits,
-    pi_fixed,
-)
-from .drivers import (
-    pi_combined,
-    pi_method1,
-    pi_method2,
-    taylor_seed_exact,
-    unity_formula,
-    viete_product,
-)
+from .arith import FixedReal, PrecisionContext, arccos_oracle, decimal_digits_for_bits
+from .drivers import arccos_by_recursion, taylor_seed_exact
 from .errors import (
     CatalogFailure,
     CatalogMissError,
@@ -174,28 +163,11 @@ def _parse_m_range(text: str) -> list[int]:
     return values
 
 
-def _target_reference(target: str, scale: int) -> FixedReal:
-    return FixedReal.one(scale) if target == "one" else pi_fixed(scale)
-
-
-def _single_row_report(
+def _single_row(
     index: int, value: FixedReal, reference: FixedReal, meta: dict
 ) -> ConvergenceReport:
-    """One exactly-recomputable row: the error is taken against the printed
-    approximant parsed at the measurement scale recorded in meta."""
-    digits = decimal_digits_for_bits(value.scale_bits)
-    shown = value.to_decimal(digits)
-    err = abs(FixedReal.from_decimal(shown, reference.scale_bits) - reference)
-    meta = dict(meta)
-    meta["measure_bits"] = reference.scale_bits
-    row = ReportRow(
-        index=index,
-        approximant=shown,
-        abs_error=err.rescale(value.scale_bits).to_decimal(digits),
-        correct_digits=correct_decimal_digits(err),
-        error_ratio=None,
-    )
-    return ConvergenceReport(rows=[row], meta=meta)
+    row, _ = _measure_row(index, value, reference)
+    return ConvergenceReport(rows=[row], meta={**meta, "measure_bits": reference.scale_bits})
 
 
 def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
@@ -203,45 +175,40 @@ def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
     method = args.method
     if method in ("method1", "unity", "viete") and args.k is None:
         raise UsageError(f"{method} requires --k")
+    index = args.k
     if method == "method1":
         seed = _seed_from_args(args)
-        k = args.k
         variant = args.variant or "stable"
         if variant not in ("stable", "naive"):
             raise UsageError("method1 variants are stable|naive")
         ratio_mode = "self" if args.x0 is not None else args.ratio_mode
-        approx = pi_method1(seed, k, ctx, ratio_mode, variant)
-        index = k
+        params = {"seed": seed, "ratio_mode": ratio_mode, "variant": variant}
     elif method == "method2":
         if args.m is None or args.d is None:
             raise UsageError("method2 requires --m and --d")
         variant = args.variant or "corrected"
         if variant not in ("corrected", "as-printed"):
             raise UsageError("method2 variants are corrected|as-printed")
-        approx = pi_method2(args.m, args.d, ctx, variant.replace("-", "_"))
-        index = int(args.m)
+        method = f"method2_{variant.replace('-', '_')}"
+        params = {"d": args.d}
+        index = args.m
     elif method == "combined":
         if args.m is None or args.d is None or args.k is None:
             raise UsageError("combined requires --m, --d and --k")
-        approx = pi_combined(args.m, args.d, args.k, ctx)
-        index = args.k
+        params = {"m": args.m, "d": args.d}
     elif method == "unity":
-        seed = _seed_from_args(args)
-        approx = unity_formula(seed, args.k, ctx)
-        index = args.k
+        params = {"seed": _seed_from_args(args)}
     elif method == "viete":
-        approx = viete_product(args.k, ctx)
-        index = args.k
+        params = {}
     else:  # taylor
         if args.m is None or args.d is None or args.terms is None:
             raise UsageError("taylor requires --m, --d and --terms")
         return _compute_taylor(args, ctx)
 
+    approx = _build_approximant(method, params, index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
     guard = int(approx.params["guard_bits"])
-    scale = 4 * (ctx.scale_bits + guard)
-    reference = _target_reference(approx.target, scale)
     meta = {
         "method": approx.method,
         "params": approx.params,
@@ -251,13 +218,14 @@ def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
         "guard_bits": guard,
         "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
     }
-    return _single_row_report(index, approx.value, reference, meta)
+    reference = _target_value(approx.target, _measure_scale(ctx.scale_bits + guard))
+    return _single_row(int(index), approx.value, reference, meta)
 
 
 def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     partial = taylor_seed_exact(args.m, args.d, args.terms)
     value = FixedReal.from_fraction(partial, ctx.scale_bits)
-    scale = 4 * ctx.working_bits
+    scale = _measure_scale(ctx.working_bits)
     limit = FixedReal.from_fraction(
         Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
     ).sqrt() / FixedReal.from_fraction(args.m, scale)
@@ -269,7 +237,7 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
         "guard_bits": ctx.working_bits - ctx.scale_bits,
         "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
     }
-    return _single_row_report(args.terms, value, limit, meta)
+    return _single_row(args.terms, value, limit, meta)
 
 
 def _cmd_table(args: argparse.Namespace) -> ConvergenceReport:
@@ -306,13 +274,11 @@ def _cmd_table(args: argparse.Namespace) -> ConvergenceReport:
 
 
 def _cmd_arccos(args: argparse.Namespace) -> ConvergenceReport:
-    from .drivers import arccos_by_recursion
-
     ctx = PrecisionContext(args.bits, args.guard_bits)
     seed = _seed_from_args(args)
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
-    scale = 4 * ctx.working_bits
+    scale = _measure_scale(ctx.working_bits)
     reference = arccos_oracle(x0.rescale(scale), PrecisionContext(scale))
     meta = {
         "method": "arccos_by_recursion",
@@ -322,14 +288,14 @@ def _cmd_arccos(args: argparse.Namespace) -> ConvergenceReport:
         "guard_bits": ctx.working_bits - ctx.scale_bits,
         "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
     }
-    return _single_row_report(0, value, reference, meta)
+    return _single_row(0, value, reference, meta)
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     seed = _seed_from_args(args, default=Seed(2, 2, 1))
-    reference = PrecisionContext(max(args.bits, 4 * args.audited_bits), args.guard_bits)
+    reference = PrecisionContext(max(args.bits, _measure_scale(args.audited_bits)), args.guard_bits)
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",
@@ -343,54 +309,51 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
 # -- rendering ----------------------------------------------------------------
 
 
-def _render_json(payload: dict) -> str:
-    import json  # imported here so that text and csv requests never load it
+def _render(
+    fmt: str, meta: dict, rows: list[dict], csv_header: str, csv_lines: list[str],
+    text_lines: list[str],
+) -> str:
+    """The one output format: JSON {meta, rows}; CSV header plus lines; text
+    as '# key = value' meta lines followed by the body lines."""
+    if fmt == "json":
+        import json  # imported here so that text and csv requests never load it
 
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = [csv_header, *csv_lines]
+    else:
+        lines = [f"# {key} = {value}" for key, value in sorted(meta.items(), key=str)]
+        lines += text_lines
+    return "\n".join(lines) + "\n"
+
+
+def _cells(rows: list[dict]) -> list[list[str]]:
+    return [["" if v is None else str(v) for v in row.values()] for row in rows]
+
+
+def _columns(headers: list[str], table: list[list[str]]) -> list[str]:
+    """Left-aligned text columns under a header line."""
+    if not table:
+        return ["(no rows)"]
+    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(headers)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in [headers, *table]]
 
 
 def render_report(report: ConvergenceReport, fmt: str) -> str:
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in report.rows:
-            digits = "" if r.correct_digits is None else str(r.correct_digits)
-            lines.append(
-                f"{r.index},{r.approximant},{r.abs_error},{digits},{r.error_ratio or ''}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return _render_json({
-            "meta": report.meta,
-            "rows": [
-                {
-                    "index": r.index,
-                    "approximant": r.approximant,
-                    "abs_error": r.abs_error,
-                    "correct_digits": r.correct_digits,
-                    "error_ratio": r.error_ratio,
-                }
-                for r in report.rows
-            ],
-        })
-    lines = [f"# {key} = {value}" for key, value in sorted(report.meta.items(), key=str)]
-    if not report.rows:
-        return "\n".join(lines + ["(no rows)"]) + "\n"
-    headers = ["index", "approximant", "abs_error", "digits", "ratio"]
-    table = [
-        [
-            str(r.index),
-            r.approximant,
-            r.abs_error,
-            "" if r.correct_digits is None else str(r.correct_digits),
-            r.error_ratio or "",
-        ]
+    rows = [
+        {
+            "index": r.index,
+            "approximant": r.approximant,
+            "abs_error": r.abs_error,
+            "correct_digits": r.correct_digits,
+            "error_ratio": r.error_ratio,
+        }
         for r in report.rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(headers)]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    cells = _cells(rows)
+    return _render(fmt, report.meta, rows, _CSV_HEADER, [",".join(c) for c in cells],
+                   _columns(["index", "approximant", "abs_error", "digits", "ratio"], cells))
 
 
 def render_audit(rows: list[AuditRow], meta: dict, fmt: str) -> str:
@@ -404,26 +367,10 @@ def render_audit(rows: list[AuditRow], meta: dict, fmt: str) -> str:
         }
         for r in rows
     ]
-    if fmt == "csv":
-        lines = ["k,naive_error,stable_error,digits_lost"]
-        lines += [f"{r['k']},{r['naive_error']},{r['stable_error']},{r['digits_lost']}" for r in rendered]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return _render_json({"meta": meta, "rows": rendered})
-    lines = [f"# {key} = {value}" for key, value in sorted(meta.items(), key=str)]
-    widths = {
-        "k": max(len(str(r["k"])) for r in rendered),
-        "n": max(len(r["naive_error"]) for r in rendered),
-        "s": max(len(r["stable_error"]) for r in rendered),
-    }
-    lines.append("k".ljust(widths["k"]) + "  " + "naive_error".ljust(widths["n"])
-                 + "  " + "stable_error".ljust(widths["s"]) + "  digits_lost")
-    for r in rendered:
-        lines.append(
-            str(r["k"]).ljust(widths["k"]) + "  " + r["naive_error"].ljust(widths["n"])
-            + "  " + r["stable_error"].ljust(widths["s"]) + "  " + str(r["digits_lost"])
-        )
-    return "\n".join(lines) + "\n"
+    headers = ["k", "naive_error", "stable_error", "digits_lost"]
+    cells = _cells(rendered)
+    return _render(fmt, meta, rendered, ",".join(headers), [",".join(c) for c in cells],
+                   _columns(headers, cells))
 
 
 def render_catalog(report: CatalogReport, fmt: str) -> str:
@@ -438,20 +385,16 @@ def render_catalog(report: CatalogReport, fmt: str) -> str:
         }
         for r in report.results
     ]
-    if fmt == "json":
-        return _render_json({"meta": report.meta, "rows": rows})
-    if fmt == "csv":
-        lines = ["form,seed,prefactor_exact,radical_shape_ok,converged,abs_error_at_depth"]
-        for r in rows:
-            lines.append(
-                f"\"{r['form']}\",\"{r['seed']}\",{r['prefactor_exact']},"
-                f"{r['radical_shape_ok']},{r['converged']},{r['abs_error_at_depth']}"
-            )
-        return "\n".join(lines) + "\n"
-    lines = [f"# {key} = {value}" for key, value in sorted(report.meta.items(), key=str)]
-    for r in rows:
-        lines.append(f"PASS {r['form']}  [seed {r['seed']}, error {r['abs_error_at_depth']}]")
-    return "\n".join(lines) + "\n"
+    csv_lines = [
+        f"\"{r['form']}\",\"{r['seed']}\",{r['prefactor_exact']},"
+        f"{r['radical_shape_ok']},{r['converged']},{r['abs_error_at_depth']}"
+        for r in rows
+    ]
+    text_lines = [f"PASS {r['form']}  [seed {r['seed']}, error {r['abs_error_at_depth']}]"
+                  for r in rows]
+    return _render(fmt, report.meta, rows,
+                   "form,seed,prefactor_exact,radical_shape_ok,converged,abs_error_at_depth",
+                   csv_lines, text_lines)
 
 
 def render_identities(report: IdentityReport, fmt: str) -> str:
@@ -464,20 +407,16 @@ def render_identities(report: IdentityReport, fmt: str) -> str:
         }
         for r in report.results
     ]
-    if fmt == "json":
-        return _render_json({"meta": report.meta, "rows": rows})
-    if fmt == "csv":
-        lines = ["identity,passed,worst_residual,detail"]
-        for r in rows:
-            lines.append(
-                f"\"{r['identity']}\",{r['passed']},\"{r['worst_residual']}\",\"{r['detail']}\""
-            )
-        return "\n".join(lines) + "\n"
-    lines = [f"# {key} = {value}" for key, value in sorted(report.meta.items(), key=str)]
-    for r in rows:
-        status = "PASS" if r["passed"] else "FAIL"
-        lines.append(f"{status} {r['identity']}  [{r['worst_residual']}]")
-    return "\n".join(lines) + "\n"
+    csv_lines = [
+        f"\"{r['identity']}\",{r['passed']},\"{r['worst_residual']}\",\"{r['detail']}\""
+        for r in rows
+    ]
+    text_lines = [
+        f"{'PASS' if r['passed'] else 'FAIL'} {r['identity']}  [{r['worst_residual']}]"
+        for r in rows
+    ]
+    return _render(fmt, report.meta, rows, "identity,passed,worst_residual,detail",
+                   csv_lines, text_lines)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -71,12 +71,9 @@ def exact_ratio_lookup(seed: Seed) -> Fraction | None:
     return _EXACT_RATIOS.get((seed.x0_squared, seed.sign))
 
 
-def angle_ratio(seed: Seed, mode: str, ctx: PrecisionContext) -> AngleRatio:
-    """Resolve the angle ratio in the requested mode (auto, exact, or self)."""
-    return _resolve_ratio(seed, mode, ctx.working_bits)
-
-
 def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
+    """The angle ratio in the requested mode (auto, exact, or self); a
+    self-consistent ratio is computed at ``work`` bits."""
     if mode not in ("auto", "exact", "self"):
         raise DomainError(f"unknown ratio mode {mode!r}")
     if mode in ("auto", "exact"):
@@ -145,18 +142,15 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     work = ctx.scale_bits + 64 + 4 * cancelled.bit_length() + (
         ctx.guard_bits if ctx.guard_bits is not None else 64
     )
-    seed = Seed(m, s)
-    theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
-    two_pi = pi_fixed(work) * 2
+    ratio = _resolve_ratio(Seed(m, s), "self", work)
     sqrt_s = FixedReal.from_fraction(s, work).sqrt()
     m_fixed = FixedReal.from_fraction(m, work)
     if variant == "corrected":
-        radical = ((m_fixed - sqrt_s) / (m_fixed * 2)).sqrt()
-        value = (two_pi / theta0) * radical
+        value = ratio.apply(((m_fixed - sqrt_s) / (m_fixed * 2)).sqrt())
         diagnostic = None
     else:
-        radical = (m_fixed - sqrt_s).sqrt()
-        value = (two_pi / theta0) * radical / FixedReal.from_fraction(m * s, work).sqrt()
+        radical = ratio.apply((m_fixed - sqrt_s).sqrt())
+        value = radical / FixedReal.from_fraction(m * s, work).sqrt()
         diagnostic = MISPRINT_DIAGNOSTIC
     return Approximant(
         value=value.rescale(ctx.scale_bits),
@@ -169,7 +163,7 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
             "bits": str(ctx.scale_bits),
             "guard_bits": str(work - ctx.scale_bits),
         },
-        ratio_kind="self_consistent",
+        ratio_kind=ratio.kind,
         diagnostic=diagnostic,
     )
 
@@ -315,8 +309,3 @@ def taylor_seed_exact(m, d, terms: int) -> Fraction:
         total += coeff * power
         power *= -u
     return total
-
-
-def taylor_seed(m, d, terms: int, ctx: PrecisionContext) -> FixedReal:
-    """Partial sum of the seed's binomial series at the context's output scale."""
-    return FixedReal.from_fraction(taylor_seed_exact(m, d, terms), ctx.scale_bits)

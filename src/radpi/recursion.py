@@ -175,14 +175,13 @@ class RecursionState(Record):
     implicitly; no angle value is stored.
     """
 
-    __slots__ = ("k", "x", "c", "scaled_sine", "g", "f", "f_form", "seed")
+    __slots__ = ("k", "x", "c", "scaled_sine", "g", "f", "seed")
     k: int
     x: FixedReal
     c: FixedReal
     scaled_sine: FixedReal
     g: FixedReal
     f: FixedReal
-    f_form: PowerForm
     seed: Seed
 
 
@@ -211,15 +210,6 @@ def sine_step_naive(x_prev: FixedReal) -> FixedReal:
     """
     x = _clamped_unit(x_prev)
     return ((FixedReal.one(x.scale_bits) - x) / 2).sqrt()
-
-
-def sine_step_stable(c_prev: FixedReal, x_new: FixedReal) -> FixedReal:
-    """sin(y) = sin(2y) / (2 cos(y)); no subtraction of nearby quantities."""
-    if x_new.mantissa <= 0:
-        raise DomainError("stable sine step requires a positive cosine iterate")
-    if c_prev.mantissa < 0:
-        raise DomainError("stable sine step requires a non-negative prior sine")
-    return c_prev / (x_new * 2)
 
 
 def radicand_step(g_prev: FixedReal, f_k: FixedReal) -> FixedReal:
@@ -261,7 +251,7 @@ def run_at_scale(
     if seed.sign < 0:
         g = -g
     f_val = FixedReal.from_fraction(seed.m, scale_bits)
-    states = [RecursionState(0, x, c, c, g, f_val, f_power_form(2, seed.m), seed)]
+    states = [RecursionState(0, x, c, c, g, f_val, seed)]
     two = FixedReal.from_int(2, scale_bits)
     scaled = c
     for j in range(1, k + 1):
@@ -275,9 +265,7 @@ def run_at_scale(
             c = scaled.times_pow2(-j)
         g = radicand_step(prev.g, prev.f)
         f_val = (two * prev.f).sqrt()
-        states.append(
-            RecursionState(j, x, c, scaled, g, f_val, f_power_form(j + 2, seed.m), seed)
-        )
+        states.append(RecursionState(j, x, c, scaled, g, f_val, seed))
     return states
 
 

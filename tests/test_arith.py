@@ -232,7 +232,7 @@ class TestPrecisionContext:
             PrecisionContext(128, 16)
 
     def test_guard_rule(self):
-        assert PrecisionContext.for_depth(128, 20).guard_bits == 104
+        assert PrecisionContext(128).guard_for_depth(20) == 104
 
     def test_explicit_guard_is_a_budget(self):
         from radpi import PrecisionError

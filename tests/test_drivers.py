@@ -18,18 +18,17 @@ from radpi import (
     FixedReal,
     PrecisionContext,
     Seed,
-    angle_ratio,
     arccos_by_recursion,
     arccos_oracle,
     pi_combined,
     pi_method1,
     pi_method2,
     pi_oracle,
-    taylor_seed,
     taylor_seed_exact,
     unity_formula,
     viete_product,
 )
+from radpi.drivers import _resolve_ratio
 
 OCTAGON = "3.061467458920718173827679872243190934090756499885016331470407"
 HEXADECAGON = "3.121445152258052285572557895632355854843065884031276924072032"
@@ -64,24 +63,24 @@ class TestAngleRatio:
     ]
 
     @pytest.mark.parametrize("seed,expected", CATALOG)
-    def test_exact_catalog(self, seed, expected, ctx128):
-        ratio = angle_ratio(seed, "exact", ctx128)
+    def test_exact_catalog(self, seed, expected):
+        ratio = _resolve_ratio(seed, "exact", 192)
         assert ratio.kind == "exact"
         assert ratio.rational == expected
 
-    def test_miss_raises(self, ctx128):
+    def test_miss_raises(self):
         with pytest.raises(CatalogMissError):
-            angle_ratio(Seed(5, 16, 1), "exact", ctx128)
+            _resolve_ratio(Seed(5, 16, 1), "exact", 192)
 
-    def test_self_consistent_value(self, ctx128):
-        ratio = angle_ratio(Seed(5, 16, 1), "self", ctx128)
+    def test_self_consistent_value(self):
+        ratio = _resolve_ratio(Seed(5, 16, 1), "self", 192)
         assert ratio.kind == "self_consistent"
         got = ratio.fixed.rescale(128).to_decimal(36)
         assert got[:32] == RATIO_SELF_08[:32]
 
-    def test_auto_prefers_exact(self, ctx128):
-        assert angle_ratio(Seed(2, 2, 1), "auto", ctx128).kind == "exact"
-        assert angle_ratio(Seed(5, 16, 1), "auto", ctx128).kind == "self_consistent"
+    def test_auto_prefers_exact(self):
+        assert _resolve_ratio(Seed(2, 2, 1), "auto", 192).kind == "exact"
+        assert _resolve_ratio(Seed(5, 16, 1), "auto", 192).kind == "self_consistent"
 
 
 class TestPiMethod1:
@@ -271,11 +270,6 @@ class TestTaylorSeed:
         sums = [taylor_seed_exact(5, 3, t) for t in range(1, 30)]
         assert all(a > b for a, b in zip(sums, sums[1:]))
 
-    def test_fixed_point_conversion(self, ctx128):
-        got = taylor_seed(5, 3, 4, ctx128)
-        assert got == FixedReal.from_fraction(Fraction(200221, 250000), 128)
-        assert got.to_decimal(8).startswith("0.800883")  # truncated below 0.800884
-
     def test_domain(self, ctx128):
         with pytest.raises(DomainError):
             taylor_seed_exact(3, 3, 5)
@@ -318,9 +312,9 @@ def test_unity_at_obtuse_seed(ctx128):
     assert gap > (1 << 128) // 10**11
 
 
-def test_invalid_ratio_mode(ctx128):
+def test_invalid_ratio_mode():
     with pytest.raises(DomainError):
-        angle_ratio(Seed(2, 2, 1), "sideways", ctx128)
+        _resolve_ratio(Seed(2, 2, 1), "sideways", 192)
 
 
 def test_arccos_exhausts_tight_explicit_budget():

@@ -24,7 +24,6 @@ from radpi import (
     radicand_step,
     run_recursion,
     sine_step_naive,
-    sine_step_stable,
 )
 
 COS_PI_8 = "0.923879532511286756128183189396788286822416625863642486115098"
@@ -63,23 +62,6 @@ class TestStepMaps:
         # sin(pi/6) = 1/2 exactly: the radicand 1/4 is dyadic, so no rounding
         got = sine_step_naive(FixedReal.from_decimal("0.5", BITS))
         assert got == FixedReal.from_decimal("0.5", BITS)
-
-    def test_sine_stable_halves_the_angle(self):
-        c_prev = FixedReal.from_decimal(SQRT_HALF, BITS)  # sin(pi/4)
-        x_new = FixedReal.from_decimal(COS_PI_8, BITS)
-        assert close_to(sine_step_stable(c_prev, x_new), SIN_PI_8, digits=28)
-
-    def test_sine_stable_from_half(self):
-        c_prev = FixedReal.from_decimal("0.5", BITS)  # sin(pi/6)
-        x_new = FixedReal.from_decimal(COS_PI_12, BITS)
-        assert close_to(sine_step_stable(c_prev, x_new), SIN_PI_12, digits=28)
-
-    def test_sine_stable_zero_sine(self):
-        assert sine_step_stable(FixedReal.zero(BITS), FixedReal.one(BITS)).is_zero
-
-    def test_sine_stable_rejects_nonpositive_cosine(self):
-        with pytest.raises(DomainError):
-            sine_step_stable(FixedReal.from_decimal("0.5", BITS), FixedReal.zero(BITS))
 
     def test_radicand_step(self):
         g1 = radicand_step(FixedReal.from_int(2, BITS).sqrt(), FixedReal.from_int(2, BITS))

@@ -1,0 +1,55 @@
+"""Names that code outside the package binds: the benchmark tracer, its
+microbenchmarks and the experiment scripts. Renaming or folding away any of
+them breaks only those tools, so they are checked here."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import radpi
+from radpi.arith import FixedReal
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing_namespace() -> dict:
+    # exec the source rather than import it, so nothing is written next to it
+    path = ROOT / "perfbench" / "tracing.py"
+    namespace: dict = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
+
+
+TRACING = _tracing_namespace()
+
+
+@pytest.mark.parametrize(
+    "home,attr", [(home, attr) for _, home, attr, _ in TRACING["_MODULE_TARGETS"]]
+)
+def test_tracer_module_targets_resolve(home, attr):
+    assert callable(getattr(importlib.import_module(home), attr))
+
+
+@pytest.mark.parametrize("attr", [attr for _, attr in TRACING["_METHOD_TARGETS"]])
+def test_tracer_method_targets_are_fixedreal_methods(attr):
+    assert callable(FixedReal.__dict__[attr])
+
+
+def test_microbenchmark_bindings_resolve():
+    assert callable(radpi.recursion.run_at_scale)
+    assert callable(radpi.arith._pi_mantissa.__wrapped__)
+
+
+@pytest.mark.parametrize("script", ["compare_methods.py", "cancellation_demo.py"])
+def test_experiment_script_runs(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
