@@ -175,6 +175,10 @@ def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
     method = args.method
     if method in ("method1", "unity", "viete") and args.k is None:
         raise UsageError(f"{method} requires --k")
+    if method == "taylor":
+        if args.m is None or args.d is None or args.terms is None:
+            raise UsageError("taylor requires --m, --d and --terms")
+        return _compute_taylor(args, ctx)
     index = args.k
     if method == "method1":
         seed = _seed_from_args(args)
@@ -198,13 +202,8 @@ def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
         params = {"m": args.m, "d": args.d}
     elif method == "unity":
         params = {"seed": _seed_from_args(args)}
-    elif method == "viete":
+    else:  # viete
         params = {}
-    else:  # taylor
-        if args.m is None or args.d is None or args.terms is None:
-            raise UsageError("taylor requires --m, --d and --terms")
-        return _compute_taylor(args, ctx)
-
     approx = _build_approximant(method, params, index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)

@@ -149,8 +149,8 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         value = ratio.apply(((m_fixed - sqrt_s) / (m_fixed * 2)).sqrt())
         diagnostic = None
     else:
-        radical = ratio.apply((m_fixed - sqrt_s).sqrt())
-        value = radical / FixedReal.from_fraction(m * s, work).sqrt()
+        scaled = ratio.apply((m_fixed - sqrt_s).sqrt())
+        value = scaled / FixedReal.from_fraction(m * s, work).sqrt()
         diagnostic = MISPRINT_DIAGNOSTIC
     return Approximant(
         value=value.rescale(ctx.scale_bits),

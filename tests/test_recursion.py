@@ -29,7 +29,6 @@ from radpi import (
 COS_PI_8 = "0.923879532511286756128183189396788286822416625863642486115098"
 SIN_PI_8 = "0.382683432365089771728459984030398866761344562485627041433801"
 SIN_PI_12 = "0.258819045102520762348898837624048328349068901319930513814003"
-COS_PI_12 = "0.965925826289068286749743199728897367633904839008404550402343"
 SIN_PI_16 = "0.195090322016128267848284868477022240927691617751954807754502"
 SQRT_HALF = "0.707106781186547524400844362104849039284835937688474036588340"
 SQRT_2_PLUS_SQRT2 = "1.847759065022573512256366378793576573644833251727284972230228"
