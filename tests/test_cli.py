@@ -305,9 +305,11 @@ def test_golden_stdout_is_byte_identical(entry, capsys):
 
 
 # Every MATRIX argv in every format, plus the self-consistent audit, a
-# cataloged method2 seed and the as-printed MISPRINT diagnostic: exit code,
-# stdout and stderr as the CLI printed them before its row, ratio and driver
-# paths were merged into analysis/drivers.
+# cataloged method2 seed, the as-printed MISPRINT diagnostic, and `verify` and
+# `reproduce` at 512 and 1024 bits in every format: exit code, stdout and
+# stderr as the CLI printed them before its row, ratio and driver paths were
+# merged into analysis/drivers, and before the scale factors came from one
+# running chain.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 
