@@ -1,6 +1,6 @@
-"""Convergence tabulation, empirical rate estimation, the naive-vs-stable
-cancellation audit, reproduction of the four classical catalog formulas, and
-the identity verification suite.
+"""Convergence tabulation, the naive-vs-stable cancellation audit,
+reproduction of the four classical catalog formulas, and the identity
+verification suite.
 
 Errors are always measured against the series references at a precision at
 least four times the working precision of the audited computation, so the
@@ -38,6 +38,7 @@ from .recursion import (
     nested_literal,
     run_at_scale,
     run_recursion,
+    scale_factors,
 )
 
 _RATIO_DIGITS = 6
@@ -106,19 +107,6 @@ def _target_value(target: str, scale: int) -> FixedReal:
 def abs_error(approx: Approximant, scale: int) -> FixedReal:
     """|value - target| at the measurement scale (the rescale up is exact)."""
     return abs(approx.value.rescale(scale) - _target_value(approx.target, scale))
-
-
-def empirical_rate(errors: Sequence[FixedReal]) -> list[FixedReal]:
-    """Consecutive ratios e_i / e_(i+1); all entries must be positive."""
-    if len(errors) < 2:
-        return []
-    for e in errors:
-        if e.mantissa <= 0:
-            raise DomainError(
-                "empirical rate needs positive errors (a zero error means the "
-                "reference precision was exceeded; raise scale_bits)"
-            )
-    return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
 
 
 def _measure_row(
@@ -198,7 +186,7 @@ def _table_meta(
         "method": method,
         "params": described,
         "bits": ctx.scale_bits,
-        "guard_bits": guard if guard else (ctx.guard_bits or 64),
+        "guard_bits": guard or ctx.working_bits - ctx.scale_bits,
         "measure_bits": measure_bits,
         "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
     }
@@ -256,12 +244,6 @@ class CoefficientRule(Record):
 
     def at(self, n: int) -> Fraction:
         return self.factor * Fraction(2) ** (n + self.shift)
-
-    def render(self) -> str:
-        base = f"2^(n{self.shift:+d})" if self.shift else "2^n"
-        if self.factor == 1:
-            return base
-        return f"({self.factor})*{base}"
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
@@ -417,13 +399,13 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
 
     depth = 20
     work = ctx.scale_bits + ctx.guard_for_depth(depth)
+    runs = [(seed, run_recursion(seed, depth, ctx)) for seed in _IDENTITY_SEEDS]
     pyth_worst = 0
     pyth_ok = True
     norm_worst = 0
     norm_ok = True
-    for seed in _IDENTITY_SEEDS:
-        states = run_recursion(seed, depth, ctx)
-        one = FixedReal.one(work)
+    one = FixedReal.one(work)
+    for _, states in runs:
         for st in states:
             bound = 1 << (st.k + 6)
             resid = abs((st.x * st.x + st.c * st.c - one).mantissa)
@@ -449,8 +431,7 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
 
     lit_ok = True
     lit_worst_bits = None
-    for seed in _IDENTITY_SEEDS:
-        states = run_recursion(seed, depth, ctx)
+    for seed, states in runs:
         for k in (1, 2, 5, 10, 15, 20):
             lit = nested_literal(seed, k, ctx)
             rec = states[k].c.rescale(ctx.scale_bits)
@@ -507,8 +488,9 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     f_ok = True
     two = FixedReal.from_int(2, work)
     for m in (2, 3, 5, 10):
+        factors = scale_factors(m, 40, work)
         for k in range(6, 41):
-            val = f_power_form(k, m).value_fixed(work)
+            val = factors[k]
             gap = abs(val - two)
             if m == 2:
                 if gap.mantissa != 0:

@@ -75,7 +75,7 @@ class FixedReal(Record):
 
     @classmethod
     def from_int(cls, n: int, scale_bits: int) -> "FixedReal":
-        return cls(n << scale_bits if n >= 0 else -((-n) << scale_bits), scale_bits)
+        return cls(n << scale_bits, scale_bits)
 
     @classmethod
     def from_fraction(cls, fr: Fraction, scale_bits: int) -> "FixedReal":
@@ -109,8 +109,7 @@ class FixedReal(Record):
         if diff == 0:
             return self
         if diff > 0:
-            m = self.mantissa << diff if self.mantissa >= 0 else -((-self.mantissa) << diff)
-            return FixedReal(m, scale_bits)
+            return FixedReal(self.mantissa << diff, scale_bits)
         return FixedReal(_tdiv(self.mantissa, 1 << -diff), scale_bits)
 
     def to_decimal(self, digits: int) -> str:
@@ -125,9 +124,6 @@ class FixedReal(Record):
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.scale_bits)
-
-    def __float__(self) -> float:  # diagnostics only; never used in core paths
-        return self.mantissa / (1 << self.scale_bits)
 
     # -- arithmetic (same-scale operands; rescaling is explicit) -----------
 
@@ -184,8 +180,7 @@ class FixedReal(Record):
     def times_pow2(self, n: int) -> "FixedReal":
         """Multiply by 2**n (exact for n >= 0, truncating for n < 0)."""
         if n >= 0:
-            m = self.mantissa << n if self.mantissa >= 0 else -((-self.mantissa) << n)
-            return FixedReal(m, self.scale_bits)
+            return FixedReal(self.mantissa << n, self.scale_bits)
         return FixedReal(_tdiv(self.mantissa, 1 << -n), self.scale_bits)
 
     def sqrt(self) -> "FixedReal":
@@ -211,14 +206,6 @@ class FixedReal(Record):
     def __ge__(self, other: "FixedReal") -> bool:
         self._coscale(other)
         return self.mantissa >= other.mantissa
-
-    @property
-    def is_negative(self) -> bool:
-        return self.mantissa < 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
 
     def __repr__(self) -> str:
         shown = min(self.scale_bits, 12)
@@ -246,14 +233,22 @@ class PrecisionContext(Record):
         set_field(self, "scale_bits", scale_bits)
         set_field(self, "guard_bits", guard_bits)
 
+    def depth_within_budget(self, depth: int) -> int:
+        """``depth``, or the deepest recursion an explicit guard affords if that
+        is less (it may be negative for a guard under 64 bits)."""
+        if self.guard_bits is None:
+            return depth
+        return min(depth, (self.guard_bits - 64) // 2)
+
     def guard_for_depth(self, depth: int) -> int:
         """Guard bits to use for ``depth`` halvings; explicit guards are budgets."""
         if self.guard_bits is None:
             return 2 * depth + 64
-        if depth > (self.guard_bits - 64) // 2:
+        allowed = self.depth_within_budget(depth)
+        if allowed < depth:
             raise PrecisionError(
                 f"depth {depth} exceeds precision budget "
-                f"(guard_bits={self.guard_bits} allows {(self.guard_bits - 64) // 2})"
+                f"(guard_bits={self.guard_bits} allows {allowed})"
             )
         return self.guard_bits
 

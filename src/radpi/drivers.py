@@ -139,10 +139,8 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     s = m**2 - d**2
     # m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack.
     cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
-    work = ctx.scale_bits + 64 + 4 * cancelled.bit_length() + (
-        ctx.guard_bits if ctx.guard_bits is not None else 64
-    )
-    ratio = _resolve_ratio(Seed(m, s), "self", work)
+    work = ctx.working_bits + 64 + 4 * cancelled.bit_length()
+    ratio = _resolve_ratio(Seed(m, s), "auto", work)
     sqrt_s = FixedReal.from_fraction(s, work).sqrt()
     m_fixed = FixedReal.from_fraction(m, work)
     if variant == "corrected":
@@ -173,7 +171,7 @@ def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
     seed = Seed.from_m_d(m, d)
     if seed.s == 0:
         raise DomainError("combined method requires d < m")
-    inner = pi_method1(seed, k, ctx, ratio_mode="self")
+    inner = pi_method1(seed, k, ctx)
     return Approximant(
         value=inner.value,
         target="pi",
@@ -231,18 +229,13 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "arccos argument too close to 1 for the requested precision "
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
-    depth_cap = out_bits // 2 + 24
-    if ctx.guard_bits is None:
-        guard = 2 * depth_cap + 64
-    else:
-        # explicit guards are budgets: run as deep as they allow
-        guard = ctx.guard_bits
-        depth_cap = min(depth_cap, max(0, (guard - 64) // 2))
-        if depth_cap < 2:
-            raise ConvergenceError(
-                f"guard budget of {guard} bits allows no usable recursion depth"
-            )
-    work = out_bits + guard
+    # explicit guards are budgets: run as deep as they allow
+    depth_cap = ctx.depth_within_budget(out_bits // 2 + 24)
+    if depth_cap < 2:
+        raise ConvergenceError(
+            f"guard budget of {ctx.guard_bits} bits allows no usable recursion depth"
+        )
+    work = out_bits + ctx.guard_for_depth(depth_cap)
     x = x0.rescale(work)
     tol = 1 << (work - out_bits - 8)
     # first step is the no-cancellation naive sine; afterwards one division per step

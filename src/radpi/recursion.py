@@ -52,45 +52,6 @@ class PowerForm(Record):
             return Fraction(2) ** int(self.p)
         return None
 
-    def value_fixed(self, scale_bits: int) -> FixedReal:
-        exact = self.exact_value()
-        if exact is not None:
-            return FixedReal.from_fraction(exact, scale_bits)
-        p_int, p_frac = _split_exponent(self.p)
-        q_int, q_frac = _split_exponent(self.q)
-        base = Fraction(2) ** p_int * self.m**q_int
-        result = FixedReal.from_fraction(base, scale_bits)
-        if p_frac:
-            result = result * _dyadic_root_power(Fraction(2), p_frac, scale_bits)
-        if q_frac:
-            result = result * _dyadic_root_power(self.m, q_frac, scale_bits)
-        return result
-
-
-def _split_exponent(e: Fraction) -> tuple[int, Fraction]:
-    whole = e.numerator // e.denominator
-    return whole, e - whole
-
-
-def _dyadic_root_power(base: Fraction, exponent: Fraction, scale_bits: int) -> FixedReal:
-    """base**exponent for 0 < exponent < 1 with a power-of-two denominator.
-
-    Writes exponent = sum of 2**-t over set bits and multiplies the matching
-    repeated square roots of base.
-    """
-    den = exponent.denominator
-    if den & (den - 1):
-        raise UsageError(f"exponent denominator {den} is not a power of two")
-    j = den.bit_length() - 1
-    a = exponent.numerator
-    root = FixedReal.from_fraction(base, scale_bits)
-    result = FixedReal.one(scale_bits)
-    for t in range(1, j + 1):
-        root = root.sqrt()
-        if (a >> (j - t)) & 1:
-            result = result * root
-    return result
-
 
 def f_power_form(k: int, m) -> PowerForm:
     """Scale factor at chain position k >= 2: exponents ((2**(k-2)-1)/2**(k-2), 1/2**(k-2))."""
@@ -98,6 +59,33 @@ def f_power_form(k: int, m) -> PowerForm:
         raise DomainError(f"scale function undefined for k={k} < 2")
     den = 1 << (k - 2)
     return PowerForm(Fraction(den - 1, den), Fraction(1, den), _to_fraction(m))
+
+
+def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
+    """Scale factors f(2), ..., f(k_max) at ``scale_bits``, keyed by k.
+
+    f(k) for k >= 3 is the running product 2**(1/2) * 2**(1/4) * ... *
+    2**(2**-(k-2)) times the (k-2)-fold square root of m, so each k costs one
+    more square root of 2 and of m. A factor with an exact rational value
+    takes that value, and the chains stop after the last factor without one.
+    """
+    if k_max < 2:
+        raise DomainError(f"scale function undefined for k={k_max} < 2")
+    m = _to_fraction(m)
+    exact = {k: f_power_form(k, m).exact_value() for k in range(2, k_max + 1)}
+    last_inexact = max((k for k, value in exact.items() if value is None), default=2)
+    root_two = FixedReal.from_int(2, scale_bits)
+    root_m = FixedReal.from_fraction(m, scale_bits)
+    two_part = FixedReal.one(scale_bits)
+    factors = {2: root_m}
+    for k in range(3, last_inexact + 1):
+        root_two, root_m = root_two.sqrt(), root_m.sqrt()
+        two_part = two_part * root_two
+        factors[k] = two_part * root_m
+    for k, value in exact.items():
+        if value is not None:
+            factors[k] = FixedReal.from_fraction(value, scale_bits)
+    return factors
 
 
 class Seed(Record):
@@ -272,8 +260,8 @@ def run_at_scale(
 def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     """sin(theta0 / 2**k) evaluated as the literal nested radical.
 
-    Builds the plus chain innermost-out with each scale factor evaluated from
-    its exact exponent form, applies the single outermost minus, and divides
+    Builds the plus chain innermost-out with the scale factors from
+    ``scale_factors``, applies the single outermost minus, and divides
     by the outer scale factor:
 
         c_k = sqrt(f(k+1) - g_{k-1}) / f(k+2),  g_j = sqrt(f(j+1) + g_{j-1})
@@ -286,7 +274,7 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
         raise DomainError("k must be >= 1")
     guard = ctx.guard_for_depth(k)
     work = ctx.scale_bits + guard
-    f_vals = {j: f_power_form(j, seed.m).value_fixed(work) for j in range(2, k + 3)}
+    f_vals = scale_factors(seed.m, k + 2, work)
     g = FixedReal.from_fraction(seed.s, work).sqrt()
     if seed.sign < 0:
         g = -g

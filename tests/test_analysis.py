@@ -1,5 +1,5 @@
-"""Analysis layer: convergence tables, rate estimation, the cancellation
-audit, catalog reproduction, and the identity suite."""
+"""Analysis layer: convergence tables, the cancellation audit, catalog
+reproduction, and the identity suite."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from radpi import (
     cancellation_audit,
     convergence_table,
     correct_decimal_digits,
-    empirical_rate,
     pi_method2,
     pi_oracle,
     reproduce_catalog,
@@ -46,25 +45,6 @@ class TestCorrectDigits:
 
     def test_zero_is_none(self):
         assert correct_decimal_digits(FixedReal.zero(64)) is None
-
-
-class TestEmpiricalRate:
-    def test_geometric(self):
-        errs = [FixedReal.from_fraction(Fraction(1, 4**i), 96) for i in range(3)]
-        ratios = empirical_rate(errs)
-        assert [r.to_decimal(4) for r in ratios] == ["4.0000", "4.0000"]
-
-    def test_two_entries(self):
-        errs = [FixedReal.from_fraction(Fraction(1, 100), 96),
-                FixedReal.from_fraction(Fraction(1, 10000), 96)]
-        assert empirical_rate(errs)[0].to_decimal(2) == "100.00"
-
-    def test_single_entry_empty(self):
-        assert empirical_rate([FixedReal.one(64)]) == []
-
-    def test_zero_error_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_rate([FixedReal.one(64), FixedReal.zero(64)])
 
 
 class TestConvergenceTable:
@@ -177,6 +157,21 @@ class TestVerifyIdentities:
         assert "scale identity" in names
         assert "pythagorean" in names
         assert "normalization" in names
+
+    def test_one_depth_20_run_per_seed(self, ctx128, monkeypatch):
+        import radpi.analysis
+
+        depths = []
+        real_run = radpi.analysis.run_recursion
+
+        def counting_run(seed, k, ctx, variant="stable"):
+            depths.append(k)
+            return real_run(seed, k, ctx, variant)
+
+        monkeypatch.setattr(radpi.analysis, "run_recursion", counting_run)
+        assert verify_identities(ctx128).all_passed
+        # the three state checks share one run; monotonicity needs depth 30
+        assert depths == [20] * 4 + [30] * 4
 
 
 def test_combined_beats_both_individually(ctx128):

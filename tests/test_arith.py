@@ -183,7 +183,7 @@ class TestPiOracle:
 class TestArccosOracle:
     def test_endpoints(self, ctx128):
         bits = 128
-        assert arccos_oracle(FixedReal.one(bits), ctx128).is_zero
+        assert arccos_oracle(FixedReal.one(bits), ctx128).mantissa == 0
         gap = arccos_oracle(FixedReal.from_int(-1, bits), ctx128) - pi_oracle(ctx128)
         assert abs(gap.mantissa) < 1 << 8
 
@@ -239,5 +239,11 @@ class TestPrecisionContext:
 
         ctx = PrecisionContext(128, 80)
         assert ctx.guard_for_depth(8) == 80
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match=r"guard_bits=80 allows 8\)"):
             ctx.guard_for_depth(9)
+
+    def test_depth_within_budget(self):
+        assert PrecisionContext(128).depth_within_budget(88) == 88
+        assert PrecisionContext(128, 80).depth_within_budget(88) == 8
+        assert PrecisionContext(128, 80).depth_within_budget(5) == 5
+        assert PrecisionContext(128, 40).depth_within_budget(88) == -12

@@ -309,7 +309,9 @@ def test_golden_stdout_is_byte_identical(entry, capsys):
 # `reproduce` at 512 and 1024 bits in every format: exit code, stdout and
 # stderr as the CLI printed them before its row, ratio and driver paths were
 # merged into analysis/drivers, and before the scale factors came from one
-# running chain.
+# running chain. The text and json entries of `method2 --m 2 --d 1` were
+# re-recorded when method2 took the cataloged ratio 12 for that seed; only
+# their `ratio_kind` changed, from self_consistent to exact.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 

@@ -154,6 +154,18 @@ class TestPiMethod2:
             pi_method2(5, 3, ctx128, "sideways")
 
 
+class TestCatalogedLargeSeedRatio:
+    # x0 = sqrt(3)/2 at (m, d) = (2, 1): the ratio 12 is cataloged, so the
+    # approximant is pi-free; (50, 1) has no cataloged ratio
+    def test_method2(self, ctx128):
+        assert pi_method2(2, 1, ctx128).ratio_kind == "exact"
+        assert pi_method2(50, 1, ctx128).ratio_kind == "self_consistent"
+
+    def test_combined(self, ctx128):
+        assert pi_combined(2, 1, 5, ctx128).ratio_kind == "exact"
+        assert pi_combined(50, 1, 5, ctx128).ratio_kind == "self_consistent"
+
+
 class TestPiCombined:
     def test_single_step_equals_method2(self, ctx128):
         # at depth 1 the combined form reduces algebraically to the corrected
@@ -321,7 +333,7 @@ def test_arccos_exhausts_tight_explicit_budget():
     from radpi import ConvergenceError
 
     ctx = PrecisionContext(128, 40)  # allows no usable depth
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="guard budget of 40 bits allows no usable"):
         arccos_by_recursion(FixedReal.from_decimal("0.5", 128), ctx)
 
 

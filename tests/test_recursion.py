@@ -23,6 +23,7 @@ from radpi import (
     nested_literal,
     radicand_step,
     run_recursion,
+    scale_factors,
     sine_step_naive,
 )
 
@@ -45,7 +46,7 @@ class TestStepMaps:
     def test_half_angle_fixed_points(self):
         one = FixedReal.one(BITS)
         assert half_angle_step(one) == one
-        assert half_angle_step(-one).is_zero
+        assert half_angle_step(-one).mantissa == 0
         assert close_to(half_angle_step(FixedReal.zero(BITS)), SQRT_HALF)
 
     def test_half_angle_clamps_within_slack_only(self):
@@ -56,7 +57,7 @@ class TestStepMaps:
 
     def test_sine_naive_values(self):
         one = FixedReal.one(BITS)
-        assert sine_step_naive(one).is_zero
+        assert sine_step_naive(one).mantissa == 0
         assert close_to(sine_step_naive(FixedReal.zero(BITS)), SQRT_HALF)
         # sin(pi/6) = 1/2 exactly: the radicand 1/4 is dyadic, so no rounding
         got = sine_step_naive(FixedReal.from_decimal("0.5", BITS))
@@ -96,19 +97,58 @@ class TestPowerForm:
             for k in range(2, 65):
                 assert f_power_form(k + 1, m).squared() == f_power_form(k, m).times_two()
 
-    def test_value_k3_is_sqrt_2m(self):
-        got = f_power_form(3, 3).value_fixed(192)
+
+
+def _f_mpmath(k, m):
+    den, m = 1 << (k - 2), Fraction(m)
+    base = mpmath.mpf(m.numerator) / m.denominator
+    return mpmath.power(2, mpmath.mpf(den - 1) / den) * mpmath.power(base, mpmath.mpf(1) / den)
+
+
+class TestScaleFactors:
+    def test_k3_is_sqrt_2m(self):
+        got = scale_factors(3, 3, 192)[3]
         want = FixedReal.from_int(6, 192).sqrt()
         assert abs((got - want).mantissa) < 1 << 8
 
-    def test_value_against_mpmath(self):
+    def test_against_mpmath(self):
         mpmath.mp.dps = 50
         for m in (3, 5, 10):
+            factors = scale_factors(m, 12, 160)
             for k in (4, 7, 12):
-                got = f_power_form(k, m).value_fixed(160).to_decimal(40)
-                den = 1 << (k - 2)
-                want = mpmath.power(2, mpmath.mpf(den - 1) / den) * mpmath.power(m, mpmath.mpf(1) / den)
-                assert got[:36] == mpmath.nstr(want, 45, strip_zeros=False)[:36]
+                got = factors[k].to_decimal(40)
+                assert got[:36] == mpmath.nstr(_f_mpmath(k, m), 45, strip_zeros=False)[:36]
+
+    def test_keys_run_from_two(self):
+        assert list(scale_factors(3, 9, 96)) == list(range(2, 10))
+        with pytest.raises(DomainError):
+            scale_factors(3, 1, 96)
+
+    def test_exactly_two_for_m_two(self):
+        two = FixedReal.from_int(2, 160)
+        assert all(v == two for v in scale_factors(2, 64, 160).values())
+
+    @pytest.mark.parametrize("m,exact", [(4, {2: 4}), (Fraction(1, 2), {2: Fraction(1, 2), 3: 1})])
+    def test_power_of_two_m_is_exact_only_at_some_k(self, m, exact):
+        mpmath.mp.dps = 50
+        factors = scale_factors(m, 12, 160)
+        for k, value in factors.items():
+            if k in exact:
+                assert value == FixedReal.from_fraction(Fraction(exact[k]), 160)
+                continue
+            assert f_power_form(k, m).exact_value() is None
+            want = FixedReal.from_decimal(mpmath.nstr(_f_mpmath(k, m), 60, strip_zeros=False), 160)
+            assert abs((value - want).mantissa) < 1 << 8
+
+    def test_one_square_root_of_two_and_of_m_per_k(self, monkeypatch):
+        calls = []
+        real_sqrt = FixedReal.sqrt
+        monkeypatch.setattr(FixedReal, "sqrt", lambda self: calls.append(1) or real_sqrt(self))
+        scale_factors(3, 40, 128)
+        assert len(calls) == 2 * (40 - 2)
+        calls.clear()
+        scale_factors(2, 40, 128)  # every factor exact: no chain at all
+        assert calls == []
 
 
 class TestSeed:
@@ -221,6 +261,15 @@ class TestNestedLiteral:
         rec = run_recursion(seed, k, ctx128)[k].c.rescale(128)
         assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
+    def test_square_roots_grow_linearly_with_depth(self, ctx128, monkeypatch):
+        calls = []
+        real_sqrt = FixedReal.sqrt
+        monkeypatch.setattr(FixedReal, "sqrt", lambda self: calls.append(1) or real_sqrt(self))
+        k = 20
+        nested_literal(Seed(3, 7, 1), k, ctx128)
+        # two chains of k roots, sqrt(s), k - 1 plus-chain links, one outer root
+        assert len(calls) == 3 * k + 1
+
     @pytest.mark.parametrize("seed", [Seed(3, 7, 1), Seed(3, 7, -1), Seed(5, 16, 1), Seed(10, 50, -1)])
     def test_matches_recursion_for_non_dyadic_scale_factors(self, seed, ctx128):
         # m != 2 exercises the exact-exponent evaluation of every chain factor
@@ -241,16 +290,6 @@ def test_run_at_scale_rejects_unknown_variant():
 def test_nested_literal_depth_check(ctx128):
     with pytest.raises(DomainError):
         nested_literal(Seed(2, 2, 1), 0, ctx128)
-
-
-def test_power_form_rejects_non_dyadic_exponent():
-    from fractions import Fraction as F
-
-    from radpi import PowerForm
-    from radpi.errors import UsageError
-
-    with pytest.raises(UsageError):
-        PowerForm(F(1, 3), F(0), F(5)).value_fixed(96)
 
 
 @settings(max_examples=30, deadline=None)

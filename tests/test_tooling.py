@@ -39,6 +39,10 @@ def test_tracer_method_targets_are_fixedreal_methods(attr):
     assert callable(FixedReal.__dict__[attr])
 
 
+def test_every_public_name_resolves():
+    assert [name for name in radpi.__all__ if not hasattr(radpi, name)] == []
+
+
 def test_microbenchmark_bindings_resolve():
     assert callable(radpi.recursion.run_at_scale)
     assert callable(radpi.arith._pi_mantissa.__wrapped__)
