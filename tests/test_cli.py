@@ -311,7 +311,9 @@ def test_golden_stdout_is_byte_identical(entry, capsys):
 # merged into analysis/drivers, and before the scale factors came from one
 # running chain. The text and json entries of `method2 --m 2 --d 1` were
 # re-recorded when method2 took the cataloged ratio 12 for that seed; only
-# their `ratio_kind` changed, from self_consistent to exact.
+# their `ratio_kind` changed, from self_consistent to exact. The error paths
+# of `compute` and `table` follow: missing required flags, bad variants, bad
+# sweeps, a catalog miss, a guard budget too small, and an unwritable --out.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 
