@@ -5,30 +5,13 @@ Shows the U-shaped error of the naive sine (recomputed from the cosine every
 step, subtracting two values that both approach 1) against the stable sine
 (one division per step): the naive route bottoms out around depth 13 and then
 loses everything, while the stable route rides down to its rounding floor.
+This is `radpi audit` on the seed m=2, s=2 with a 256-bit reference floor;
+extra arguments (--audited-bits, --k, --format, ...) are passed through.
 """
 
-import argparse
+import sys
 
-from radpi import PrecisionContext, Seed, cancellation_audit
-from radpi.cli import render_audit
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--audited-bits", type=int, default=53)
-    parser.add_argument("--k", type=int, default=40)
-    parser.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    args = parser.parse_args()
-
-    reference = PrecisionContext(max(256, 4 * args.audited_bits))
-    rows = cancellation_audit(Seed(2, 2, 1), args.k, args.audited_bits, reference)
-    meta = {
-        "seed": "m=2, s=2, sign=+",
-        "audited_bits": args.audited_bits,
-        "reference_bits": reference.scale_bits,
-    }
-    print(render_audit(rows, meta, args.format), end="")
-
+from radpi.cli import run_command
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(["audit", "--bits", "256", *sys.argv[1:]]))

@@ -3,34 +3,33 @@
 starting term, and doing both at once.
 
 The last table makes the empirical case that the combination beats either
-knob alone at comparable parameter cost.
+knob alone at comparable parameter cost. Each table is a `radpi table`
+request; extra arguments (--bits, --format, ...) are passed to all three.
 """
 
-import argparse
+import sys
 
-from radpi import PrecisionContext, Seed, convergence_table
-from radpi.cli import render_report
+from radpi.cli import run_command
+
+TABLES = (
+    ("deepening the recursion (seed m=2, s=2, +)",
+     ["--method", "method1", "--m", "2", "--s", "2", "--k-range", "1:15"]),
+    ("growing the starting term (d=1, single step)",
+     ["--method", "method2", "--d", "1", "--m-range", "10,100,1000,10000"]),
+    ("both at once (m=100, d=1)",
+     ["--method", "combined", "--m", "100", "--d", "1", "--k-range", "1:15"]),
+)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bits", type=int, default=128)
-    parser.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    args = parser.parse_args()
-    ctx = PrecisionContext(args.bits)
-
-    print("== deepening the recursion (seed m=2, s=2, +) ==")
-    report = convergence_table("method1", {"seed": Seed(2, 2, 1)}, list(range(1, 16)), ctx)
-    print(render_report(report, args.format))
-
-    print("== growing the starting term (d=1, single step) ==")
-    report = convergence_table("method2_corrected", {"d": 1}, [10, 100, 1000, 10000], ctx)
-    print(render_report(report, args.format))
-
-    print("== both at once (m=100, d=1) ==")
-    report = convergence_table("combined", {"m": 100, "d": 1}, list(range(1, 16)), ctx)
-    print(render_report(report, args.format))
+def main() -> int:
+    for title, argv in TABLES:
+        print(f"== {title} ==", flush=True)
+        code = run_command(["table", *argv, *sys.argv[1:]])
+        if code:
+            return code
+        print(flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -246,6 +246,10 @@ class CoefficientRule(Record):
         return self.factor * Fraction(2) ** (n + self.shift)
 
 
+# the depth every catalog check runs to, and how close to pi it must end
+_CATALOG_DEPTH = 25
+_CATALOG_TOLERANCE = Fraction(1, 10**12)
+
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("2^n * sqrt(2 - sqrt(2 + ... + sqrt(2 + sqrt(2))))",
                  Seed(2, 2, 1), CoefficientRule(Fraction(1), 0)),
@@ -288,11 +292,7 @@ def _printed_all_twos_radical(s: Fraction, inner_sign: int, n: int, scale: int) 
     return (two - t).sqrt()
 
 
-def reproduce_catalog(
-    ctx: PrecisionContext,
-    depth: int = 25,
-    convergence_tolerance: Fraction = Fraction(1, 10**12),
-) -> CatalogReport:
+def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
     """Verify the four classical formulas against the general machinery.
 
     For each entry: (a) the engine prefactor R * 2**(k-1) / f(k+2) reduces to
@@ -301,16 +301,16 @@ def reproduce_catalog(
     and (c) the depth-25 approximant is within the tolerance of pi. Any
     mismatch raises CatalogFailure naming the formula.
     """
-    work = ctx.scale_bits + ctx.guard_for_depth(depth)
+    work = ctx.scale_bits + ctx.guard_for_depth(_CATALOG_DEPTH)
     scale = _measure_scale(work)
     pi_ref = pi_fixed(scale)
-    tol_fixed = FixedReal.from_fraction(convergence_tolerance, scale)
+    tol_fixed = FixedReal.from_fraction(_CATALOG_TOLERANCE, scale)
     results = []
     for entry in CATALOG:
         ratio = exact_ratio_lookup(entry.seed)
         if ratio is None:
             raise CatalogFailure(f"{entry.name}: seed unexpectedly uncataloged")
-        for k in range(1, depth + 1):
+        for k in range(1, _CATALOG_DEPTH + 1):
             f_exact = f_power_form(k + 2, entry.seed.m).exact_value()
             if f_exact is None:
                 raise CatalogFailure(f"{entry.name}: scale factor not exact at k={k}")
@@ -320,7 +320,7 @@ def reproduce_catalog(
                     f"{entry.name}: prefactor {prefactor} != printed "
                     f"{entry.coefficient.at(k + 1)} at n={k + 1}"
                 )
-        shape_k = min(depth, 8)
+        shape_k = 8
         printed = _printed_all_twos_radical(
             entry.seed.s, entry.seed.sign, shape_k + 1, work
         ).mul_fraction(entry.coefficient.at(shape_k + 1))
@@ -331,10 +331,10 @@ def reproduce_catalog(
         # both routes agree to ~2^(-B + 2k) absolute; structural mismatches are O(1)
         if shape_gap.mantissa > (1 << (work - ctx.scale_bits + 2 * shape_k + 16)):
             raise CatalogFailure(f"{entry.name}: literal radical shape mismatch")
-        err = abs_error(pi_method1(entry.seed, depth, ctx, "exact"), scale)
+        err = abs_error(pi_method1(entry.seed, _CATALOG_DEPTH, ctx, "exact"), scale)
         if not err < tol_fixed:
             raise CatalogFailure(
-                f"{entry.name}: depth-{depth} approximant off by {err.to_decimal(18)}"
+                f"{entry.name}: depth-{_CATALOG_DEPTH} approximant off by {err.to_decimal(18)}"
             )
         results.append(
             CatalogResult(
@@ -347,10 +347,10 @@ def reproduce_catalog(
             )
         )
     meta = {
-        "depth": depth,
+        "depth": _CATALOG_DEPTH,
         "bits": ctx.scale_bits,
         "index_shift": "printed n = engine k + 1",
-        "tolerance": str(convergence_tolerance),
+        "tolerance": str(_CATALOG_TOLERANCE),
     }
     return CatalogReport(results=results, meta=meta)
 

@@ -248,7 +248,7 @@ class PrecisionContext(Record):
         if allowed < depth:
             raise PrecisionError(
                 f"depth {depth} exceeds precision budget "
-                f"(guard_bits={self.guard_bits} allows {allowed})"
+                f"(guard_bits={self.guard_bits} allows {max(allowed, 0)})"
             )
         return self.guard_bits
 

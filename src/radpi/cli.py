@@ -4,8 +4,9 @@ All numeric output is plain decimal strings from the fixed-point layer (no
 locale, no exponent form), so identical argument vectors produce byte
 identical output. Diagnostics go to stderr only.
 
-Exit codes: 0 success, 2 domain/catalog errors, 3 precision/convergence
-errors, 64 usage errors, 74 unwritable output path.
+Exit codes: 0 success, 1 a failing verify identity, 2 domain/catalog errors,
+3 precision/convergence errors, 64 usage errors, 70 internal errors (a defect,
+reported in one line without a traceback), 74 unwritable output path.
 """
 
 from __future__ import annotations
@@ -30,22 +31,20 @@ from .analysis import (
 )
 from .arith import FixedReal, PrecisionContext, arccos_oracle, decimal_digits_for_bits
 from .drivers import arccos_by_recursion, taylor_seed_exact
-from .errors import (
-    CatalogFailure,
-    CatalogMissError,
-    ConvergenceError,
-    DomainError,
-    PrecisionError,
-    UsageError,
-)
+from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
 _EXIT_DOMAIN = 2
 _EXIT_PRECISION = 3
 _EXIT_USAGE = 64
+_EXIT_SOFTWARE = 70
 _EXIT_IO = 74
 
 _CSV_HEADER = "index,approximant,abs_error,correct_digits,error_ratio"
+
+_METHODS = ["method1", "method2", "combined", "unity", "viete"]
+# the methods with variants, each with its default first
+_VARIANTS = {"method1": ("stable", "naive"), "method2": ("corrected", "as-printed")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,28 +79,26 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write output to this path")
 
 
+def _add_method_flags(p: argparse.ArgumentParser, methods: list[str]) -> None:
+    p.add_argument("--method", required=True, choices=methods)
+    p.add_argument("--variant",
+                   choices=["stable", "naive", "corrected", "as-printed"], default=None)
+    p.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default="auto")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="radpi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     compute = sub.add_parser("compute", help="evaluate a single approximant")
-    compute.add_argument("--method", required=True,
-                         choices=["method1", "method2", "combined", "unity", "viete", "taylor"])
-    compute.add_argument("--variant",
-                         choices=["stable", "naive", "corrected", "as-printed"],
-                         default=None)
-    compute.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default="auto")
+    _add_method_flags(compute, [*_METHODS, "taylor"])
     compute.add_argument("--k", type=int, default=None, help="recursion depth")
     compute.add_argument("--terms", type=int, default=None, help="series terms (taylor)")
     _add_seed_flags(compute)
     _add_common_flags(compute)
 
     table = sub.add_parser("table", help="convergence table over a sweep")
-    table.add_argument("--method", required=True,
-                       choices=["method1", "method2", "combined", "unity", "viete"])
-    table.add_argument("--variant",
-                       choices=["stable", "naive", "corrected", "as-printed"], default=None)
-    table.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default="auto")
+    _add_method_flags(table, _METHODS)
     table.add_argument("--k-range", type=str, default=None, help="inclusive LO:HI depth sweep")
     table.add_argument("--m-range", type=str, default=None,
                        help="comma-separated starting-term bases, e.g. 100,1000,10000")
@@ -140,7 +137,35 @@ def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Se
     raise UsageError("a seed is required: --m with --s (or --d), or --x0")
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
+    """The analysis method name and parameters that --method and its flags ask
+    for: the seed before the variant, the self ratio under --x0, d = 1 unset."""
+    method = args.method
+    d = Fraction(1) if args.d is None else args.d
+    if method == "method1":
+        seed = _seed_from_args(args)
+        ratio_mode = "self" if args.x0 is not None else args.ratio_mode
+        return method, {"seed": seed, "ratio_mode": ratio_mode, "variant": _variant(args)}
+    if method == "method2":
+        return f"method2_{_variant(args).replace('-', '_')}", {"d": d}
+    if method == "combined":
+        return method, {"m": args.m, "d": d}
+    if method == "unity":
+        return method, {"seed": _seed_from_args(args)}
+    return method, {}
+
+
+def _variant(args: argparse.Namespace) -> str:
+    allowed = _VARIANTS[args.method]
+    variant = args.variant or allowed[0]
+    if variant not in allowed:
+        raise UsageError(f"{args.method} variants are {'|'.join(allowed)}")
+    return variant
+
+
+def _parse_k_range(text: str | None) -> list[int]:
+    if text is None:
+        raise UsageError("this method sweeps --k-range")
     lo, sep, hi = text.partition(":")
     if not sep:
         raise UsageError("--k-range must be LO:HI")
@@ -153,7 +178,9 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
-def _parse_m_range(text: str) -> list[int]:
+def _parse_m_range(text: str | None) -> list[int]:
+    if text is None:
+        raise UsageError("method2 tables sweep --m-range")
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
@@ -164,14 +191,17 @@ def _parse_m_range(text: str) -> list[int]:
 
 
 def _single_row(
-    index: int, value: FixedReal, reference: FixedReal, meta: dict
+    index: int, value: FixedReal, reference: FixedReal, ctx: PrecisionContext, guard: int,
+    **meta,
 ) -> ConvergenceReport:
+    """A one-row report; ``meta`` gains the precision keys of every such report."""
     row, _ = _measure_row(index, value, reference)
-    return ConvergenceReport(rows=[row], meta={**meta, "measure_bits": reference.scale_bits})
+    meta.update(bits=ctx.scale_bits, guard_bits=guard, measure_bits=reference.scale_bits,
+                oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
+    return ConvergenceReport(rows=[row], meta=meta)
 
 
-def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
-    ctx = PrecisionContext(args.bits, args.guard_bits)
+def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     method = args.method
     if method in ("method1", "unity", "viete") and args.k is None:
         raise UsageError(f"{method} requires --k")
@@ -179,46 +209,18 @@ def _cmd_compute(args: argparse.Namespace) -> ConvergenceReport:
         if args.m is None or args.d is None or args.terms is None:
             raise UsageError("taylor requires --m, --d and --terms")
         return _compute_taylor(args, ctx)
-    index = args.k
-    if method == "method1":
-        seed = _seed_from_args(args)
-        variant = args.variant or "stable"
-        if variant not in ("stable", "naive"):
-            raise UsageError("method1 variants are stable|naive")
-        ratio_mode = "self" if args.x0 is not None else args.ratio_mode
-        params = {"seed": seed, "ratio_mode": ratio_mode, "variant": variant}
-    elif method == "method2":
-        if args.m is None or args.d is None:
-            raise UsageError("method2 requires --m and --d")
-        variant = args.variant or "corrected"
-        if variant not in ("corrected", "as-printed"):
-            raise UsageError("method2 variants are corrected|as-printed")
-        method = f"method2_{variant.replace('-', '_')}"
-        params = {"d": args.d}
-        index = args.m
-    elif method == "combined":
-        if args.m is None or args.d is None or args.k is None:
-            raise UsageError("combined requires --m, --d and --k")
-        params = {"m": args.m, "d": args.d}
-    elif method == "unity":
-        params = {"seed": _seed_from_args(args)}
-    else:  # viete
-        params = {}
-    approx = _build_approximant(method, params, index, ctx)
+    if method == "method2" and (args.m is None or args.d is None):
+        raise UsageError("method2 requires --m and --d")
+    if method == "combined" and (args.m is None or args.d is None or args.k is None):
+        raise UsageError("combined requires --m, --d and --k")
+    index = args.m if method == "method2" else args.k
+    approx = _build_approximant(*_method_request(args), index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
     guard = int(approx.params["guard_bits"])
-    meta = {
-        "method": approx.method,
-        "params": approx.params,
-        "ratio_kind": approx.ratio_kind,
-        "target": approx.target,
-        "bits": ctx.scale_bits,
-        "guard_bits": guard,
-        "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
-    }
     reference = _target_value(approx.target, _measure_scale(ctx.scale_bits + guard))
-    return _single_row(int(index), approx.value, reference, meta)
+    return _single_row(int(index), approx.value, reference, ctx, guard, method=approx.method,
+                       params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
 
 
 def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
@@ -228,66 +230,34 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
     limit = FixedReal.from_fraction(
         Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
     ).sqrt() / FixedReal.from_fraction(args.m, scale)
-    meta = {
-        "method": "taylor",
-        "params": {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)},
-        "target": "seed_value",
-        "bits": ctx.scale_bits,
-        "guard_bits": ctx.working_bits - ctx.scale_bits,
-        "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
-    }
-    return _single_row(args.terms, value, limit, meta)
+    params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
+    return _single_row(args.terms, value, limit, ctx, ctx.working_bits - ctx.scale_bits,
+                       method="taylor", params=params, target="seed_value")
 
 
-def _cmd_table(args: argparse.Namespace) -> ConvergenceReport:
-    ctx = PrecisionContext(args.bits, args.guard_bits)
-    method = args.method
-    if method == "method2":
-        variant = args.variant or "corrected"
-        if variant not in ("corrected", "as-printed"):
-            raise UsageError("method2 variants are corrected|as-printed")
-        if args.m_range is None:
-            raise UsageError("method2 tables sweep --m-range")
+def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+    # method2 reports a bad variant before a bad sweep; the others a bad sweep
+    # before a bad seed
+    if args.method == "method2":
+        method, params = _method_request(args)
         sweep = _parse_m_range(args.m_range)
-        d = args.d if args.d is not None else Fraction(1)
-        return convergence_table(
-            f"method2_{variant.replace('-', '_')}", {"d": d}, sweep, ctx
-        )
-    if args.k_range is None:
-        raise UsageError("this method sweeps --k-range")
-    sweep = _parse_k_range(args.k_range)
-    if method == "method1":
-        seed = _seed_from_args(args)
-        ratio_mode = "self" if args.x0 is not None else args.ratio_mode
-        params = {"seed": seed, "ratio_mode": ratio_mode, "variant": args.variant or "stable"}
-        return convergence_table("method1", params, sweep, ctx)
-    if method == "combined":
-        if args.m is None:
+    else:
+        sweep = _parse_k_range(args.k_range)
+        if args.method == "combined" and args.m is None:
             raise UsageError("combined tables require --m")
-        d = args.d if args.d is not None else Fraction(1)
-        return convergence_table("combined", {"m": args.m, "d": d}, sweep, ctx)
-    if method == "unity":
-        seed = _seed_from_args(args)
-        return convergence_table("unity", {"seed": seed}, sweep, ctx)
-    return convergence_table("viete", {}, sweep, ctx)
+        method, params = _method_request(args)
+    return convergence_table(method, params, sweep, ctx)
 
 
-def _cmd_arccos(args: argparse.Namespace) -> ConvergenceReport:
-    ctx = PrecisionContext(args.bits, args.guard_bits)
+def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     seed = _seed_from_args(args)
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
     scale = _measure_scale(ctx.working_bits)
     reference = arccos_oracle(x0.rescale(scale), PrecisionContext(scale))
-    meta = {
-        "method": "arccos_by_recursion",
-        "params": {"seed": seed.describe()},
-        "target": "arccos",
-        "bits": ctx.scale_bits,
-        "guard_bits": ctx.working_bits - ctx.scale_bits,
-        "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
-    }
-    return _single_row(0, value, reference, meta)
+    return _single_row(0, value, reference, ctx, ctx.working_bits - ctx.scale_bits,
+                       method="arccos_by_recursion", params={"seed": seed.describe()},
+                       target="arccos")
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
@@ -426,6 +396,21 @@ def _emit(text: str, out_path: str | None) -> None:
         handle.write(text)
 
 
+def _run(args: argparse.Namespace) -> tuple[str, int]:
+    """The rendered output of one parsed command line, and its exit code."""
+    if args.subcommand == "audit":
+        rows, meta = _cmd_audit(args)
+        return render_audit(rows, meta, args.format), 0
+    ctx = PrecisionContext(args.bits, args.guard_bits)
+    if args.subcommand == "reproduce":
+        return render_catalog(reproduce_catalog(ctx), args.format), 0
+    if args.subcommand == "verify":
+        report = verify_identities(ctx)
+        return render_identities(report, args.format), 0 if report.all_passed else 1
+    command = {"compute": _cmd_compute, "table": _cmd_table, "arccos": _cmd_arccos}
+    return render_report(command[args.subcommand](args, ctx), args.format), 0
+
+
 def run_command(argv: list[str] | None = None) -> int:
     """Dispatch one command line; returns the process exit code."""
     parser = build_parser()
@@ -434,35 +419,20 @@ def run_command(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # our parser raises 64; --help raises 0
         return int(exc.code or 0)
 
-    exit_code = 0
     try:
-        if args.subcommand == "compute":
-            text = render_report(_cmd_compute(args), args.format)
-        elif args.subcommand == "table":
-            text = render_report(_cmd_table(args), args.format)
-        elif args.subcommand == "arccos":
-            text = render_report(_cmd_arccos(args), args.format)
-        elif args.subcommand == "audit":
-            rows, meta = _cmd_audit(args)
-            text = render_audit(rows, meta, args.format)
-        elif args.subcommand == "reproduce":
-            ctx = PrecisionContext(args.bits, args.guard_bits)
-            text = render_catalog(reproduce_catalog(ctx), args.format)
-        else:  # verify
-            ctx = PrecisionContext(args.bits, args.guard_bits)
-            report = verify_identities(ctx)
-            text = render_identities(report, args.format)
-            if not report.all_passed:
-                exit_code = 1
-    except (DomainError, CatalogMissError, CatalogFailure) as exc:
-        print(f"radpi: error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    except (PrecisionError, ConvergenceError) as exc:
-        print(f"radpi: error: {exc}", file=sys.stderr)
-        return _EXIT_PRECISION
+        text, exit_code = _run(args)
     except UsageError as exc:
         print(f"radpi: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except (PrecisionError, ConvergenceError) as exc:
+        print(f"radpi: error: {exc}", file=sys.stderr)
+        return _EXIT_PRECISION
+    except RadpiError as exc:  # domain errors, catalog misses and failures
+        print(f"radpi: error: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
+    except Exception as exc:  # a defect, not bad input: one line, no traceback
+        print(f"radpi: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_SOFTWARE
 
     try:
         _emit(text, args.out)

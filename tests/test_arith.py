@@ -242,6 +242,12 @@ class TestPrecisionContext:
         with pytest.raises(PrecisionError, match=r"guard_bits=80 allows 8\)"):
             ctx.guard_for_depth(9)
 
+    def test_budget_under_64_bits_reports_no_depth(self):
+        from radpi import PrecisionError
+
+        with pytest.raises(PrecisionError, match=r"guard_bits=40 allows 0\)"):
+            PrecisionContext(128, 40).guard_for_depth(5)
+
     def test_depth_within_budget(self):
         assert PrecisionContext(128).depth_within_budget(88) == 88
         assert PrecisionContext(128, 80).depth_within_budget(88) == 8

@@ -113,6 +113,35 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert err == "radpi: usage error: --k must be >= 1\n"
 
+    @pytest.mark.parametrize("variant", ["corrected", "as-printed"])
+    def test_table_method1_rejects_method2_variants(self, capsys, variant):
+        code, out, err = run(
+            capsys, "table", "--method", "method1", "--m", "2", "--s", "2",
+            "--k-range", "1:2", "--variant", variant,
+        )
+        assert (code, out) == (64, "")
+        assert err == "radpi: usage error: method1 variants are stable|naive\n"
+
+    def test_guard_budget_under_64_bits_allows_depth_0(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "5",
+            "--guard-bits", "40",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "radpi: error: depth 5 exceeds precision budget (guard_bits=40 allows 0)\n"
+        )
+
+    def test_internal_error_is_70_without_traceback(self, capsys, monkeypatch):
+        def broken(ctx):
+            raise RuntimeError("identity suite broke")
+
+        monkeypatch.setattr("radpi.cli.verify_identities", broken)
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (70, "")
+        assert err == "radpi: internal error: RuntimeError: identity suite broke\n"
+        assert "Traceback" not in err
+
     def test_unwritable_out_is_74(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "compute", "--method", "viete", "--k", "2",
@@ -314,6 +343,12 @@ def test_golden_stdout_is_byte_identical(entry, capsys):
 # their `ratio_kind` changed, from self_consistent to exact. The error paths
 # of `compute` and `table` follow: missing required flags, bad variants, bad
 # sweeps, a catalog miss, a guard budget too small, and an unwritable --out.
+# Two of them were re-recorded when compute and table began to share one
+# method resolver and the guard budget stopped printing a negative depth:
+# `table --method method1 --variant corrected|as-printed` now says `method1
+# variants are stable|naive` (it said `unknown variant '...'`), and `--k 30
+# --guard-bits 40` says `allows 0` (it said `allows -12`); the exit codes
+# stayed 64 and 3.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 

@@ -238,6 +238,20 @@ class TestArccosByRecursion:
             ser = arccos_oracle(x, ctx128)
             assert abs((rec - ser).mantissa) < 1 << 16
 
+    @pytest.mark.parametrize("bits", [128, 256, 1024, 2048])
+    def test_bound_holds_at_the_ends_of_the_domain(self, bits):
+        # the documented 2**(-B + 16) at the largest accepted x0 = 1 - 2**(-B/2),
+        # at -1 and one ulp above it; one ulp past the upper end is rejected
+        ctx = PrecisionContext(bits)
+        one = 1 << bits
+        largest = one - (1 << (bits - bits // 2))
+        for mantissa in (largest, -one, -one + 1):
+            x = FixedReal(mantissa, bits)
+            gap = arccos_by_recursion(x, ctx) - arccos_oracle(x, ctx)
+            assert abs(gap.mantissa) <= 1 << 16, (bits, mantissa - largest)
+        with pytest.raises(DomainError):
+            arccos_by_recursion(FixedReal(largest + 1, bits), ctx)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 127)))
     def test_complement_identity(self, mantissa):

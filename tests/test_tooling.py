@@ -2,6 +2,7 @@
 microbenchmarks and the experiment scripts. Renaming or folding away any of
 them breaks only those tools, so they are checked here."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -57,3 +58,44 @@ def test_experiment_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_experiment_scripts_forward_their_arguments():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    demo = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cancellation_demo.py"), "--k", "3",
+         "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (demo.returncode, demo.stderr) == (0, "")
+    assert demo.stdout.splitlines()[0] == "k,naive_error,stable_error,digits_lost"
+    assert len(demo.stdout.splitlines()) == 4
+    compare = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_methods.py"), "--bits", "32"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert compare.returncode == 64
+    assert compare.stdout == "== deepening the recursion (seed m=2, s=2, +) ==\n"
+    assert compare.stderr == "radpi: usage error: scale_bits must be >= 64\n"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "radpi").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_only_the_stdlib_and_itself(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # not an import, or a relative import of radpi's own modules
+            continue
+        foreign += [name for name in names
+                    if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_no_runtime_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert "dependencies = []" in lines
