@@ -23,11 +23,11 @@ TABLES = (
 
 def main() -> int:
     for title, argv in TABLES:
-        print(f"== {title} ==", flush=True)
+        print(f"== {title} ==")
         code = run_command(["table", *argv, *sys.argv[1:]])
         if code:
             return code
-        print(flush=True)
+        print()
     return 0
 
 
