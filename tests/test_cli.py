@@ -359,6 +359,22 @@ def test_cli_matrix_bytes_are_pinned(entry, capsys):
     assert (code, captured.out, captured.err) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
+# Help and usage texts at terminal widths 40, 80 and 200: top-level and
+# per-subcommand --help, a bare or unknown subcommand, an unknown flag on each
+# subcommand, a bad typed value and a missing --method. Recorded while
+# `run_command` still built all six subparsers for every request.
+CLI_USAGE = json.loads((ROOT / "tests" / "data" / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", CLI_USAGE,
+                         ids=[f"{' '.join(e['argv'])} @{e['columns']}" for e in CLI_USAGE])
+def test_help_and_usage_bytes_are_pinned(entry, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(entry["columns"]))
+    code = run_command(entry["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
 # Run in a fresh interpreter: the modules that `import argparse, fractions`
 # already loads are the floor; a text request must add none of the listed ones.
 _FOOTPRINT_PROBE = """
