@@ -12,6 +12,7 @@ reported in one line without a traceback), 74 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -45,13 +46,66 @@ _CSV_HEADER = "index,approximant,abs_error,correct_digits,error_ratio"
 _METHODS = ["method1", "method2", "combined", "unity", "viete"]
 # the methods with variants, each with its default first
 _VARIANTS = {"method1": ("stable", "naive"), "method2": ("corrected", "as-printed")}
+# the compute and table flags (by dest) that each method never reads; only a
+# table has --m-range
+_UNREAD_FLAGS = {
+    "method1": ("m_range",),
+    "method2": ("ratio_mode",),
+    "combined": ("variant", "ratio_mode", "s", "m_range"),
+    "unity": ("variant", "ratio_mode", "m_range"),
+    "viete": ("variant", "m_range"),
+}
+
+
+def _terminal_columns() -> int:
+    """``shutil.get_terminal_size().columns`` by its own rule, without
+    importing shutil (and with it bz2, lzma, zlib and fnmatch): COLUMNS if it
+    is a positive int, else the width of the terminal on stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter with its default width taken from
+    `_terminal_columns`."""
+
+    def __init__(self, prog: str, **kwargs):
+        if kwargs.get("width") is None:
+            kwargs["width"] = _terminal_columns() - 2  # argparse's own margin
+        super().__init__(prog, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _Formatter)
+        super().__init__(*args, **kwargs)
+
     def error(self, message: str):  # argparse default exits with 2; we use 64
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
+
+
+class _Reparse(Exception):
+    """A parse error on a parser that holds one subcommand."""
+
+
+class _OneCommandParser(_Parser):
+    """A parser that holds only the subcommand argv names. Its usage lines
+    would list that one choice, so on any error it defers to the full parser,
+    which prints argparse's message for the same argv."""
+
+    def error(self, message: str):
+        raise _Reparse
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -83,46 +137,67 @@ def _add_method_flags(p: argparse.ArgumentParser, methods: list[str]) -> None:
     p.add_argument("--method", required=True, choices=methods)
     p.add_argument("--variant",
                    choices=["stable", "naive", "corrected", "as-printed"], default=None)
-    p.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default="auto")
+    p.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default=None)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="radpi", description=__doc__.splitlines()[0])
+def _add_compute_flags(p: argparse.ArgumentParser) -> None:
+    _add_method_flags(p, [*_METHODS, "taylor"])
+    p.add_argument("--k", type=int, default=None, help="recursion depth")
+    p.add_argument("--terms", type=int, default=None, help="series terms (taylor)")
+    _add_seed_flags(p)
+
+
+def _add_table_flags(p: argparse.ArgumentParser) -> None:
+    _add_method_flags(p, _METHODS)
+    p.add_argument("--k-range", type=str, default=None, help="inclusive LO:HI depth sweep")
+    p.add_argument("--m-range", type=str, default=None,
+                   help="comma-separated starting-term bases, e.g. 100,1000,10000")
+    _add_seed_flags(p)
+
+
+def _add_audit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=40, help="maximum depth (default 40)")
+    p.add_argument("--audited-bits", type=int, default=53,
+                   help="raw working precision under audit (default 53)")
+    _add_seed_flags(p)
+
+
+# each subcommand's help line and the flags it adds before the common ones
+_SUBCOMMANDS = {
+    "compute": ("evaluate a single approximant", _add_compute_flags),
+    "table": ("convergence table over a sweep", _add_table_flags),
+    "arccos": ("self-consistent arccos of a starting term", _add_seed_flags),
+    "audit": ("naive vs stable cancellation audit", _add_audit_flags),
+    "reproduce": ("reproduce the four classical formulas", None),
+    "verify": ("run the identity verification suite", None),
+}
+
+
+def build_parser(subcommand: str | None = None) -> _Parser:
+    """The radpi parser; given a subcommand name, one that holds only that
+    subcommand and leaves every error to the full parser."""
+    parser_class = _Parser if subcommand is None else _OneCommandParser
+    parser = parser_class(prog="radpi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    compute = sub.add_parser("compute", help="evaluate a single approximant")
-    _add_method_flags(compute, [*_METHODS, "taylor"])
-    compute.add_argument("--k", type=int, default=None, help="recursion depth")
-    compute.add_argument("--terms", type=int, default=None, help="series terms (taylor)")
-    _add_seed_flags(compute)
-    _add_common_flags(compute)
-
-    table = sub.add_parser("table", help="convergence table over a sweep")
-    _add_method_flags(table, _METHODS)
-    table.add_argument("--k-range", type=str, default=None, help="inclusive LO:HI depth sweep")
-    table.add_argument("--m-range", type=str, default=None,
-                       help="comma-separated starting-term bases, e.g. 100,1000,10000")
-    _add_seed_flags(table)
-    _add_common_flags(table)
-
-    arccos_cmd = sub.add_parser("arccos", help="self-consistent arccos of a starting term")
-    _add_seed_flags(arccos_cmd)
-    _add_common_flags(arccos_cmd)
-
-    audit = sub.add_parser("audit", help="naive vs stable cancellation audit")
-    audit.add_argument("--k", type=int, default=40, help="maximum depth (default 40)")
-    audit.add_argument("--audited-bits", type=int, default=53,
-                       help="raw working precision under audit (default 53)")
-    _add_seed_flags(audit)
-    _add_common_flags(audit)
-
-    reproduce = sub.add_parser("reproduce", help="reproduce the four classical formulas")
-    _add_common_flags(reproduce)
-
-    verify = sub.add_parser("verify", help="run the identity verification suite")
-    _add_common_flags(verify)
-
+    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
+        if subcommand in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            if add_flags is not None:
+                add_flags(p)
+            _add_common_flags(p)
     return parser
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse with a parser that holds only the subcommand argv names, and with
+    the full parser for anything else or for any error."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _SUBCOMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Seed:
@@ -144,7 +219,7 @@ def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
     d = Fraction(1) if args.d is None else args.d
     if method == "method1":
         seed = _seed_from_args(args)
-        ratio_mode = "self" if args.x0 is not None else args.ratio_mode
+        ratio_mode = "self" if args.x0 is not None else args.ratio_mode or "auto"
         return method, {"seed": seed, "ratio_mode": ratio_mode, "variant": _variant(args)}
     if method == "method2":
         return f"method2_{_variant(args).replace('-', '_')}", {"d": d}
@@ -153,6 +228,12 @@ def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
     if method == "unity":
         return method, {"seed": _seed_from_args(args)}
     return method, {}
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    for dest in _UNREAD_FLAGS.get(args.method, ()):
+        if getattr(args, dest, None) is not None:
+            raise UsageError(f"{args.method} does not read --{dest.replace('_', '-')}")
 
 
 def _variant(args: argparse.Namespace) -> str:
@@ -202,6 +283,7 @@ def _single_row(
 
 
 def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+    _reject_unread_flags(args)
     method = args.method
     if method in ("method1", "unity", "viete") and args.k is None:
         raise UsageError(f"{method} requires --k")
@@ -236,8 +318,9 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
 
 
 def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
-    # method2 reports a bad variant before a bad sweep; the others a bad sweep
-    # before a bad seed
+    # an unread flag first; then method2 reports a bad variant before a bad
+    # sweep, the others a bad sweep before a bad seed
+    _reject_unread_flags(args)
     if args.method == "method2":
         method, params = _method_request(args)
         sweep = _parse_m_range(args.m_range)
@@ -413,9 +496,8 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
 
 def run_command(argv: list[str] | None = None) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # our parser raises 64; --help raises 0
         return int(exc.code or 0)
 

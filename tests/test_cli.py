@@ -1,14 +1,19 @@
 """Command-line contract: subcommands, exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radpi.cli import run_command
+from radpi.cli import _terminal_columns, build_parser, run_command
 
 
 def run(capsys, *argv):
@@ -141,6 +146,33 @@ class TestExitCodes:
         assert (code, out) == (70, "")
         assert err == "radpi: internal error: RuntimeError: identity suite broke\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "4",
+          "--variant", "as-printed"], "--variant"),
+        (["compute", "--method", "unity", "--x0", "0.3", "--k", "4", "--variant", "stable"],
+         "--variant"),
+        (["table", "--method", "viete", "--k-range", "1:3", "--variant", "naive"], "--variant"),
+        (["compute", "--method", "method2", "--m", "50", "--d", "1", "--ratio-mode", "exact"],
+         "--ratio-mode"),
+        (["table", "--method", "combined", "--m", "50", "--d", "1", "--k-range", "1:3",
+          "--ratio-mode", "auto"], "--ratio-mode"),
+        (["compute", "--method", "unity", "--x0", "0.3", "--k", "4", "--ratio-mode", "self"],
+         "--ratio-mode"),
+        (["compute", "--method", "combined", "--m", "50", "--s", "2499", "--d", "1", "--k", "4"],
+         "--s"),
+        (["table", "--method", "method1", "--m", "2", "--s", "2", "--k-range", "1:3",
+          "--m-range", "10"], "--m-range"),
+        (["table", "--method", "combined", "--m", "50", "--k-range", "1:3", "--m-range", "10"],
+         "--m-range"),
+        (["table", "--method", "unity", "--x0", "0", "--k-range", "1:3", "--m-range", "10"],
+         "--m-range"),
+        (["table", "--method", "viete", "--k-range", "1:3", "--m-range", "10"], "--m-range"),
+    ])
+    def test_flag_the_method_never_reads_is_64(self, capsys, argv, flag):
+        assert run(capsys, *argv) == (
+            64, "", f"radpi: usage error: {argv[2]} does not read {flag}\n"
+        )
 
     def test_unwritable_out_is_74(self, capsys, tmp_path):
         code, _, _ = run(
@@ -376,14 +408,17 @@ def test_help_and_usage_bytes_are_pinned(entry, capsys, monkeypatch):
 
 
 # Run in a fresh interpreter: the modules that `import argparse, fractions`
-# already loads are the floor; a text request must add none of the listed ones.
+# already loads are the floor; a text request and a usage error must add none
+# of the listed ones.
 _FOOTPRINT_PROBE = """
 import sys
 import argparse, fractions
 floor = set(sys.modules)
 from radpi.cli import run_command
 run_command(["compute", "--method", "method1", "--m", "2", "--s", "2", "--k", "20"])
-heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json")
+run_command(["compute", "--method", "method1", "--frobnicate"])
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json",
+         "shutil", "bz2", "lzma", "zlib", "fnmatch")
 print(sorted(name for name in heavy if name in sys.modules and name not in floor))
 """
 
@@ -395,3 +430,90 @@ def test_text_request_imports_no_heavy_stdlib_modules():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("columns", [None, "", "0", "-3", "x", "40", "200"])
+@pytest.mark.parametrize("terminal", [None, 0, 123])
+def test_terminal_columns_follow_shutil(columns, terminal, monkeypatch, tmp_path):
+    """The help width is read by shutil.get_terminal_size's rule, with stdout
+    a file (not a terminal) or a terminal of 0 or 123 columns."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    if terminal is not None:
+        monkeypatch.setattr(os, "get_terminal_size", lambda fd: os.terminal_size((terminal, 24)))
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr(sys, "__stdout__", stdout)
+        assert _terminal_columns() == shutil.get_terminal_size().columns
+
+
+def test_one_subcommand_parser_holds_only_that_subcommand():
+    def choices(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert choices(build_parser()) == ["compute", "table", "arccos", "audit", "reproduce",
+                                       "verify"]
+    assert choices(build_parser("arccos")) == ["arccos"]
+
+
+# Bad input of every kind ends in a documented exit code, never in 70 (an
+# internal error) or a traceback. Each subcommand draws from its own flags
+# plus one it does not have; values stay small so that each run is cheap.
+_FLAG_VALUES = {
+    "--method": ["method1", "method2", "combined", "unity", "viete", "taylor", "pi"],
+    "--variant": ["stable", "naive", "corrected", "as-printed", "x"],
+    "--ratio-mode": ["auto", "exact", "self", "x"],
+    "--k": ["-1", "0", "1", "3", "12", "x"],
+    "--terms": ["-1", "0", "1", "5", "x"],
+    "--m": ["-3", "0", "1", "2", "5", "3/2", "1/0", "x"],
+    "--s": ["-1", "0", "1", "2", "3", "25", "1/3"],
+    "--d": ["-1", "0", "1", "3", "7"],
+    "--sign": ["+", "-", "*"],
+    "--x0": ["0", "0.3", "-0.5", "1", "-1", "1.5", "1e-3", "nan", "inf"],
+    "--k-range": ["1:3", "0:2", "3:1", "2", "a:b"],
+    "--m-range": ["10,100", "", ",", "x", "0,5", "-3"],
+    "--audited-bits": ["-2", "0", "8", "53"],
+    "--bits": ["0", "16", "64", "128", "256", "x"],
+    "--guard-bits": ["-1", "0", "40", "64", "200"],
+    "--format": ["text", "csv", "json", "xml"],
+    "--out": [os.devnull, os.path.join(os.devnull, "missing")],
+    "--digits": ["5"],
+}
+_SEED_FLAGS = ("--m", "--s", "--d", "--sign", "--x0")
+_COMMON_FLAGS = ("--bits", "--guard-bits", "--format", "--out", "--digits")
+_SUBCOMMAND_FLAGS = {
+    "compute": ("--variant", "--ratio-mode", "--k", "--terms", *_SEED_FLAGS, *_COMMON_FLAGS),
+    "table": ("--variant", "--ratio-mode", "--k-range", "--m-range", *_SEED_FLAGS,
+              *_COMMON_FLAGS),
+    "arccos": (*_SEED_FLAGS, *_COMMON_FLAGS),
+    "audit": ("--k", "--audited-bits", *_SEED_FLAGS, *_COMMON_FLAGS),
+    "reproduce": _COMMON_FLAGS,
+    "verify": _COMMON_FLAGS,
+    "bogus": _COMMON_FLAGS,
+}
+
+
+def _flag(name: str):
+    return st.sampled_from(_FLAG_VALUES[name]).map(lambda value: [name, value])
+
+
+def _request(subcommand: str):
+    method = _flag("--method") if subcommand in ("compute", "table") else st.just([])
+    flags = st.lists(st.sampled_from(_SUBCOMMAND_FLAGS[subcommand]).flatmap(_flag), max_size=5)
+    return st.tuples(method, flags).map(
+        lambda drawn: [subcommand, *drawn[0], *(token for pair in drawn[1] for token in pair)]
+    )
+
+
+_ARGV = st.sampled_from(sorted(_SUBCOMMAND_FLAGS)).flatmap(_request)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2, 3, 64, 74), err.getvalue()
+    assert "Traceback" not in err.getvalue()

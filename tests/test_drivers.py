@@ -28,7 +28,7 @@ from radpi import (
     unity_formula,
     viete_product,
 )
-from radpi.drivers import _resolve_ratio
+from radpi.drivers import _EXACT_RATIOS, _resolve_ratio, exact_ratio_lookup
 
 OCTAGON = "3.061467458920718173827679872243190934090756499885016331470407"
 HEXADECAGON = "3.121445152258052285572557895632355854843065884031276924072032"
@@ -81,6 +81,36 @@ class TestAngleRatio:
     def test_auto_prefers_exact(self):
         assert _resolve_ratio(Seed(2, 2, 1), "auto", 192).kind == "exact"
         assert _resolve_ratio(Seed(5, 16, 1), "auto", 192).kind == "self_consistent"
+
+    def test_catalog_holds_every_pi_free_seed(self):
+        """x0 = +-sqrt(s)/m has x0^2 rational, so cos 2theta0 = 2 x0^2 - 1 is
+        rational. If theta0 is a rational multiple of pi, so is 2 theta0, and
+        by Niven's theorem cos 2theta0 is then 0, +-1/2 or +-1. x0 = 1 (theta0
+        = 0) has no ratio 2 pi/theta0; the other nine seeds are the catalog."""
+        niven = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+        seeds = {((c + 1) / 2, sign) for c in niven for sign in (1, -1)} - {(Fraction(1), 1)}
+        assert set(_EXACT_RATIOS) == seeds
+        with mpmath.workdps(60):
+            for (x0_squared, sign), ratio in _EXACT_RATIOS.items():
+                x0 = sign * mpmath.sqrt(mpmath.mpf(x0_squared.numerator) / x0_squared.denominator)
+                exact = mpmath.mpf(ratio.numerator) / ratio.denominator
+                assert mpmath.almosteq(2 * mpmath.pi / mpmath.acos(x0), exact, 1e-50)
+
+    def test_no_small_seed_outside_the_catalog_has_a_rational_angle(self):
+        """Every seed with m <= 12 whose theta0/pi lies within 1e-40 of a
+        fraction with denominator <= 1000 is cataloged, and no other is."""
+        with mpmath.workdps(60):
+            for m in range(1, 13):
+                for s in range(m * m + 1):
+                    for sign in (1, -1):
+                        if (s, sign) == (m * m, 1):
+                            continue  # x0 = 1, theta0 = 0
+                        x0 = sign * mpmath.sqrt(s) / m
+                        turns = mpmath.acos(x0) / mpmath.pi
+                        near = Fraction(mpmath.nstr(turns, 55)).limit_denominator(1000)
+                        rational = abs(turns - mpmath.mpf(near.numerator) / near.denominator)
+                        cataloged = exact_ratio_lookup(Seed(m, s, sign)) is not None
+                        assert (rational < 1e-40) == cataloged, (m, s, sign)
 
 
 class TestPiMethod1:
