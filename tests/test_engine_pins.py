@@ -1,0 +1,104 @@
+"""Engine bits, pinned: the mantissas of the self-consistent arccos, of every
+raw engine state, of the literal nested radical and of the scale factors, as
+the engine produced them before its doubled-sine loops were merged into one
+(the scale factors only where they are rational, since the other values
+depend on how the roots are chained).
+
+Each entry of tests/data/engine_pins.json names its inputs and the hex
+mantissas they gave; the test recomputes them. Running this file as a script
+rewrites the data file from the current engine.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from radpi import (
+    FixedReal,
+    PrecisionContext,
+    Seed,
+    arccos_by_recursion,
+    nested_literal,
+    scale_factors,
+)
+from radpi.recursion import run_at_scale
+
+PINS_PATH = Path(__file__).resolve().parent / "data" / "engine_pins.json"
+
+_ARCCOS_X0 = ("-1", "-0.999", "-0.8", "-0.5", "-0.3", "0", "0.1", "0.3", "0.5",
+              "0.7071", "0.8", "0.9", "0.99", "0.999")
+_STATE_SEEDS = ((2, 2, 1), (2, 3, -1), (5, 16, -1), ("7/3", 5, 1))
+_CATALOG_SEEDS = ((2, 2, 1), (2, 3, 1), (2, 3, -1), (2, 2, -1))
+# m and the k at which f(k) = 2**p * m**q is rational (every k for m = 2)
+_SCALE_EXACT = (("2", tuple(range(2, 41))), ("4", (2,)), ("1/2", (2, 3)), ("8", (2, 3)),
+                ("32", (2, 3, 4)), ("1/8", (2, 3, 4)))
+
+
+def _hex(value: FixedReal) -> str:
+    return hex(value.mantissa)
+
+
+def _seed(m, s, sign) -> Seed:
+    return Seed(Fraction(m), Fraction(s), sign)
+
+
+def _cases() -> list[dict]:
+    cases = []
+    for bits in (128, 256, 1024):
+        for guard in (None, bits + 112, bits + 200):
+            for x0 in _ARCCOS_X0:
+                cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": guard})
+    for m, s, sign in _STATE_SEEDS:
+        for variant in ("stable", "naive"):
+            cases.append({"kind": "run_at_scale", "seed": [str(m), str(s), sign],
+                          "k": 30, "scale_bits": 192, "variant": variant})
+    for m, s, sign in _CATALOG_SEEDS:
+        cases.append({"kind": "nested_literal", "seed": [str(m), str(s), sign],
+                      "k_max": 20, "bits": 128})
+    for m, ks in _SCALE_EXACT:
+        cases.append({"kind": "scale_factors", "m": m, "k_max": 40, "scale_bits": 160,
+                      "exact_k": list(ks)})
+    return cases
+
+
+def _compute(case: dict):
+    kind = case["kind"]
+    if kind == "arccos":
+        x0 = FixedReal.from_decimal(case["x0"], case["bits"])
+        return _hex(arccos_by_recursion(x0, PrecisionContext(case["bits"], case["guard"])))
+    if kind == "run_at_scale":
+        states = run_at_scale(_seed(*case["seed"]), case["k"], case["scale_bits"],
+                              case["variant"])
+        return [[_hex(st.x), _hex(st.c), _hex(st.scaled_sine), _hex(st.g), _hex(st.f)]
+                for st in states]
+    if kind == "nested_literal":
+        ctx = PrecisionContext(case["bits"])
+        seed = _seed(*case["seed"])
+        return [_hex(nested_literal(seed, k, ctx)) for k in range(1, case["k_max"] + 1)]
+    if kind == "scale_factors":
+        factors = scale_factors(Fraction(case["m"]), case["k_max"], case["scale_bits"])
+        return [_hex(factors[k]) for k in case["exact_k"]]
+    raise ValueError(f"unknown pin kind {kind!r}")
+
+
+def _case_id(case: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in case.items() if key != "mantissas")
+
+
+PINS = json.loads(PINS_PATH.read_text(encoding="utf-8")) if PINS_PATH.exists() else []
+
+
+@pytest.mark.parametrize("case", PINS, ids=[_case_id(c) for c in PINS])
+def test_engine_bits_are_pinned(case):
+    assert _compute(case) == case["mantissas"]
+
+
+def test_pins_cover_every_case():
+    assert [_case_id(c) for c in PINS] == [_case_id(c) for c in _cases()]
+
+
+if __name__ == "__main__":
+    pins = [{**case, "mantissas": _compute(case)} for case in _cases()]
+    PINS_PATH.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
