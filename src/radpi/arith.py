@@ -233,18 +233,12 @@ class PrecisionContext(Record):
         set_field(self, "scale_bits", scale_bits)
         set_field(self, "guard_bits", guard_bits)
 
-    def depth_within_budget(self, depth: int) -> int:
-        """``depth``, or the deepest recursion an explicit guard affords if that
-        is less (it may be negative for a guard under 64 bits)."""
-        if self.guard_bits is None:
-            return depth
-        return min(depth, (self.guard_bits - 64) // 2)
-
     def guard_for_depth(self, depth: int) -> int:
-        """Guard bits to use for ``depth`` halvings; explicit guards are budgets."""
+        """Guard bits to use for ``depth`` halvings; an explicit guard is a
+        budget of 2 bits per halving over 64."""
         if self.guard_bits is None:
             return 2 * depth + 64
-        allowed = self.depth_within_budget(depth)
+        allowed = (self.guard_bits - 64) // 2
         if allowed < depth:
             raise PrecisionError(
                 f"depth {depth} exceeds precision budget "

@@ -46,14 +46,21 @@ _CSV_HEADER = "index,approximant,abs_error,correct_digits,error_ratio"
 _METHODS = ["method1", "method2", "combined", "unity", "viete"]
 # the methods with variants, each with its default first
 _VARIANTS = {"method1": ("stable", "naive"), "method2": ("corrected", "as-printed")}
-# the compute and table flags (by dest) that each method never reads; only a
-# table has --m-range
-_UNREAD_FLAGS = {
-    "method1": ("m_range",),
-    "method2": ("ratio_mode",),
-    "combined": ("variant", "ratio_mode", "s", "m_range"),
-    "unity": ("variant", "ratio_mode", "m_range"),
-    "viete": ("variant", "m_range"),
+# the compute and table flags (by dest) that --method chooses among, in the
+# order they are declared
+_METHOD_FLAGS = ("variant", "ratio_mode", "k", "terms", "k_range", "m_range",
+                 "m", "s", "sign", "d", "x0")
+# the seed flags that --x0 replaces
+_SEED_FLAGS = ("m", "s", "sign", "d")
+# the flags of _METHOD_FLAGS that each method reads in compute; the first is
+# its index, which a table sweeps by --k-range or --m-range instead
+_READ_FLAGS = {
+    "method1": ("k", "variant", "ratio_mode", *_SEED_FLAGS, "x0"),
+    "method2": ("m", "variant", "d"),
+    "combined": ("k", "m", "d"),
+    "unity": ("k", *_SEED_FLAGS, "x0"),
+    "viete": ("k",),
+    "taylor": ("terms", "m", "d"),
 }
 
 
@@ -118,7 +125,7 @@ def _fraction_arg(text: str) -> Fraction:
 def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_fraction_arg, help="starting-term base m")
     p.add_argument("--s", type=_fraction_arg, help="starting-term radicand s")
-    p.add_argument("--sign", choices=["+", "-"], default="+",
+    p.add_argument("--sign", choices=["+", "-"],
                    help="sign of the starting term (default +)")
     p.add_argument("--d", type=_fraction_arg, help="offset d with s = m^2 - d^2")
     p.add_argument("--x0", type=_fraction_arg, default=None,
@@ -203,10 +210,11 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Seed:
     if args.x0 is not None:
         return Seed.from_x0(args.x0)
+    sign = -1 if args.sign == "-" else 1
     if args.m is not None and args.d is not None and args.s is None:
-        return Seed.from_m_d(args.m, args.d, 1 if args.sign == "+" else -1)
+        return Seed.from_m_d(args.m, args.d, sign)
     if args.m is not None and args.s is not None:
-        return Seed(args.m, args.s, 1 if args.sign == "+" else -1)
+        return Seed(args.m, args.s, sign)
     if default is not None:
         return default
     raise UsageError("a seed is required: --m with --s (or --d), or --x0")
@@ -231,8 +239,13 @@ def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _reject_unread_flags(args: argparse.Namespace) -> None:
-    for dest in _UNREAD_FLAGS.get(args.method, ()):
-        if getattr(args, dest, None) is not None:
+    """Usage error on the first explicit flag that the method does not read."""
+    index, *reads = _READ_FLAGS[args.method]
+    reads.append(index if args.subcommand == "compute" else f"{index}_range")
+    if args.x0 is not None and "x0" in reads:
+        reads = [dest for dest in reads if dest not in _SEED_FLAGS]
+    for dest in _METHOD_FLAGS:
+        if getattr(args, dest, None) is not None and dest not in reads:
             raise UsageError(f"{args.method} does not read --{dest.replace('_', '-')}")
 
 

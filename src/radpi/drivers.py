@@ -12,11 +12,12 @@ used so callers can tell the two apart.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from ._record import NEW_DICT, Record
 from .arith import FixedReal, PrecisionContext, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError
-from .recursion import Seed, half_angle_step, run_at_scale, sine_step_naive
+from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
 # Exact 2*pi/arccos(x0) for starting terms whose angle is a rational multiple
 # of pi, keyed by (x0**2, sign).
@@ -229,23 +230,15 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "arccos argument too close to 1 for the requested precision "
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
-    # explicit guards are budgets: run as deep as they allow
-    depth_cap = ctx.depth_within_budget(out_bits // 2 + 24)
-    if depth_cap < 2:
-        raise ConvergenceError(
-            f"guard budget of {ctx.guard_bits} bits allows no usable recursion depth"
-        )
-    work = out_bits + ctx.guard_for_depth(depth_cap)
-    x = x0.rescale(work)
-    tol = 1 << (work - out_bits - 8)
-    # first step is the no-cancellation naive sine; afterwards one division per step
-    prev_x = x
-    x = half_angle_step(prev_x)
-    scaled = sine_step_naive(prev_x).times_pow2(1)
-    previous = scaled
-    for _ in range(2, depth_cap + 1):
-        x = half_angle_step(x)
-        scaled = scaled / x
+    # the stable doubled sine loses about one unit per step, not two bits, so
+    # an explicit guard is the headroom of the working bits, not a depth budget
+    depth_cap = out_bits // 2 + 24
+    guard = ctx.guard_bits if ctx.guard_bits is not None else ctx.guard_for_depth(depth_cap)
+    work = out_bits + guard
+    tol = 1 << (guard - 8)
+    sines = _doubled_sines(x0.rescale(work), "stable")
+    _, previous = next(sines)
+    for _, scaled in islice(sines, depth_cap - 1):
         if abs(scaled.mantissa - previous.mantissa) < tol:
             return scaled.rescale(out_bits)
         previous = scaled

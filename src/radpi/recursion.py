@@ -11,7 +11,9 @@ relative precision per step instead of losing k bits to rescaling).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count
 
 from ._record import Record, set_field
 from .arith import FixedReal, PrecisionContext
@@ -64,27 +66,18 @@ def f_power_form(k: int, m) -> PowerForm:
 def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
     """Scale factors f(2), ..., f(k_max) at ``scale_bits``, keyed by k.
 
-    f(k) for k >= 3 is the running product 2**(1/2) * 2**(1/4) * ... *
-    2**(2**-(k-2)) times the (k-2)-fold square root of m, so each k costs one
-    more square root of 2 and of m. A factor with an exact rational value
-    takes that value, and the chains stop after the last factor without one.
+    f(2) = m and f(k+1) = sqrt(2 f(k)), the engine's own step, so each k costs
+    one square root until f reaches its fixed point 2 exactly (at once for m = 2).
     """
     if k_max < 2:
         raise DomainError(f"scale function undefined for k={k_max} < 2")
-    m = _to_fraction(m)
-    exact = {k: f_power_form(k, m).exact_value() for k in range(2, k_max + 1)}
-    last_inexact = max((k for k, value in exact.items() if value is None), default=2)
-    root_two = FixedReal.from_int(2, scale_bits)
-    root_m = FixedReal.from_fraction(m, scale_bits)
-    two_part = FixedReal.one(scale_bits)
-    factors = {2: root_m}
-    for k in range(3, last_inexact + 1):
-        root_two, root_m = root_two.sqrt(), root_m.sqrt()
-        two_part = two_part * root_two
-        factors[k] = two_part * root_m
-    for k, value in exact.items():
-        if value is not None:
-            factors[k] = FixedReal.from_fraction(value, scale_bits)
+    two = FixedReal.from_int(2, scale_bits)
+    f_val = FixedReal.from_fraction(_to_fraction(m), scale_bits)
+    factors = {2: f_val}
+    for k in range(3, k_max + 1):
+        if f_val != two:
+            f_val = (two * f_val).sqrt()
+        factors[k] = f_val
     return factors
 
 
@@ -159,18 +152,16 @@ class RecursionState(Record):
 
     Invariants (within rounding at the carried scale): x**2 + c**2 = 1,
     x = g / f with f the scale factor at chain position k + 2, and
-    scaled_sine = 2**k * c. The seed determines theta0 = arccos(x0)
-    implicitly; no angle value is stored.
+    scaled_sine = 2**k * c. No angle value is stored.
     """
 
-    __slots__ = ("k", "x", "c", "scaled_sine", "g", "f", "seed")
+    __slots__ = ("k", "x", "c", "scaled_sine", "g", "f")
     k: int
     x: FixedReal
     c: FixedReal
     scaled_sine: FixedReal
     g: FixedReal
     f: FixedReal
-    seed: Seed
 
 
 def _clamped_unit(x: FixedReal) -> FixedReal:
@@ -208,15 +199,29 @@ def radicand_step(g_prev: FixedReal, f_k: FixedReal) -> FixedReal:
     return rad.sqrt()
 
 
+def _doubled_sines(x: FixedReal, variant: str) -> Iterator[tuple[FixedReal, FixedReal]]:
+    """(cos(theta0 / 2**j), 2**j * sin(theta0 / 2**j)) for j = 1, 2, ... from
+    x = cos(theta0), at x's scale.
+
+    The first sine is the naive square root, which has no cancellation away
+    from x = 1. After it the stable variant advances the doubled sine by one
+    division by the new cosine; the naive variant recomputes it from the
+    previous cosine.
+    """
+    for j in count(1):
+        x_prev, x = x, half_angle_step(x)
+        if j == 1 or variant == "naive":
+            scaled = sine_step_naive(x_prev).times_pow2(j)
+        else:
+            scaled = scaled / x
+        yield x, scaled
+
+
 def run_recursion(
     seed: Seed, k: int, ctx: PrecisionContext, variant: str = "stable"
 ) -> list[RecursionState]:
-    """States 0..k at the context's working scale.
-
-    The stable variant advances the doubled sine by one division per step
-    (first step is the naive square root, which has no cancellation away from
-    x0 = 1); the naive variant recomputes the sine from the cosine every step.
-    """
+    """States 0..k at the context's working scale; the variants are those of
+    ``_doubled_sines``."""
     if k < 1:
         raise DomainError("k must be >= 1")
     guard = ctx.guard_for_depth(k)
@@ -239,21 +244,12 @@ def run_at_scale(
     if seed.sign < 0:
         g = -g
     f_val = FixedReal.from_fraction(seed.m, scale_bits)
-    states = [RecursionState(0, x, c, c, g, f_val, seed)]
+    states = [RecursionState(0, x, c, c, g, f_val)]
     two = FixedReal.from_int(2, scale_bits)
-    scaled = c
-    for j in range(1, k + 1):
-        prev = states[-1]
-        x = half_angle_step(prev.x)
-        if variant == "naive" or j == 1:
-            c = sine_step_naive(prev.x)
-            scaled = c.times_pow2(j)
-        else:
-            scaled = scaled / x
-            c = scaled.times_pow2(-j)
-        g = radicand_step(prev.g, prev.f)
-        f_val = (two * prev.f).sqrt()
-        states.append(RecursionState(j, x, c, scaled, g, f_val, seed))
+    for j, (x, scaled) in zip(range(1, k + 1), _doubled_sines(x, variant)):
+        g = radicand_step(g, f_val)
+        f_val = (two * f_val).sqrt()
+        states.append(RecursionState(j, x, scaled.times_pow2(-j), scaled, g, f_val))
     return states
 
 

@@ -247,9 +247,3 @@ class TestPrecisionContext:
 
         with pytest.raises(PrecisionError, match=r"guard_bits=40 allows 0\)"):
             PrecisionContext(128, 40).guard_for_depth(5)
-
-    def test_depth_within_budget(self):
-        assert PrecisionContext(128).depth_within_budget(88) == 88
-        assert PrecisionContext(128, 80).depth_within_budget(88) == 8
-        assert PrecisionContext(128, 80).depth_within_budget(5) == 5
-        assert PrecisionContext(128, 40).depth_within_budget(88) == -12

@@ -168,11 +168,42 @@ class TestExitCodes:
         (["table", "--method", "unity", "--x0", "0", "--k-range", "1:3", "--m-range", "10"],
          "--m-range"),
         (["table", "--method", "viete", "--k-range", "1:3", "--m-range", "10"], "--m-range"),
+        (["compute", "--method", "viete", "--k", "3", "--m", "7", "--s", "2"], "--m"),
+        (["compute", "--method", "viete", "--k", "3", "--ratio-mode", "exact"], "--ratio-mode"),
+        (["table", "--method", "viete", "--k-range", "1:3", "--x0", "0.3"], "--x0"),
+        (["compute", "--method", "method2", "--m", "50", "--d", "1", "--k", "9"], "--k"),
+        (["compute", "--method", "method2", "--m", "50", "--d", "1", "--x0", "0.3"], "--x0"),
+        (["compute", "--method", "method2", "--m", "50", "--d", "1", "--s", "3"], "--s"),
+        (["compute", "--method", "method2", "--m", "50", "--d", "1", "--sign", "-"], "--sign"),
+        (["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "4",
+          "--variant", "naive"], "--variant"),
+        (["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "4", "--k", "2"],
+         "--k"),
+        (["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "4",
+          "--sign", "+"], "--sign"),
+        (["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "4",
+          "--x0", "0.3"], "--x0"),
+        (["table", "--method", "method2", "--m-range", "10,100", "--k-range", "1:3"],
+         "--k-range"),
+        (["table", "--method", "method2", "--m-range", "10,100", "--m", "7"], "--m"),
+        (["compute", "--method", "method1", "--k", "3", "--terms", "4", "--m", "2", "--s", "2"],
+         "--terms"),
+        (["compute", "--method", "method1", "--x0", "0.3", "--k", "3", "--m", "2"], "--m"),
+        (["compute", "--method", "method1", "--x0", "0.3", "--k", "3", "--s", "2"], "--s"),
+        (["table", "--method", "unity", "--x0", "0.3", "--k-range", "1:3", "--d", "1"], "--d"),
+        (["table", "--method", "method1", "--x0", "0.3", "--k-range", "1:3", "--sign", "-"],
+         "--sign"),
     ])
     def test_flag_the_method_never_reads_is_64(self, capsys, argv, flag):
         assert run(capsys, *argv) == (
             64, "", f"radpi: usage error: {argv[2]} does not read {flag}\n"
         )
+
+    def test_sign_is_unset_by_default_and_read_as_plus(self, capsys):
+        argv = ["compute", "--method", "method1", "--m", "2", "--s", "3", "--k", "5"]
+        assert build_parser().parse_args(argv).sign is None
+        assert run(capsys, *argv) == run(capsys, *argv, "--sign", "+")
+        assert run(capsys, *argv)[1] != run(capsys, *argv, "--sign", "-")[1]
 
     def test_unwritable_out_is_74(self, capsys, tmp_path):
         code, _, _ = run(

@@ -373,12 +373,21 @@ def test_invalid_ratio_mode():
         _resolve_ratio(Seed(2, 2, 1), "sideways", 192)
 
 
-def test_arccos_exhausts_tight_explicit_budget():
-    from radpi import ConvergenceError
-
-    ctx = PrecisionContext(128, 40)  # allows no usable depth
-    with pytest.raises(ConvergenceError, match="guard budget of 40 bits allows no usable"):
-        arccos_by_recursion(FixedReal.from_decimal("0.5", 128), ctx)
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("guard", [32, 40, 80, 120, 200, 240, 400])
+def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):
+    # the working precision is bits + guard at the depth cap bits/2 + 24; the
+    # result stays under one ulp from the truncated oracle at every guard the
+    # context accepts, and equals the default run at guard bits + 112
+    ctx = PrecisionContext(bits, guard)
+    ref_ctx = PrecisionContext(4 * bits)
+    for text in ("-1", "-0.93", "-0.3", "0", "0.25", "0.8", "0.999"):
+        x0 = FixedReal.from_decimal(text, bits)
+        got = arccos_by_recursion(x0, ctx)
+        ref = arccos_oracle(x0.rescale(4 * bits), ref_ctx)
+        assert abs(got.rescale(4 * bits) - ref).mantissa < 1 << (3 * bits), text
+        if guard == bits + 112:
+            assert got == arccos_by_recursion(x0, PrecisionContext(bits))
 
 
 def test_parallel_runs_are_reproducible(ctx128):

@@ -26,6 +26,7 @@ from radpi import (
     scale_factors,
     sine_step_naive,
 )
+from radpi.recursion import run_at_scale
 
 COS_PI_8 = "0.923879532511286756128183189396788286822416625863642486115098"
 SIN_PI_8 = "0.382683432365089771728459984030398866761344562485627041433801"
@@ -140,15 +141,26 @@ class TestScaleFactors:
             want = FixedReal.from_decimal(mpmath.nstr(_f_mpmath(k, m), 60, strip_zeros=False), 160)
             assert abs((value - want).mantissa) < 1 << 8
 
-    def test_one_square_root_of_two_and_of_m_per_k(self, monkeypatch):
+    def test_one_square_root_per_k(self, monkeypatch):
         calls = []
         real_sqrt = FixedReal.sqrt
         monkeypatch.setattr(FixedReal, "sqrt", lambda self: calls.append(1) or real_sqrt(self))
         scale_factors(3, 40, 128)
-        assert len(calls) == 2 * (40 - 2)
+        assert len(calls) == 40 - 2
         calls.clear()
-        scale_factors(2, 40, 128)  # every factor exact: no chain at all
+        scale_factors(2, 40, 128)  # f is at its fixed point 2 from the start
         assert calls == []
+
+    @pytest.mark.parametrize("m", [2, 3, Fraction(1, 2), Fraction(7, 3), 18, 32])
+    def test_same_chain_as_the_engine(self, m):
+        k = 30
+        factors = scale_factors(m, k + 2, 192)
+        states = run_at_scale(Seed(m, Fraction(m) ** 2 / 4, -1), k, 192)
+        assert [factors[j + 2] for j in range(k + 1)] == [st.f for st in states]
+
+    def test_rational_factor_after_an_irrational_root_is_exact(self):
+        # f(3) = sqrt(2 * 18) = 6: one root of 36, not sqrt(2) * sqrt(18)
+        assert scale_factors(18, 3, 160)[3] == FixedReal.from_int(6, 160)
 
 
 class TestSeed:
@@ -267,8 +279,8 @@ class TestNestedLiteral:
         monkeypatch.setattr(FixedReal, "sqrt", lambda self: calls.append(1) or real_sqrt(self))
         k = 20
         nested_literal(Seed(3, 7, 1), k, ctx128)
-        # two chains of k roots, sqrt(s), k - 1 plus-chain links, one outer root
-        assert len(calls) == 3 * k + 1
+        # one chain of k roots, sqrt(s), k - 1 plus-chain links, one outer root
+        assert len(calls) == 2 * k + 1
 
     @pytest.mark.parametrize("seed", [Seed(3, 7, 1), Seed(3, 7, -1), Seed(5, 16, 1), Seed(10, 50, -1)])
     def test_matches_recursion_for_non_dyadic_scale_factors(self, seed, ctx128):
@@ -281,7 +293,6 @@ class TestNestedLiteral:
 
 def test_run_at_scale_rejects_unknown_variant():
     from radpi.errors import UsageError
-    from radpi.recursion import run_at_scale
 
     with pytest.raises(UsageError):
         run_at_scale(Seed(2, 2, 1), 3, 96, "heroic")

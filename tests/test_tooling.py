@@ -40,6 +40,30 @@ def test_tracer_method_targets_are_fixedreal_methods(attr):
     assert callable(FixedReal.__dict__[attr])
 
 
+def test_tracer_sees_every_engine_step_under_its_caller():
+    # the doubled-sine loop is shared, so the tracer's step counts per caller
+    # rest on each half_angle_step span having the traced caller as its parent
+    tracer = TRACING["Tracer"]()
+    tracer.install()
+    try:
+        radpi.arccos_by_recursion(FixedReal.from_decimal("0.3", 128), radpi.PrecisionContext(128))
+        radpi.recursion.run_at_scale(radpi.Seed(2, 3, -1), 17, 96, "stable")
+        radpi.recursion.run_at_scale(radpi.Seed(5, 16, 1), 9, 96, "naive")
+    finally:
+        tracer.uninstall()
+    spans = list(tracer.spans())
+    steps: dict[int, int] = {}
+    for name, _, _, parent, *_ in spans:
+        if name == "recursion.half_angle_step":
+            assert spans[parent][0] in ("drivers.arccos", "recursion.run_at_scale")
+            steps[parent] = steps.get(parent, 0) + 1
+    callers = [(spans[i][0], n) for i, n in sorted(steps.items())]
+    assert [name for name, _ in callers] == ["drivers.arccos", "recursion.run_at_scale",
+                                            "recursion.run_at_scale"]
+    assert 128 // 2 <= callers[0][1] <= 128 // 2 + 24  # converged under the depth cap
+    assert [n for _, n in callers[1:]] == [17, 9]
+
+
 def test_every_public_name_resolves():
     assert [name for name in radpi.__all__ if not hasattr(radpi, name)] == []
 
