@@ -110,7 +110,7 @@ def abs_error(approx: Approximant, scale: int) -> FixedReal:
 
 
 def _measure_row(
-    index: int, value: FixedReal, reference: FixedReal, prev_err: FixedReal | None = None
+    index: int, value: FixedReal, reference: FixedReal, prev_err: FixedReal | None
 ) -> tuple[ReportRow, FixedReal]:
     """One report row and its error.
 
@@ -159,37 +159,43 @@ def convergence_table(
     error_ratio is previous abs_error over current abs_error; the first row's
     ratio is empty.
     """
-    if not sweep:
-        return ConvergenceReport(rows=[], meta=_table_meta(method, params, ctx, 0, 0))
     approximants = [_build_approximant(method, params, index, ctx) for index in sweep]
-    worst_guard = max(int(a.params["guard_bits"]) for a in approximants)
-    scale = _measure_scale(ctx.scale_bits + worst_guard)
-    target_ref = _target_value(approximants[0].target, scale)
-    rows: list[ReportRow] = []
-    prev_err: FixedReal | None = None
-    for index, approx in zip(sweep, approximants):
-        row, prev_err = _measure_row(index, approx.value, target_ref, prev_err)
-        rows.append(row)
-    return ConvergenceReport(
-        rows=rows, meta=_table_meta(method, params, ctx, worst_guard, scale)
-    )
-
-
-def _table_meta(
-    method: str, params: dict, ctx: PrecisionContext, guard: int, measure_bits: int
-) -> dict:
     described = {
         key: (value.describe() if isinstance(value, Seed) else str(value))
         for key, value in params.items()
     }
-    return {
-        "method": method,
-        "params": described,
-        "bits": ctx.scale_bits,
-        "guard_bits": guard or ctx.working_bits - ctx.scale_bits,
-        "measure_bits": measure_bits,
-        "oracle_digits": decimal_digits_for_bits(ctx.scale_bits),
-    }
+    reference, guard = _reference(approximants, ctx)
+    return _report(sweep, [a.value for a in approximants], reference, ctx, guard,
+                   method=method, params=described)
+
+
+def _reference(
+    approximants: Sequence[Approximant], ctx: PrecisionContext
+) -> tuple[FixedReal | None, int]:
+    """The approximants' target at the measurement scale of their worst guard,
+    and that guard; with no approximants, no reference and the context's guard."""
+    if not approximants:
+        return None, ctx.working_bits - ctx.scale_bits
+    guard = max(int(a.params["guard_bits"]) for a in approximants)
+    return _target_value(approximants[0].target, _measure_scale(ctx.scale_bits + guard)), guard
+
+
+def _report(
+    indices: Sequence[int], values: Sequence[FixedReal], reference: FixedReal | None,
+    ctx: PrecisionContext, guard: int, **labels,
+) -> ConvergenceReport:
+    """Rows of values measured against the reference, each error ratio taken
+    over the row before; the labels gain the precision keys of every report
+    (measure_bits 0 without a reference)."""
+    rows: list[ReportRow] = []
+    prev_err: FixedReal | None = None
+    for index, value in zip(indices, values):
+        row, prev_err = _measure_row(index, value, reference, prev_err)
+        rows.append(row)
+    labels.update(bits=ctx.scale_bits, guard_bits=guard,
+                  measure_bits=0 if reference is None else reference.scale_bits,
+                  oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
+    return ConvergenceReport(rows=rows, meta=labels)
 
 
 def cancellation_audit(
@@ -377,50 +383,47 @@ class IdentityReport(Record):
         return all(r.passed for r in self.results)
 
 
-_IDENTITY_SEEDS = (Seed(2, 2, 1), Seed(2, 3, 1), Seed(2, 3, -1), Seed(2, 2, -1))
+def _within(pairs) -> tuple[bool, int]:
+    """Whether every (residual, bound) pair has residual < bound, and the worst
+    residual (0 for no pairs)."""
+    passed, worst = True, 0
+    for residual, bound in pairs:
+        passed = passed and residual < bound
+        worst = max(worst, residual)
+    return passed, worst
 
 
 def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     """Run the recursion module's invariant suite and report per-identity
     pass/fail with worst-case residuals."""
+    seeds = [entry.seed for entry in CATALOG]
     results = []
 
-    ok = True
-    for m in (2, 3, 5, 10):
-        for k in range(2, 65):
-            if f_power_form(k + 1, m).squared() != f_power_form(k, m).times_two():
-                ok = False
+    scale_ok = all(f_power_form(k + 1, m).squared() == f_power_form(k, m).times_two()
+                   for m in (2, 3, 5, 10) for k in range(2, 65))
     results.append(
         IdentityResult(
             "scale identity f(k+1)^2 = 2 f(k) (exact exponents, k in [2,64], m in {2,3,5,10})",
-            ok, "0", "rational exponent arithmetic",
+            scale_ok, "0", "rational exponent arithmetic",
         )
     )
 
     depth = 20
     work = ctx.scale_bits + ctx.guard_for_depth(depth)
-    runs = [(seed, run_recursion(seed, depth, ctx)) for seed in _IDENTITY_SEEDS]
-    pyth_worst = 0
-    pyth_ok = True
-    norm_worst = 0
-    norm_ok = True
+    runs = [(seed, run_recursion(seed, depth, ctx)) for seed in seeds]
+    states = [st for _, run in runs for st in run]
     one = FixedReal.one(work)
-    for _, states in runs:
-        for st in states:
-            bound = 1 << (st.k + 6)
-            resid = abs((st.x * st.x + st.c * st.c - one).mantissa)
-            pyth_worst = max(pyth_worst, resid)
-            if resid >= bound:
-                pyth_ok = False
-            resid = abs((st.x * st.f - st.g).mantissa)
-            norm_worst = max(norm_worst, resid)
-            if resid >= bound:
-                norm_ok = False
+    pyth_ok, pyth_worst = _within(
+        (abs((st.x * st.x + st.c * st.c - one).mantissa), 1 << (st.k + 6)) for st in states
+    )
     results.append(
         IdentityResult(
             "pythagorean x^2 + c^2 = 1 within 2^(-B+k+6)",
             pyth_ok, f"{pyth_worst} units at {work} bits", f"4 seeds, k <= {depth}",
         )
+    )
+    norm_ok, norm_worst = _within(
+        (abs((st.x * st.f - st.g).mantissa), 1 << (st.k + 6)) for st in states
     )
     results.append(
         IdentityResult(
@@ -429,37 +432,25 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
-    lit_ok = True
-    lit_worst_bits = None
-    for seed, states in runs:
-        for k in (1, 2, 5, 10, 15, 20):
-            lit = nested_literal(seed, k, ctx)
-            rec = states[k].c.rescale(ctx.scale_bits)
-            gap = abs((lit - rec).mantissa)
-            bound = 1 << (2 * k + 8)
-            if gap >= bound:
-                lit_ok = False
-            gap_bits = gap.bit_length()
-            if lit_worst_bits is None or gap_bits > lit_worst_bits:
-                lit_worst_bits = gap_bits
+    lit_ok, lit_worst = _within(
+        (abs((nested_literal(seed, k, ctx) - run[k].c.rescale(ctx.scale_bits)).mantissa),
+         1 << (2 * k + 8))
+        for seed, run in runs for k in (1, 2, 5, 10, 15, 20)
+    )
     results.append(
         IdentityResult(
             "literal radical = stable recursion within 2^(-B+2k+8)",
-            lit_ok, f"worst gap < 2^{lit_worst_bits} units at {ctx.scale_bits} bits",
+            lit_ok, f"worst gap < 2^{lit_worst.bit_length()} units at {ctx.scale_bits} bits",
             f"4 seeds, k <= {depth}",
         )
     )
 
-    viete_ok = True
-    viete_worst = 0
     seed0 = Seed(1, 0, 1)
-    for k in (1, 5, 10, 20, 30):
-        v = viete_product(k, ctx).value
-        p = pi_method1(seed0, k, ctx, "exact").value
-        gap = abs((v - p).mantissa)
-        viete_worst = max(viete_worst, gap)
-        if gap >= 1 << 8:
-            viete_ok = False
+    viete_ok, viete_worst = _within(
+        (abs((viete_product(k, ctx).value - pi_method1(seed0, k, ctx, "exact").value).mantissa),
+         1 << 8)
+        for k in (1, 5, 10, 20, 30)
+    )
     results.append(
         IdentityResult(
             "product form = matched recursion form within 2^(-B+8)",
@@ -467,17 +458,14 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
-    mono_ok = True
-    for seed in _IDENTITY_SEEDS:
-        states = run_recursion(seed, 30, ctx)
-        doubled = [st.scaled_sine for st in states[1:]]
-        mono_work = doubled[0].scale_bits
-        theta = arccos_by_recursion(seed.value(mono_work), PrecisionContext(mono_work))
-        for a, b in zip(doubled, doubled[1:]):
-            if not a < b:
-                mono_ok = False
-        if not doubled[-1] < theta:
-            mono_ok = False
+    # each seed's doubled sines for k <= 30, then its theta0 at their scale
+    chains = []
+    for seed in seeds:
+        sines = [st.scaled_sine for st in run_recursion(seed, 30, ctx)[1:]]
+        mono_work = sines[0].scale_bits
+        chains.append([*sines, arccos_by_recursion(seed.value(mono_work),
+                                                   PrecisionContext(mono_work))])
+    mono_ok = all(a < b for chain in chains for a, b in zip(chain, chain[1:]))
     results.append(
         IdentityResult(
             "doubled sines strictly increase and stay below theta0",
@@ -485,22 +473,15 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
-    f_ok = True
+    # |f(k) - 2| = 2(e^u - 1) with u = ln(m/2)/2^(k-2), bounded by u*f(k), and
+    # exactly 0 at m = 2; compared exactly in units of 2**-work: 2**work
+    # overflows a float
     two = FixedReal.from_int(2, work)
-    for m in (2, 3, 5, 10):
-        factors = scale_factors(m, 40, work)
-        for k in range(6, 41):
-            val = factors[k]
-            gap = abs(val - two)
-            if m == 2:
-                if gap.mantissa != 0:
-                    f_ok = False
-                continue
-            # |f(k) - 2| = 2(e^u - 1) with u = ln(m/2)/2^(k-2), bounded by u*f(k)
-            # compared exactly in units of 2**-work: 2**work overflows a float
-            u = abs(math.log(m / 2)) / 2 ** (k - 2)
-            if gap.mantissa > Fraction(u) * val.mantissa + (1 << 8):
-                f_ok = False
+    f_ok = all(
+        abs(f - two).mantissa
+        <= (0 if m == 2 else Fraction(abs(math.log(m / 2)) / 2 ** (k - 2)) * f.mantissa + (1 << 8))
+        for m in (2, 3, 5, 10) for k, f in scale_factors(m, 40, work).items() if k >= 6
+    )
     results.append(
         IdentityResult(
             "scale factor tends to 2: |f(k) - 2| <= |ln(m/2)|/2^(k-2) * f(k), exact 2 at m=2",

@@ -22,9 +22,9 @@ from .analysis import (
     ConvergenceReport,
     IdentityReport,
     _build_approximant,
-    _measure_row,
     _measure_scale,
-    _target_value,
+    _reference,
+    _report,
     cancellation_audit,
     convergence_table,
     reproduce_catalog,
@@ -208,16 +208,23 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Seed:
+    """The seed of --x0 alone, or of --m with --s or --d (and --sign); the
+    default only when no seed flag is given."""
+    given = [dest for dest in _SEED_FLAGS if getattr(args, dest) is not None]
     if args.x0 is not None:
+        if given:
+            raise UsageError(f"{args.subcommand} does not read --{given[0]}")
         return Seed.from_x0(args.x0)
-    sign = -1 if args.sign == "-" else 1
-    if args.m is not None and args.d is not None and args.s is None:
-        return Seed.from_m_d(args.m, args.d, sign)
-    if args.m is not None and args.s is not None:
-        return Seed(args.m, args.s, sign)
-    if default is not None:
+    if default is not None and not given:
         return default
-    raise UsageError("a seed is required: --m with --s (or --d), or --x0")
+    if args.m is None or (args.s is None and args.d is None):
+        raise UsageError("a seed is required: --m with --s (or --d), or --x0")
+    if args.s is not None and args.d is not None:
+        raise UsageError("a seed takes --s or --d, not both")
+    sign = -1 if args.sign == "-" else 1
+    if args.d is not None:
+        return Seed.from_m_d(args.m, args.d, sign)
+    return Seed(args.m, args.s, sign)
 
 
 def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
@@ -284,17 +291,6 @@ def _parse_m_range(text: str | None) -> list[int]:
     return values
 
 
-def _single_row(
-    index: int, value: FixedReal, reference: FixedReal, ctx: PrecisionContext, guard: int,
-    **meta,
-) -> ConvergenceReport:
-    """A one-row report; ``meta`` gains the precision keys of every such report."""
-    row, _ = _measure_row(index, value, reference)
-    meta.update(bits=ctx.scale_bits, guard_bits=guard, measure_bits=reference.scale_bits,
-                oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
-    return ConvergenceReport(rows=[row], meta=meta)
-
-
 def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     _reject_unread_flags(args)
     method = args.method
@@ -312,10 +308,9 @@ def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> Convergence
     approx = _build_approximant(*_method_request(args), index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
-    guard = int(approx.params["guard_bits"])
-    reference = _target_value(approx.target, _measure_scale(ctx.scale_bits + guard))
-    return _single_row(int(index), approx.value, reference, ctx, guard, method=approx.method,
-                       params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
+    reference, guard = _reference([approx], ctx)
+    return _report([int(index)], [approx.value], reference, ctx, guard, method=approx.method,
+                   params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
 
 
 def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
@@ -326,8 +321,8 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
         Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
     ).sqrt() / FixedReal.from_fraction(args.m, scale)
     params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
-    return _single_row(args.terms, value, limit, ctx, ctx.working_bits - ctx.scale_bits,
-                       method="taylor", params=params, target="seed_value")
+    return _report([args.terms], [value], limit, ctx, ctx.working_bits - ctx.scale_bits,
+                   method="taylor", params=params, target="seed_value")
 
 
 def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
@@ -351,9 +346,9 @@ def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceR
     value = arccos_by_recursion(x0, ctx)
     scale = _measure_scale(ctx.working_bits)
     reference = arccos_oracle(x0.rescale(scale), PrecisionContext(scale))
-    return _single_row(0, value, reference, ctx, ctx.working_bits - ctx.scale_bits,
-                       method="arccos_by_recursion", params={"seed": seed.describe()},
-                       target="arccos")
+    return _report([0], [value], reference, ctx, ctx.working_bits - ctx.scale_bits,
+                   method="arccos_by_recursion", params={"seed": seed.describe()},
+                   target="arccos")
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:

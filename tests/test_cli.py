@@ -8,11 +8,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radpi.analysis
+from radpi import FixedReal, Seed
 from radpi.cli import _terminal_columns, build_parser, run_command
 
 
@@ -205,6 +208,36 @@ class TestExitCodes:
         assert run(capsys, *argv) == run(capsys, *argv, "--sign", "+")
         assert run(capsys, *argv)[1] != run(capsys, *argv, "--sign", "-")[1]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["arccos", "--x0", "0.3", "--m", "5", "--s", "1"], "arccos does not read --m"),
+        (["arccos", "--x0", "0.3", "--sign", "-"], "arccos does not read --sign"),
+        (["audit", "--k", "2", "--x0", "0.3", "--d", "4"], "audit does not read --d"),
+        (["audit", "--k", "2", "--x0", "0.3", "--s", "2", "--d", "4"],
+         "audit does not read --s"),
+        (["compute", "--method", "method1", "--m", "2", "--s", "2", "--d", "1", "--k", "3"],
+         "a seed takes --s or --d, not both"),
+        (["compute", "--method", "unity", "--m", "2", "--s", "3", "--d", "1", "--k", "3"],
+         "a seed takes --s or --d, not both"),
+        (["table", "--method", "unity", "--m", "2", "--s", "3", "--d", "1", "--k-range", "1:2"],
+         "a seed takes --s or --d, not both"),
+        (["arccos", "--m", "2", "--s", "2", "--d", "1"], "a seed takes --s or --d, not both"),
+        (["audit", "--k", "2", "--m", "2", "--s", "2", "--d", "1"],
+         "a seed takes --s or --d, not both"),
+        (["audit", "--k", "2", "--m", "5"], "a seed is required: --m with --s (or --d), or --x0"),
+        (["audit", "--k", "2", "--sign", "-"],
+         "a seed is required: --m with --s (or --d), or --x0"),
+        (["audit", "--k", "2", "--s", "3"], "a seed is required: --m with --s (or --d), or --x0"),
+        (["arccos", "--m", "5", "--sign", "-"],
+         "a seed is required: --m with --s (or --d), or --x0"),
+    ])
+    def test_seed_flags_read_nowhere_are_64(self, capsys, argv, message):
+        assert run(capsys, *argv) == (64, "", f"radpi: usage error: {message}\n")
+
+    def test_audit_default_seed_only_without_seed_flags(self, capsys):
+        default = run(capsys, "audit", "--k", "3")
+        assert default == run(capsys, "audit", "--k", "3", "--m", "2", "--s", "2")
+        assert default[0] == 0 and "'seed': 'm=2, s=2, sign=+'" in default[1]
+
     def test_unwritable_out_is_74(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "compute", "--method", "viete", "--k", "2",
@@ -370,6 +403,66 @@ def test_every_subcommand_in_every_format(argv, fmt, capsys):
     if fmt == "json":
         payload = json.loads(captured.out)
         assert "rows" in payload
+
+
+# compute and a one-row table build their reports alike: the same row and
+# the same precision keys, for every method and its index flag
+_ONE_ROW = [
+    (["--method", "method1", "--m", "2", "--s", "2"], "--k", "7"),
+    (["--method", "method1", "--x0", "0.3"], "--k", "4"),
+    (["--method", "unity", "--m", "5", "--d", "3"], "--k", "5"),
+    (["--method", "viete"], "--k", "6"),
+    (["--method", "combined", "--m", "50", "--d", "1"], "--k", "4"),
+    (["--method", "method2", "--d", "1"], "--m", "50"),
+]
+
+
+@pytest.mark.parametrize("bits", ["128", "512"])
+@pytest.mark.parametrize("flags, index_flag, index", _ONE_ROW,
+                         ids=[" ".join(flags) for flags, _, _ in _ONE_ROW])
+def test_compute_row_is_the_one_row_table_row(flags, index_flag, index, bits, capsys):
+    sweep = ["--k-range", f"{index}:{index}"] if index_flag == "--k" else ["--m-range", index]
+    reports = []
+    for argv in (["compute", *flags, index_flag, index], ["table", *flags, *sweep]):
+        code, out, err = run(capsys, *argv, "--bits", bits, "--format", "json")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    row_keys = ("index", "approximant", "abs_error", "correct_digits")
+    meta_keys = ("bits", "guard_bits", "measure_bits", "oracle_digits")
+    compute, table = ([{key: report["rows"][0][key] for key in row_keys},
+                       {key: report["meta"][key] for key in meta_keys}] for report in reports)
+    assert len(reports[1]["rows"]) == 1
+    assert compute == table
+
+
+# A gap of exactly an identity's bound fails it and one unit under passes it;
+# either way `verify` prints all seven identities, and a failure exits 1.
+@pytest.mark.parametrize("at_bound", [False, True])
+@pytest.mark.parametrize("patched, line, residual", [
+    ("nested_literal", 3, ("worst gap < 2^48 units at 128 bits",
+                           "worst gap < 2^49 units at 128 bits")),
+    ("viete_product", 4, ("255 units at 128 bits", "256 units at 128 bits")),
+])
+def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, monkeypatch):
+    offset = int(at_bound) - 1
+    real_run = radpi.analysis.run_recursion
+
+    def nested_literal(seed, k, ctx):  # the depth-20 recursion's c, off by the bound
+        recursion = real_run(seed, 20, ctx)[k].c.rescale(ctx.scale_bits)
+        return recursion + FixedReal((1 << (2 * k + 8)) + offset, ctx.scale_bits)
+
+    def viete_product(k, ctx):  # the matched recursion form, off by the bound
+        matched = radpi.analysis.pi_method1(Seed(1, 0, 1), k, ctx, "exact").value
+        return SimpleNamespace(value=matched + FixedReal((1 << 8) + offset, ctx.scale_bits))
+
+    fakes = {"nested_literal": nested_literal, "viete_product": viete_product}
+    monkeypatch.setattr(radpi.analysis, patched, fakes[patched])
+    code, out, err = run(capsys, "verify")
+    verdicts = [text for text in out.splitlines() if not text.startswith("#")]
+    assert (code, err, len(verdicts)) == (int(at_bound), "", 7)
+    for i, text in enumerate(verdicts):
+        assert text.startswith("FAIL " if at_bound and i == line else "PASS ")
+    assert verdicts[line].endswith(f"  [{residual[at_bound]}]")
 
 
 def test_empty_report_renders_header_only_csv():
