@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice
 
 from ._record import NEW_DICT, Record
 from .arith import (
@@ -23,7 +24,6 @@ from .arith import (
 from .drivers import (
     Approximant,
     _resolve_ratio,
-    arccos_by_recursion,
     exact_ratio_lookup,
     pi_combined,
     pi_method1,
@@ -34,6 +34,7 @@ from .drivers import (
 from .errors import CatalogFailure, DomainError
 from .recursion import (
     Seed,
+    _doubled_sines,
     f_power_form,
     nested_literal,
     run_at_scale,
@@ -393,6 +394,13 @@ def _within(pairs) -> tuple[bool, int]:
     return passed, worst
 
 
+def _theta0(seed: Seed, scale_bits: int) -> FixedReal:
+    """theta0 = 2*pi/R of a cataloged seed, from its exact angle ratio R and
+    the Machin pi: a fixed cost at any precision, and independent of the
+    doubled sines it bounds."""
+    return pi_fixed(scale_bits).mul_fraction(2 / exact_ratio_lookup(seed))
+
+
 def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     """Run the recursion module's invariant suite and report per-identity
     pass/fail with worst-case residuals."""
@@ -458,13 +466,14 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
-    # each seed's doubled sines for k <= 30, then its theta0 at their scale
-    chains = []
-    for seed in seeds:
-        sines = [st.scaled_sine for st in run_recursion(seed, 30, ctx)[1:]]
-        mono_work = sines[0].scale_bits
-        chains.append([*sines, arccos_by_recursion(seed.value(mono_work),
-                                                   PrecisionContext(mono_work))])
+    # each seed's doubled sines for k <= 30 at the depth-30 scale, then its
+    # theta0 from the exact ratio, not from the recursion under test
+    mono_work = ctx.scale_bits + ctx.guard_for_depth(30)
+    chains = [
+        [*(s for _, s in islice(_doubled_sines(seed.value(mono_work), "stable"), 30)),
+         _theta0(seed, mono_work)]
+        for seed in seeds
+    ]
     mono_ok = all(a < b for chain in chains for a, b in zip(chain, chain[1:]))
     results.append(
         IdentityResult(

@@ -355,7 +355,10 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     seed = _seed_from_args(args, default=Seed(2, 2, 1))
-    reference = PrecisionContext(max(args.bits, _measure_scale(args.audited_bits)), args.guard_bits)
+    # the audit reads only its reference's scale, so no guard is ever read
+    if args.guard_bits is not None:
+        raise UsageError("audit does not read --guard-bits")
+    reference = PrecisionContext(max(args.bits, _measure_scale(args.audited_bits)))
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",

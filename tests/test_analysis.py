@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import radpi.analysis
+import radpi.drivers
+import radpi.recursion
 from radpi import (
     DomainError,
     FixedReal,
     PrecisionContext,
     Seed,
+    arccos_by_recursion,
+    arccos_oracle,
     cancellation_audit,
     convergence_table,
     correct_decimal_digits,
@@ -18,6 +23,7 @@ from radpi import (
     reproduce_catalog,
     verify_identities,
 )
+from radpi.analysis import CATALOG
 
 
 class TestCorrectDigits:
@@ -159,8 +165,6 @@ class TestVerifyIdentities:
         assert "normalization" in names
 
     def test_one_depth_20_run_per_seed(self, ctx128, monkeypatch):
-        import radpi.analysis
-
         depths = []
         real_run = radpi.analysis.run_recursion
 
@@ -170,8 +174,46 @@ class TestVerifyIdentities:
 
         monkeypatch.setattr(radpi.analysis, "run_recursion", counting_run)
         assert verify_identities(ctx128).all_passed
-        # the three state checks share one run; monotonicity needs depth 30
-        assert depths == [20] * 4 + [30] * 4
+        # the three state checks share one run; monotonicity reads the doubled
+        # sines alone, without the g/f chain of a run
+        assert depths == [20] * 4
+
+    def test_cost_is_the_same_at_every_precision(self, monkeypatch):
+        counts = {"steps": 0, "sqrt": 0}
+        real_step, real_sqrt = radpi.recursion.half_angle_step, FixedReal.sqrt
+
+        def counting_step(x_prev):
+            counts["steps"] += 1
+            return real_step(x_prev)
+
+        def counting_sqrt(self):
+            counts["sqrt"] += 1
+            return real_sqrt(self)
+
+        for module in (radpi.recursion, radpi.drivers):
+            monkeypatch.setattr(module, "half_angle_step", counting_step)
+        monkeypatch.setattr(FixedReal, "sqrt", counting_sqrt)
+        seen = []
+        for bits in (64, 256, 1024, 2048):
+            counts.update(steps=0, sqrt=0)
+            assert verify_identities(PrecisionContext(bits)).all_passed
+            seen.append((counts["steps"], counts["sqrt"]))
+        # a fixed number of half-angle steps: theta0 comes from the exact ratio,
+        # not from an arccos whose depth grows with the bits
+        assert len(set(seen)) == 1, seen
+        assert seen[0][0] <= 340
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    @pytest.mark.parametrize("entry", CATALOG, ids=lambda entry: entry.seed.describe())
+    def test_theta0_is_the_arccos_within_its_stated_bounds(self, entry, bits):
+        # theta0 = 2*pi/R at the monotonicity scale, against arccos of the
+        # seed at that scale: the oracle within 2^(-w+8), the recursion within
+        # 2^(-w+16)
+        work = bits + 124
+        theta0 = radpi.analysis._theta0(entry.seed, work)
+        x0, ctx = entry.seed.value(work), PrecisionContext(work)
+        assert abs((theta0 - arccos_oracle(x0, ctx)).mantissa) < 1 << 8
+        assert abs((theta0 - arccos_by_recursion(x0, ctx)).mantissa) < 1 << 16
 
 
 def test_combined_beats_both_individually(ctx128):

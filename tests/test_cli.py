@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,6 +121,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "audit", "--k", k)
         assert (code, out) == (64, "")
         assert err == "radpi: usage error: --k must be >= 1\n"
+
+    # the audit reads only its reference's scale; the depth and seed checks
+    # still come first
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "5", "--guard-bits", "300"], "audit does not read --guard-bits"),
+        (["--k", "5", "--guard-bits", "10"], "audit does not read --guard-bits"),
+        (["--x0", "0.3", "--guard-bits", "300"], "audit does not read --guard-bits"),
+        (["--k", "0", "--guard-bits", "300"], "--k must be >= 1"),
+        (["--m", "5", "--guard-bits", "300"],
+         "a seed is required: --m with --s (or --d), or --x0"),
+    ])
+    def test_audit_guard_bits_is_64(self, capsys, argv, message):
+        assert run(capsys, "audit", *argv) == (64, "", f"radpi: usage error: {message}\n")
 
     @pytest.mark.parametrize("variant", ["corrected", "as-printed"])
     def test_table_method1_rejects_method2_variants(self, capsys, variant):
@@ -336,6 +350,11 @@ class TestSubcommands:
         assert (code, err) == (0, "")
         assert sum(line.startswith("PASS ") for line in out.splitlines()) == 7
 
+    def test_verify_passes_at_2048_bits(self, capsys):
+        code, out, err = run(capsys, "verify", "--bits", "2048")
+        assert (code, err) == (0, "")
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 7
+
     def test_verify_256_bits_output_is_unchanged(self, capsys):
         assert run(capsys, "verify", "--bits", "256") == (0, VERIFY_256_TEXT, "")
 
@@ -436,16 +455,19 @@ def test_compute_row_is_the_one_row_table_row(flags, index_flag, index, bits, ca
 
 
 # A gap of exactly an identity's bound fails it and one unit under passes it;
-# either way `verify` prints all seven identities, and a failure exits 1.
+# either way `verify` prints all seven identities, and a failure exits 1. For
+# the strict monotonicity, a theta0 equal to the last doubled sine is the bound.
 @pytest.mark.parametrize("at_bound", [False, True])
 @pytest.mark.parametrize("patched, line, residual", [
     ("nested_literal", 3, ("worst gap < 2^48 units at 128 bits",
                            "worst gap < 2^49 units at 128 bits")),
     ("viete_product", 4, ("255 units at 128 bits", "256 units at 128 bits")),
+    ("_theta0", 5, ("-", "-")),
 ])
 def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, monkeypatch):
     offset = int(at_bound) - 1
     real_run = radpi.analysis.run_recursion
+    real_theta0 = radpi.analysis._theta0
 
     def nested_literal(seed, k, ctx):  # the depth-20 recursion's c, off by the bound
         recursion = real_run(seed, 20, ctx)[k].c.rescale(ctx.scale_bits)
@@ -455,7 +477,15 @@ def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, 
         matched = radpi.analysis.pi_method1(Seed(1, 0, 1), k, ctx, "exact").value
         return SimpleNamespace(value=matched + FixedReal((1 << 8) + offset, ctx.scale_bits))
 
-    fakes = {"nested_literal": nested_literal, "viete_product": viete_product}
+    def _theta0(seed, scale_bits):  # one seed's k = 30 doubled sine, or one unit above
+        if seed != Seed(2, 3, -1):
+            return real_theta0(seed, scale_bits)
+        sines = radpi.analysis._doubled_sines(seed.value(scale_bits), "stable")
+        *_, (_, sine) = islice(sines, 30)
+        return sine - FixedReal(offset, scale_bits)
+
+    fakes = {"nested_literal": nested_literal, "viete_product": viete_product,
+             "_theta0": _theta0}
     monkeypatch.setattr(radpi.analysis, patched, fakes[patched])
     code, out, err = run(capsys, "verify")
     verdicts = [text for text in out.splitlines() if not text.startswith("#")]
