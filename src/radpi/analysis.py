@@ -18,11 +18,14 @@ from ._record import NEW_DICT, Record
 from .arith import (
     FixedReal,
     PrecisionContext,
+    admit_cost,
     decimal_digits_for_bits,
     pi_fixed,
 )
 from .drivers import (
     Approximant,
+    _method2_bits,
+    _ratio_bit_steps,
     _resolve_ratio,
     exact_ratio_lookup,
     pi_combined,
@@ -38,7 +41,6 @@ from .recursion import (
     f_power_form,
     nested_literal,
     run_at_scale,
-    run_recursion,
     scale_factors,
 )
 
@@ -152,14 +154,35 @@ def _build_approximant(method: str, params: dict, index, ctx: PrecisionContext) 
     raise DomainError(f"unknown table method {method!r}")
 
 
+def _row_bit_steps(method: str, params: dict, index, ctx: PrecisionContext) -> int:
+    """Working bits x steps of one table row: its depth run (method2's single
+    step) and its ratio's arccos."""
+    if method.startswith("method2_"):
+        m, d = Fraction(index), Fraction(params.get("d", 1))
+        work = _method2_bits(m, d, ctx)
+        return work + _ratio_bit_steps(Seed.from_m_d(m, d), "auto", work)
+    if method == "combined":
+        seed, mode = Seed.from_m_d(params["m"], params.get("d", 1)), "auto"
+    else:  # viete has no seed
+        seed = params.get("seed")
+        mode = "self" if method == "unity" else params.get("ratio_mode", "auto")
+    work = ctx.bits_for_depth(index)
+    return work * index + (0 if seed is None else _ratio_bit_steps(seed, mode, work))
+
+
 def convergence_table(
     method: str, params: dict, sweep: Sequence[int], ctx: PrecisionContext
 ) -> ConvergenceReport:
     """One row per sweep index (recursion depth k, or starting term m).
 
-    error_ratio is previous abs_error over current abs_error; the first row's
-    ratio is empty.
+    The whole sweep is refused before its first row if its rows together are
+    over the cost bound. error_ratio is previous abs_error over current
+    abs_error; the first row's ratio is empty.
     """
+    bit_steps = 0
+    for index in sweep:  # stops at the first row over the bound
+        bit_steps += _row_bit_steps(method, params, index, ctx)
+        admit_cost(bit_steps)
     approximants = [_build_approximant(method, params, index, ctx) for index in sweep]
     described = {
         key: (value.describe() if isinstance(value, Seed) else str(value))
@@ -213,8 +236,12 @@ def cancellation_audit(
         raise DomainError("audited_bits must be >= 24")
     if ctx_reference.scale_bits < _measure_scale(audited_bits):
         raise DomainError("reference precision must be >= 4x audited_bits")
-    ratio = _resolve_ratio(seed, "auto", ctx_reference.scale_bits + 64)
     scale = ctx_reference.scale_bits
+    # the naive and the stable run, each step measured at the reference
+    # precision, and the ratio's arccos
+    admit_cost(2 * (audited_bits + scale) * k_max + _ratio_bit_steps(seed, "auto", scale + 64),
+               scale)
+    ratio = _resolve_ratio(seed, "auto", scale + 64)
     pi_ref = pi_fixed(scale)
     naive_states = run_at_scale(seed, k_max, audited_bits, "naive")
     stable_states = run_at_scale(seed, k_max, audited_bits, "stable")
@@ -308,7 +335,7 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
     and (c) the depth-25 approximant is within the tolerance of pi. Any
     mismatch raises CatalogFailure naming the formula.
     """
-    work = ctx.scale_bits + ctx.guard_for_depth(_CATALOG_DEPTH)
+    work = ctx.bits_for_depth(_CATALOG_DEPTH)
     scale = _measure_scale(work)
     pi_ref = pi_fixed(scale)
     tol_fixed = FixedReal.from_fraction(_CATALOG_TOLERANCE, scale)
@@ -417,8 +444,8 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     )
 
     depth = 20
-    work = ctx.scale_bits + ctx.guard_for_depth(depth)
-    runs = [(seed, run_recursion(seed, depth, ctx)) for seed in seeds]
+    work = ctx.bits_for_depth(depth)
+    runs = [(seed, run_at_scale(seed, depth, work)) for seed in seeds]
     states = [st for _, run in runs for st in run]
     one = FixedReal.one(work)
     pyth_ok, pyth_worst = _within(
@@ -468,7 +495,7 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
 
     # each seed's doubled sines for k <= 30 at the depth-30 scale, then its
     # theta0 from the exact ratio, not from the recursion under test
-    mono_work = ctx.scale_bits + ctx.guard_for_depth(30)
+    mono_work = ctx.bits_for_depth(30)
     chains = [
         [*(s for _, s in islice(_doubled_sines(seed.value(mono_work), "stable"), 30)),
          _theta0(seed, mono_work)]

@@ -212,10 +212,31 @@ class FixedReal(Record):
         return f"FixedReal({self.to_decimal(decimal_digits_for_bits(max(shown * 4, 16)))}@{self.scale_bits}b)"
 
 
+# The cost bound of every request, checked before any work starts: no engine
+# run works at more than MAX_WORKING_BITS bits, and none (nor the rows of a
+# table together) takes more than MAX_BIT_STEPS working bits x half-angle steps.
+MAX_WORKING_BITS = 1 << 16
+MAX_BIT_STEPS = 1 << 29
+
+
+def admit_cost(bit_steps: int, work: int = 0) -> None:
+    """Refuse with PrecisionError a request over the cost bound: ``work``
+    working bits, or ``bit_steps`` working bits x half-angle steps."""
+    if work > MAX_WORKING_BITS:
+        raise PrecisionError(
+            f"request over the cost bound: {work} working bits (at most {MAX_WORKING_BITS})"
+        )
+    if bit_steps > MAX_BIT_STEPS:
+        raise PrecisionError(
+            f"request over the cost bound: {bit_steps} working bits x half-angle steps "
+            f"(at most {MAX_BIT_STEPS})"
+        )
+
+
 class PrecisionContext(Record):
     """Working precision: output scale plus guard bits for internal slack.
 
-    ``guard_bits=None`` lets each driver size the guard for its own recursion
+    ``guard_bits=None`` lets each route size the guard for its own recursion
     depth by the rule ``2*depth + 64`` (the final 2**k scaling amplifies
     absolute error by 2**k and radicand cancellation can cost another k bits).
     An explicit guard is honored as a hard budget instead.
@@ -233,18 +254,24 @@ class PrecisionContext(Record):
         set_field(self, "scale_bits", scale_bits)
         set_field(self, "guard_bits", guard_bits)
 
-    def guard_for_depth(self, depth: int) -> int:
-        """Guard bits to use for ``depth`` halvings; an explicit guard is a
-        budget of 2 bits per halving over 64."""
+    def bits_for_depth(self, k: int) -> int:
+        """Working bits of a route of k >= 1 half-angle steps: the scale plus
+        the guard rule, or plus an explicit guard that budgets 2 bits per step
+        over 64; refused over the cost bound."""
+        if k < 1:
+            raise DomainError("k must be >= 1")
         if self.guard_bits is None:
-            return 2 * depth + 64
-        allowed = (self.guard_bits - 64) // 2
-        if allowed < depth:
-            raise PrecisionError(
-                f"depth {depth} exceeds precision budget "
-                f"(guard_bits={self.guard_bits} allows {max(allowed, 0)})"
-            )
-        return self.guard_bits
+            work = self.scale_bits + 2 * k + 64
+        else:
+            allowed = (self.guard_bits - 64) // 2
+            if allowed < k:
+                raise PrecisionError(
+                    f"depth {k} exceeds precision budget "
+                    f"(guard_bits={self.guard_bits} allows {max(allowed, 0)})"
+                )
+            work = self.scale_bits + self.guard_bits
+        admit_cost(work * k, work)
+        return work
 
     @property
     def working_bits(self) -> int:

@@ -5,8 +5,9 @@ locale, no exponent form), so identical argument vectors produce byte
 identical output. Diagnostics go to stderr only.
 
 Exit codes: 0 success, 1 a failing verify identity, 2 domain/catalog errors,
-3 precision/convergence errors, 64 usage errors, 70 internal errors (a defect,
-reported in one line without a traceback), 74 unwritable output path.
+3 precision/convergence errors and requests over the cost bound, 64 usage
+errors, 70 internal errors (a defect, reported in one line without a
+traceback), 74 unwritable output path.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .analysis import (
     reproduce_catalog,
     verify_identities,
 )
-from .arith import FixedReal, PrecisionContext, arccos_oracle, decimal_digits_for_bits
-from .drivers import arccos_by_recursion, taylor_seed_exact
+from .arith import FixedReal, PrecisionContext, admit_cost, arccos_oracle, decimal_digits_for_bits
+from .drivers import _arccos_bits, arccos_by_recursion, taylor_seed_exact
 from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
@@ -264,7 +265,7 @@ def _variant(args: argparse.Namespace) -> str:
     return variant
 
 
-def _parse_k_range(text: str | None) -> list[int]:
+def _parse_k_range(text: str | None) -> range:
     if text is None:
         raise UsageError("this method sweeps --k-range")
     lo, sep, hi = text.partition(":")
@@ -276,7 +277,7 @@ def _parse_k_range(text: str | None) -> list[int]:
         raise UsageError("--k-range must be LO:HI with integers") from exc
     if lo_i < 1 or hi_i < lo_i:
         raise UsageError("--k-range must satisfy 1 <= LO <= HI")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def _parse_m_range(text: str | None) -> list[int]:
@@ -315,6 +316,8 @@ def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> Convergence
 
 def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     partial = taylor_seed_exact(args.m, args.d, args.terms)
+    # the value and its limit are built at the working bits (the limit at 4x)
+    admit_cost(ctx.working_bits, ctx.working_bits)
     value = FixedReal.from_fraction(partial, ctx.scale_bits)
     scale = _measure_scale(ctx.working_bits)
     limit = FixedReal.from_fraction(
@@ -342,6 +345,7 @@ def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceRe
 
 def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     seed = _seed_from_args(args)
+    _arccos_bits(ctx)  # refuse a request over the cost bound before x0 is built
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
     scale = _measure_scale(ctx.working_bits)

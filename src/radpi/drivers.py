@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 from ._record import NEW_DICT, Record
-from .arith import FixedReal, PrecisionContext, pi_fixed
+from .arith import FixedReal, PrecisionContext, admit_cost, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
@@ -90,6 +90,15 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
     return AngleRatio("self_consistent", fixed=two_pi / theta0)
 
 
+def _ratio_bit_steps(seed: Seed, mode: str, work: int) -> int:
+    """Working bits x steps of the ratio resolved at ``work`` bits: those of
+    the self-consistent arccos, none for an exact ratio."""
+    if mode == "self" or (mode == "auto" and exact_ratio_lookup(seed) is None):
+        depth_cap, arccos_work = _arccos_bits(PrecisionContext(work))
+        return arccos_work * depth_cap
+    return 0
+
+
 def pi_method1(
     seed: Seed,
     k: int,
@@ -101,9 +110,7 @@ def pi_method1(
 
     Convergence is quartic per step: the error is about pi * (theta0/2**k)**2 / 6.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    work = ctx.scale_bits + ctx.guard_for_depth(k)
+    work = ctx.bits_for_depth(k)
     ratio = _resolve_ratio(seed, ratio_mode, work)
     states = run_at_scale(seed, k, work, variant)
     value = ratio.apply(states[k].scaled_sine) / 2
@@ -135,12 +142,8 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     if variant not in ("corrected", "as_printed"):
         raise DomainError(f"unknown method2 variant {variant!r}")
     m, d = Fraction(m), Fraction(d)
-    if d <= 0 or d >= m:
-        raise DomainError("method2 requires 0 < d < m")
+    work = _method2_bits(m, d, ctx)
     s = m**2 - d**2
-    # m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack.
-    cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
-    work = ctx.working_bits + 64 + 4 * cancelled.bit_length()
     ratio = _resolve_ratio(Seed(m, s), "auto", work)
     sqrt_s = FixedReal.from_fraction(s, work).sqrt()
     m_fixed = FixedReal.from_fraction(m, work)
@@ -165,6 +168,19 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         ratio_kind=ratio.kind,
         diagnostic=diagnostic,
     )
+
+
+def _method2_bits(m: Fraction, d: Fraction, ctx: PrecisionContext) -> int:
+    """Working bits of method2's single step, refused over the cost bound.
+
+    m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack.
+    """
+    if d <= 0 or d >= m:
+        raise DomainError("method2 requires 0 < d < m")
+    cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
+    work = ctx.working_bits + 64 + 4 * cancelled.bit_length()
+    admit_cost(work, work)
+    return work
 
 
 def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
@@ -194,9 +210,7 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
     theta0 comes from the self-consistent arccos, whose internal depth always
     exceeds k by well over 16 steps at the chosen working precision.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    work = ctx.scale_bits + ctx.guard_for_depth(k)
+    work = ctx.bits_for_depth(k)
     theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
     states = run_at_scale(seed, k, work, "stable")
     value = states[k].scaled_sine / theta0
@@ -230,12 +244,8 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "arccos argument too close to 1 for the requested precision "
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
-    # the stable doubled sine loses about one unit per step, not two bits, so
-    # an explicit guard is the headroom of the working bits, not a depth budget
-    depth_cap = out_bits // 2 + 24
-    guard = ctx.guard_bits if ctx.guard_bits is not None else ctx.guard_for_depth(depth_cap)
-    work = out_bits + guard
-    tol = 1 << (guard - 8)
+    depth_cap, work = _arccos_bits(ctx)
+    tol = 1 << (work - out_bits - 8)
     sines = _doubled_sines(x0.rescale(work), "stable")
     _, previous = next(sines)
     for _, scaled in islice(sines, depth_cap - 1):
@@ -248,15 +258,28 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     )
 
 
+def _arccos_bits(ctx: PrecisionContext) -> tuple[int, int]:
+    """The self-consistent arccos's depth cap, B/2 + 24 at B output bits, and
+    its working bits, refused over the cost bound.
+
+    The stable doubled sine loses about one unit per step, not two bits, so an
+    explicit guard is the headroom of the working bits, not a depth budget.
+    """
+    depth_cap = ctx.scale_bits // 2 + 24
+    if ctx.guard_bits is None:
+        return depth_cap, ctx.bits_for_depth(depth_cap)
+    work = ctx.scale_bits + ctx.guard_bits
+    admit_cost(work * depth_cap, work)
+    return depth_cap, work
+
+
 def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
     """2 divided by the product of the cosine iterates from x0 = 0.
 
     Algebraically equal to 2**(k+1) * sin(pi / 2**(k+1)); kept as a literal
     running product so it cross-checks the recursion-based route.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    work = ctx.scale_bits + ctx.guard_for_depth(k)
+    work = ctx.bits_for_depth(k)
     x = FixedReal.zero(work)
     value = FixedReal.from_int(2, work)
     for _ in range(k):
@@ -271,27 +294,25 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
     )
 
 
-def seed_series_coefficients(terms: int) -> list[Fraction]:
-    """Binomial coefficients binom(1/2, j) for j = 0..terms-1, as exact rationals."""
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    coeffs = [Fraction(1)]
-    for j in range(1, terms):
-        coeffs.append(coeffs[-1] * (Fraction(1, 2) - (j - 1)) / j)
-    return coeffs
-
-
 def taylor_seed_exact(m, d, terms: int) -> Fraction:
-    """Exact partial sum of (1 - d**2/m**2)**(1/2) by the binomial series."""
+    """Exact partial sum of (1 - d**2/m**2)**(1/2) by the binomial series: the
+    coefficients binom(1/2, j) times (-d**2/m**2)**j for j = 0..terms-1."""
     m, d = Fraction(m), Fraction(d)
     if m <= 0 or d <= 0:
         raise DomainError("m and d must be positive")
     u = d**2 / m**2
     if u >= 1:
         raise DomainError("series requires d < m")
+    if terms < 1:
+        raise DomainError("terms must be >= 1")
+    # the partial sum's numerator and denominator each grow by about the bits
+    # of u's denominator plus 2 per term: the sum is the series' working bits
+    work = 2 * (u.denominator.bit_length() + 2) * terms
+    admit_cost(work * terms, work)
     total = Fraction(0)
-    power = Fraction(1)
-    for coeff in seed_series_coefficients(terms):
+    coeff = power = Fraction(1)
+    for j in range(terms):
         total += coeff * power
+        coeff *= (Fraction(1, 2) - j) / (j + 1)
         power *= -u
     return total

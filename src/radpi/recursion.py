@@ -217,24 +217,15 @@ def _doubled_sines(x: FixedReal, variant: str) -> Iterator[tuple[FixedReal, Fixe
         yield x, scaled
 
 
-def run_recursion(
-    seed: Seed, k: int, ctx: PrecisionContext, variant: str = "stable"
-) -> list[RecursionState]:
-    """States 0..k at the context's working scale; the variants are those of
-    ``_doubled_sines``."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    guard = ctx.guard_for_depth(k)
-    return run_at_scale(seed, k, ctx.scale_bits + guard, variant)
-
-
 def run_at_scale(
     seed: Seed, k: int, scale_bits: int, variant: str = "stable"
 ) -> list[RecursionState]:
-    """Raw engine at an explicit scale, without guard management.
+    """States 0..k at an explicit scale, without guard management; the
+    variants are those of ``_doubled_sines``.
 
-    Exposed for the cancellation audit, which deliberately runs without guard
-    bits to measure rounding behavior at a fixed precision.
+    Depth routes pass ``ctx.bits_for_depth(k)``; the cancellation audit
+    deliberately runs without guard bits to measure rounding behavior at a
+    fixed precision.
     """
     if variant not in ("stable", "naive"):
         raise UsageError(f"unknown variant {variant!r}")
@@ -266,10 +257,7 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     both tend to 2 is the cancellation the audit measures. Result is at the
     context's output scale.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    guard = ctx.guard_for_depth(k)
-    work = ctx.scale_bits + guard
+    work = ctx.bits_for_depth(k)
     f_vals = scale_factors(seed.m, k + 2, work)
     g = FixedReal.from_fraction(seed.s, work).sqrt()
     if seed.sign < 0:

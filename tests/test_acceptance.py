@@ -24,12 +24,12 @@ from radpi import (
     pi_method2,
     pi_oracle,
     reproduce_catalog,
-    run_recursion,
     taylor_seed_exact,
     unity_formula,
     viete_product,
 )
 from radpi.cli import run_command
+from radpi.recursion import run_at_scale
 
 
 def check(criterion: int, description: str, ok: bool) -> None:
@@ -98,7 +98,7 @@ def test_criterion_05_literal_recursive_equivalence():
     ctx = PrecisionContext(128)
     ok = True
     for seed in (Seed(2, 2, 1), Seed(2, 2, -1), Seed(2, 3, 1), Seed(2, 3, -1)):
-        states = run_recursion(seed, 20, ctx)
+        states = run_at_scale(seed, 20, ctx.bits_for_depth(20))
         for k in range(1, 21):
             lit = nested_literal(seed, k, ctx)
             rec = states[k].c.rescale(128)

@@ -1,0 +1,163 @@
+"""Admission: one rule sizes every route of k half-angle steps, and a request
+over the cost bound is refused with exit 3 before any work starts."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import radpi.analysis
+from radpi import (
+    DomainError,
+    PrecisionContext,
+    PrecisionError,
+    Seed,
+    cancellation_audit,
+    convergence_table,
+    nested_literal,
+    pi_combined,
+    pi_method1,
+    taylor_seed_exact,
+    unity_formula,
+    viete_product,
+)
+from radpi.analysis import _row_bit_steps
+from radpi.arith import MAX_BIT_STEPS, MAX_WORKING_BITS
+from radpi.drivers import _arccos_bits
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every route of k half-angle steps, called at depth k
+DEPTH_ROUTES = {
+    "method1": lambda k, ctx: pi_method1(Seed(2, 2, 1), k, ctx),
+    "combined": lambda k, ctx: pi_combined(50, 1, k, ctx),
+    "unity": lambda k, ctx: unity_formula(Seed(5, 16, -1), k, ctx),
+    "viete": lambda k, ctx: viete_product(k, ctx),
+    "nested_literal": lambda k, ctx: nested_literal(Seed(2, 3, 1), k, ctx),
+    "method1 table": lambda k, ctx: convergence_table("method1", {"seed": Seed(2, 2, 1)},
+                                                      [k], ctx),
+    "combined table": lambda k, ctx: convergence_table("combined", {"m": 50, "d": 1}, [k], ctx),
+}
+
+
+@pytest.mark.parametrize("route", sorted(DEPTH_ROUTES))
+def test_every_depth_route_admits_by_one_rule(route):
+    call = DEPTH_ROUTES[route]
+    with pytest.raises(DomainError, match=r"^k must be >= 1$"):
+        call(0, PrecisionContext(128))
+    with pytest.raises(PrecisionError,
+                       match=r"^depth 5 exceeds precision budget \(guard_bits=40 allows 0\)$"):
+        call(5, PrecisionContext(128, 40))
+
+
+def test_bits_for_depth_is_admitted_exactly_at_both_bounds():
+    # 8192 steps at 65536 working bits are exactly 2**29 bit-steps
+    k = MAX_BIT_STEPS // MAX_WORKING_BITS
+    scale = MAX_WORKING_BITS - 2 * k - 64
+    assert PrecisionContext(scale).bits_for_depth(k) == MAX_WORKING_BITS
+    with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
+        PrecisionContext(scale + 1).bits_for_depth(k)
+
+
+def test_working_bits_bound_alone():
+    scale = MAX_WORKING_BITS - 2 - 64
+    assert PrecisionContext(scale).bits_for_depth(1) == MAX_WORKING_BITS
+    with pytest.raises(PrecisionError, match=r"working bits \(at most 65536\)$"):
+        PrecisionContext(scale + 1).bits_for_depth(1)
+
+
+def test_bit_steps_bound_alone():
+    # deeper than 8192 steps, the product binds below the working-bits bound
+    k = 10_000
+    work = MAX_BIT_STEPS // k
+    scale = work - 2 * k - 64
+    assert PrecisionContext(scale).bits_for_depth(k) * k <= MAX_BIT_STEPS
+    with pytest.raises(PrecisionError, match=r"x half-angle steps \(at most 536870912\)$"):
+        PrecisionContext(scale + 1).bits_for_depth(k)
+
+
+def test_budget_message_wins_over_the_cost_bound():
+    with pytest.raises(PrecisionError, match=r"^depth 100000000 exceeds precision budget"):
+        PrecisionContext(10**9, 40).bits_for_depth(10**8)
+
+
+def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
+    assert _arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 2 * 8216 + 64)
+    # an explicit guard sets the working bits at the same depth cap
+    guard = MAX_BIT_STEPS // 8216 - 16384
+    assert _arccos_bits(PrecisionContext(16384, guard)) == (8216, 16384 + guard)
+    with pytest.raises(PrecisionError, match="cost bound"):
+        _arccos_bits(PrecisionContext(16384, guard + 1))
+
+
+def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
+    ctx = PrecisionContext(16000)
+    work = ctx.bits_for_depth(3)
+    depth_cap, arccos_work = _arccos_bits(PrecisionContext(work))
+    x0 = Seed.from_x0(Fraction(3, 10))
+    assert _row_bit_steps("viete", {}, 3, ctx) == work * 3
+    assert _row_bit_steps("method1", {"seed": Seed(2, 2, 1)}, 3, ctx) == work * 3
+    assert _row_bit_steps("method1", {"seed": x0}, 3, ctx) == work * 3 + arccos_work * depth_cap
+    assert _row_bit_steps("unity", {"seed": Seed(2, 2, 1)}, 3, ctx) == \
+        work * 3 + arccos_work * depth_cap
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every engine run, driver call and reference value fail the test."""
+    def tripwire(*args, **kwargs):
+        raise AssertionError("work started before the cost bound was checked")
+
+    for name in ("_build_approximant", "run_at_scale", "pi_fixed", "_resolve_ratio"):
+        monkeypatch.setattr(radpi.analysis, name, tripwire)
+
+
+def test_table_is_refused_before_its_first_row(no_work):
+    with pytest.raises(PrecisionError, match="cost bound"):
+        convergence_table("viete", {}, range(1, 10**8), PrecisionContext(128))
+    # three self-consistent rows at 16000 bits: each arccos alone is admitted
+    with pytest.raises(PrecisionError, match="cost bound"):
+        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 4),
+                          PrecisionContext(16000))
+
+
+@pytest.mark.parametrize("k_max, audited_bits", [(10**8, 53), (40, 10**9)])
+def test_audit_is_refused_before_any_work(no_work, k_max, audited_bits):
+    reference = PrecisionContext(max(128, 4 * audited_bits))
+    with pytest.raises(PrecisionError, match="cost bound"):
+        cancellation_audit(Seed(2, 2, 1), k_max, audited_bits, reference)
+
+
+def test_taylor_terms_are_refused_before_the_sum():
+    with pytest.raises(PrecisionError, match="cost bound"):
+        taylor_seed_exact(5, 3, 10**9)
+
+
+REFUSED = [
+    ["compute", "--method", "viete", "--k", "100000000"],
+    ["compute", "--method", "viete", "--k", "3", "--bits", "100000000000"],
+    ["arccos", "--x0", "0.3", "--bits", "10000000"],
+    ["audit", "--k", "100000000"],
+    ["audit", "--audited-bits", "1000000000"],
+    ["table", "--method", "viete", "--k-range", "1:100000000"],
+    ["table", "--method", "method2", "--m-range", "10,100", "--bits", "4000000"],
+    ["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "1000000000"],
+    ["verify", "--bits", "100000000"],
+    ["reproduce", "--bits", "100000000"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_request_over_the_cost_bound_exits_3_at_once(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "radpi", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("radpi: error: request over the cost bound: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -166,13 +166,13 @@ class TestVerifyIdentities:
 
     def test_one_depth_20_run_per_seed(self, ctx128, monkeypatch):
         depths = []
-        real_run = radpi.analysis.run_recursion
+        real_run = radpi.analysis.run_at_scale
 
-        def counting_run(seed, k, ctx, variant="stable"):
+        def counting_run(seed, k, scale_bits, variant="stable"):
             depths.append(k)
-            return real_run(seed, k, ctx, variant)
+            return real_run(seed, k, scale_bits, variant)
 
-        monkeypatch.setattr(radpi.analysis, "run_recursion", counting_run)
+        monkeypatch.setattr(radpi.analysis, "run_at_scale", counting_run)
         assert verify_identities(ctx128).all_passed
         # the three state checks share one run; monotonicity reads the doubled
         # sines alone, without the g/f chain of a run

@@ -232,18 +232,18 @@ class TestPrecisionContext:
             PrecisionContext(128, 16)
 
     def test_guard_rule(self):
-        assert PrecisionContext(128).guard_for_depth(20) == 104
+        assert PrecisionContext(128).bits_for_depth(20) == 232
 
     def test_explicit_guard_is_a_budget(self):
         from radpi import PrecisionError
 
         ctx = PrecisionContext(128, 80)
-        assert ctx.guard_for_depth(8) == 80
+        assert ctx.bits_for_depth(8) == 208
         with pytest.raises(PrecisionError, match=r"guard_bits=80 allows 8\)"):
-            ctx.guard_for_depth(9)
+            ctx.bits_for_depth(9)
 
     def test_budget_under_64_bits_reports_no_depth(self):
         from radpi import PrecisionError
 
         with pytest.raises(PrecisionError, match=r"guard_bits=40 allows 0\)"):
-            PrecisionContext(128, 40).guard_for_depth(5)
+            PrecisionContext(128, 40).bits_for_depth(5)

@@ -466,11 +466,11 @@ def test_compute_row_is_the_one_row_table_row(flags, index_flag, index, bits, ca
 ])
 def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, monkeypatch):
     offset = int(at_bound) - 1
-    real_run = radpi.analysis.run_recursion
+    real_run = radpi.analysis.run_at_scale
     real_theta0 = radpi.analysis._theta0
 
     def nested_literal(seed, k, ctx):  # the depth-20 recursion's c, off by the bound
-        recursion = real_run(seed, 20, ctx)[k].c.rescale(ctx.scale_bits)
+        recursion = real_run(seed, 20, ctx.bits_for_depth(20))[k].c.rescale(ctx.scale_bits)
         return recursion + FixedReal((1 << (2 * k + 8)) + offset, ctx.scale_bits)
 
     def viete_product(k, ctx):  # the matched recursion form, off by the bound

@@ -22,7 +22,6 @@ from radpi import (
     half_angle_step,
     nested_literal,
     radicand_step,
-    run_recursion,
     scale_factors,
     sine_step_naive,
 )
@@ -204,34 +203,34 @@ class TestSeed:
 
 class TestRunRecursion:
     def test_first_state_from_octant_seed(self, ctx128):
-        states = run_recursion(Seed(2, 2, 1), 1, ctx128)
+        states = run_at_scale(Seed(2, 2, 1), 1, ctx128.bits_for_depth(1))
         assert close_to(states[1].x, COS_PI_8)
         assert close_to(states[1].c, SIN_PI_8)
 
     def test_right_angle_seed(self, ctx128):
-        states = run_recursion(Seed(1, 0, 1), 1, ctx128)
+        states = run_at_scale(Seed(1, 0, 1), 1, ctx128.bits_for_depth(1))
         assert close_to(states[1].x, SQRT_HALF)
         assert close_to(states[1].c, SQRT_HALF)
 
     def test_straight_angle_seed(self, ctx128):
-        states = run_recursion(Seed(2, 4, -1), 2, ctx128)
+        states = run_at_scale(Seed(2, 4, -1), 2, ctx128.bits_for_depth(2))
         assert close_to(states[2].x, SQRT_HALF)
         assert close_to(states[2].c, SQRT_HALF)
 
     def test_naive_and_stable_agree_at_guarded_precision(self, ctx128):
-        naive = run_recursion(Seed(2, 3, 1), 12, ctx128, "naive")
-        stable = run_recursion(Seed(2, 3, 1), 12, ctx128, "stable")
+        naive = run_at_scale(Seed(2, 3, 1), 12, ctx128.bits_for_depth(12), "naive")
+        stable = run_at_scale(Seed(2, 3, 1), 12, ctx128.bits_for_depth(12), "stable")
         gap = abs((naive[12].c - stable[12].c).mantissa)
         assert gap < 1 << (2 * 12 + 8)
 
     def test_budget_enforced_for_explicit_guard(self):
         ctx = PrecisionContext(128, 72)
         with pytest.raises(PrecisionError):
-            run_recursion(Seed(2, 2, 1), 5, ctx)
+            run_at_scale(Seed(2, 2, 1), 5, ctx.bits_for_depth(5))
 
     @pytest.mark.parametrize("seed", [Seed(2, 2, 1), Seed(2, 3, 1), Seed(2, 3, -1), Seed(2, 2, -1), Seed(5, 16, 1)])
     def test_state_invariants(self, seed, ctx128):
-        states = run_recursion(seed, 20, ctx128)
+        states = run_at_scale(seed, 20, ctx128.bits_for_depth(20))
         work = states[0].x.scale_bits
         one = FixedReal.one(work)
         for st_ in states:
@@ -242,13 +241,13 @@ class TestRunRecursion:
             assert st_.c.mantissa >= 0 and st_.c <= one + FixedReal(16, work)
 
     def test_scaled_sine_matches_c(self, ctx128):
-        states = run_recursion(Seed(2, 3, -1), 15, ctx128)
+        states = run_at_scale(Seed(2, 3, -1), 15, ctx128.bits_for_depth(15))
         for st_ in states[1:]:
             gap = abs((st_.scaled_sine - st_.c.times_pow2(st_.k)).mantissa)
             assert gap <= 1 << st_.k
 
     def test_monotone_doubling(self, ctx128):
-        states = run_recursion(Seed(2, 2, 1), 30, ctx128)
+        states = run_at_scale(Seed(2, 2, 1), 30, ctx128.bits_for_depth(30))
         doubled = [st_.scaled_sine for st_ in states[1:]]
         assert all(a < b for a, b in zip(doubled, doubled[1:]))
 
@@ -270,7 +269,7 @@ class TestNestedLiteral:
     @pytest.mark.parametrize("k", [1, 2, 5, 10, 20])
     def test_matches_stable_recursion(self, seed, k, ctx128):
         lit = nested_literal(seed, k, ctx128)
-        rec = run_recursion(seed, k, ctx128)[k].c.rescale(128)
+        rec = run_at_scale(seed, k, ctx128.bits_for_depth(k))[k].c.rescale(128)
         assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
     def test_square_roots_grow_linearly_with_depth(self, ctx128, monkeypatch):
@@ -287,7 +286,7 @@ class TestNestedLiteral:
         # m != 2 exercises the exact-exponent evaluation of every chain factor
         for k in (1, 4, 9, 15):
             lit = nested_literal(seed, k, ctx128)
-            rec = run_recursion(seed, k, ctx128)[k].c.rescale(128)
+            rec = run_at_scale(seed, k, ctx128.bits_for_depth(k))[k].c.rescale(128)
             assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
 
@@ -316,7 +315,7 @@ def test_pythagorean_property(m, s_frac, sign, k):
         s = Fraction(m * m) - Fraction(1, 7)
     seed = Seed(m, s, sign)
     ctx = PrecisionContext(96)
-    states = run_recursion(seed, k, ctx)
+    states = run_at_scale(seed, k, ctx.bits_for_depth(k))
     work = states[0].x.scale_bits
     one = FixedReal.one(work)
     for st_ in states:
