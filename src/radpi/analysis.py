@@ -10,7 +10,7 @@ reference never pollutes reported digits.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -24,6 +24,7 @@ from .arith import (
 )
 from .drivers import (
     Approximant,
+    _depth_route_bits,
     _method2_bits,
     _ratio_bit_steps,
     _resolve_ratio,
@@ -137,37 +138,34 @@ def _measure_row(
     return row, err
 
 
-def _build_approximant(method: str, params: dict, index, ctx: PrecisionContext) -> Approximant:
-    if method == "method1":
-        return pi_method1(params["seed"], index, ctx, params.get("ratio_mode", "auto"),
-                          params.get("variant", "stable"))
-    if method == "method2_corrected":
-        return pi_method2(index, params.get("d", 1), ctx, "corrected")
-    if method == "method2_as_printed":
-        return pi_method2(index, params.get("d", 1), ctx, "as_printed")
-    if method == "combined":
-        return pi_combined(params["m"], params.get("d", 1), index, ctx)
-    if method == "unity":
-        return unity_formula(params["seed"], index, ctx)
-    if method == "viete":
-        return viete_product(index, ctx)
-    raise DomainError(f"unknown table method {method!r}")
-
-
-def _row_bit_steps(method: str, params: dict, index, ctx: PrecisionContext) -> int:
-    """Working bits x steps of one table row: its depth run (method2's single
-    step) and its ratio's arccos."""
-    if method.startswith("method2_"):
-        m, d = Fraction(index), Fraction(params.get("d", 1))
-        work = _method2_bits(m, d, ctx)
-        return work + _ratio_bit_steps(Seed.from_m_d(m, d), "auto", work)
-    if method == "combined":
-        seed, mode = Seed.from_m_d(params["m"], params.get("d", 1)), "auto"
-    else:  # viete has no seed
-        seed = params.get("seed")
-        mode = "self" if method == "unity" else params.get("ratio_mode", "auto")
-    work = ctx.bits_for_depth(index)
-    return work * index + (0 if seed is None else _ratio_bit_steps(seed, mode, work))
+# Each table method's row at an index, from the method's params: the row's
+# whole cost in working bits x steps (its depth run, or method2's single step,
+# plus its ratio's arccos), read from the helpers by which its driver admits
+# that same cost, and the call that builds the row.
+_ROWS: dict[str, Callable[[dict, int, PrecisionContext], tuple[int, Callable[[], Approximant]]]] = {
+    "method1": lambda p, k, ctx: (
+        _depth_route_bits(p["seed"], k, ctx, p.get("ratio_mode", "auto"))[1],
+        lambda: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
+                           p.get("variant", "stable")),
+    ),
+    "method2_corrected": lambda p, m, ctx: (
+        _method2_bits(Fraction(m), Fraction(p.get("d", 1)), ctx)[1],
+        lambda: pi_method2(m, p.get("d", 1), ctx, "corrected"),
+    ),
+    "method2_as_printed": lambda p, m, ctx: (
+        _method2_bits(Fraction(m), Fraction(p.get("d", 1)), ctx)[1],
+        lambda: pi_method2(m, p.get("d", 1), ctx, "as_printed"),
+    ),
+    "combined": lambda p, k, ctx: (
+        _depth_route_bits(Seed.from_m_d(p["m"], p.get("d", 1)), k, ctx, "auto")[1],
+        lambda: pi_combined(p["m"], p.get("d", 1), k, ctx),
+    ),
+    "unity": lambda p, k, ctx: (
+        _depth_route_bits(p["seed"], k, ctx, "self")[1],
+        lambda: unity_formula(p["seed"], k, ctx),
+    ),
+    "viete": lambda p, k, ctx: (ctx.bits_for_depth(k) * k, lambda: viete_product(k, ctx)),
+}
 
 
 def convergence_table(
@@ -179,11 +177,15 @@ def convergence_table(
     over the cost bound. error_ratio is previous abs_error over current
     abs_error; the first row's ratio is empty.
     """
-    bit_steps = 0
+    if method not in _ROWS:
+        raise DomainError(f"unknown table method {method!r}")
+    bit_steps, builds = 0, []
     for index in sweep:  # stops at the first row over the bound
-        bit_steps += _row_bit_steps(method, params, index, ctx)
+        cost, build = _ROWS[method](params, index, ctx)
+        bit_steps += cost
         admit_cost(bit_steps)
-    approximants = [_build_approximant(method, params, index, ctx) for index in sweep]
+        builds.append(build)
+    approximants = [build() for build in builds]
     described = {
         key: (value.describe() if isinstance(value, Seed) else str(value))
         for key, value in params.items()

@@ -22,7 +22,7 @@ from .analysis import (
     CatalogReport,
     ConvergenceReport,
     IdentityReport,
-    _build_approximant,
+    _ROWS,
     _measure_scale,
     _reference,
     _report,
@@ -303,14 +303,18 @@ def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> Convergence
         return _compute_taylor(args, ctx)
     if method == "method2" and (args.m is None or args.d is None):
         raise UsageError("method2 requires --m and --d")
+    if method == "method2" and args.m.denominator != 1:
+        raise UsageError("method2 requires an integer --m")
     if method == "combined" and (args.m is None or args.d is None or args.k is None):
         raise UsageError("combined requires --m, --d and --k")
-    index = args.m if method == "method2" else args.k
-    approx = _build_approximant(*_method_request(args), index, ctx)
+    index = int(args.m) if method == "method2" else args.k
+    name, params = _method_request(args)
+    _, build = _ROWS[name](params, index, ctx)
+    approx = build()
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
     reference, guard = _reference([approx], ctx)
-    return _report([int(index)], [approx.value], reference, ctx, guard, method=approx.method,
+    return _report([index], [approx.value], reference, ctx, guard, method=approx.method,
                    params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
 
 

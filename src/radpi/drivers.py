@@ -99,6 +99,16 @@ def _ratio_bit_steps(seed: Seed, mode: str, work: int) -> int:
     return 0
 
 
+def _depth_route_bits(seed: Seed, k: int, ctx: PrecisionContext, mode: str) -> tuple[int, int]:
+    """Working bits of a route of k half-angle steps from the seed, and its
+    whole cost: working bits x steps of the run plus those of its ratio in the
+    mode, each part and their sum refused over the cost bound."""
+    work = ctx.bits_for_depth(k)
+    bit_steps = work * k + _ratio_bit_steps(seed, mode, work)
+    admit_cost(bit_steps)
+    return work, bit_steps
+
+
 def pi_method1(
     seed: Seed,
     k: int,
@@ -110,7 +120,7 @@ def pi_method1(
 
     Convergence is quartic per step: the error is about pi * (theta0/2**k)**2 / 6.
     """
-    work = ctx.bits_for_depth(k)
+    work, _ = _depth_route_bits(seed, k, ctx, ratio_mode)
     ratio = _resolve_ratio(seed, ratio_mode, work)
     states = run_at_scale(seed, k, work, variant)
     value = ratio.apply(states[k].scaled_sine) / 2
@@ -142,7 +152,7 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     if variant not in ("corrected", "as_printed"):
         raise DomainError(f"unknown method2 variant {variant!r}")
     m, d = Fraction(m), Fraction(d)
-    work = _method2_bits(m, d, ctx)
+    work, _ = _method2_bits(m, d, ctx)
     s = m**2 - d**2
     ratio = _resolve_ratio(Seed(m, s), "auto", work)
     sqrt_s = FixedReal.from_fraction(s, work).sqrt()
@@ -170,8 +180,10 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     )
 
 
-def _method2_bits(m: Fraction, d: Fraction, ctx: PrecisionContext) -> int:
-    """Working bits of method2's single step, refused over the cost bound.
+def _method2_bits(m: Fraction, d: Fraction, ctx: PrecisionContext) -> tuple[int, int]:
+    """Working bits of method2's single step, and its whole cost: the step
+    plus its ratio's working bits x steps, each part and their sum refused
+    over the cost bound.
 
     m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack.
     """
@@ -180,7 +192,9 @@ def _method2_bits(m: Fraction, d: Fraction, ctx: PrecisionContext) -> int:
     cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
     work = ctx.working_bits + 64 + 4 * cancelled.bit_length()
     admit_cost(work, work)
-    return work
+    bit_steps = work + _ratio_bit_steps(Seed(m, m**2 - d**2), "auto", work)
+    admit_cost(bit_steps)
+    return work, bit_steps
 
 
 def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
@@ -210,7 +224,7 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
     theta0 comes from the self-consistent arccos, whose internal depth always
     exceeds k by well over 16 steps at the chosen working precision.
     """
-    work = ctx.bits_for_depth(k)
+    work, _ = _depth_route_bits(seed, k, ctx, "self")
     theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
     states = run_at_scale(seed, k, work, "stable")
     value = states[k].scaled_sine / theta0

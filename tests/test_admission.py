@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import radpi.analysis
+import radpi.drivers
 from radpi import (
     DomainError,
     PrecisionContext,
@@ -24,8 +25,9 @@ from radpi import (
     unity_formula,
     viete_product,
 )
-from radpi.analysis import _row_bit_steps
+from radpi.analysis import _ROWS
 from radpi.arith import MAX_BIT_STEPS, MAX_WORKING_BITS
+from radpi.cli import run_command
 from radpi.drivers import _arccos_bits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,21 +100,29 @@ def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
     work = ctx.bits_for_depth(3)
     depth_cap, arccos_work = _arccos_bits(PrecisionContext(work))
     x0 = Seed.from_x0(Fraction(3, 10))
-    assert _row_bit_steps("viete", {}, 3, ctx) == work * 3
-    assert _row_bit_steps("method1", {"seed": Seed(2, 2, 1)}, 3, ctx) == work * 3
-    assert _row_bit_steps("method1", {"seed": x0}, 3, ctx) == work * 3 + arccos_work * depth_cap
-    assert _row_bit_steps("unity", {"seed": Seed(2, 2, 1)}, 3, ctx) == \
-        work * 3 + arccos_work * depth_cap
+
+    def cost(method, params):
+        return _ROWS[method](params, 3, ctx)[0]
+
+    assert cost("viete", {}) == work * 3
+    assert cost("method1", {"seed": Seed(2, 2, 1)}) == work * 3
+    assert cost("method1", {"seed": x0}) == work * 3 + arccos_work * depth_cap
+    assert cost("unity", {"seed": Seed(2, 2, 1)}) == work * 3 + arccos_work * depth_cap
 
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Make every engine run, driver call and reference value fail the test."""
+    """Make every engine run, ratio and reference value fail the test, so a
+    row that the dispatch builds, a compute request or a driver call reaches
+    none of them before its whole cost is admitted."""
     def tripwire(*args, **kwargs):
-        raise AssertionError("work started before the cost bound was checked")
+        raise AssertionError("work started")
 
-    for name in ("_build_approximant", "run_at_scale", "pi_fixed", "_resolve_ratio"):
+    for name in ("run_at_scale", "pi_fixed", "_resolve_ratio"):
         monkeypatch.setattr(radpi.analysis, name, tripwire)
+    for name in ("run_at_scale", "pi_fixed", "_resolve_ratio", "arccos_by_recursion",
+                 "half_angle_step"):
+        monkeypatch.setattr(radpi.drivers, name, tripwire)
 
 
 def test_table_is_refused_before_its_first_row(no_work):
@@ -122,6 +132,17 @@ def test_table_is_refused_before_its_first_row(no_work):
     with pytest.raises(PrecisionError, match="cost bound"):
         convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 4),
                           PrecisionContext(16000))
+
+
+# 1000 steps at 23000 working bits, and the self-consistent arccos at those
+# bits: each part is inside the bound, and their sum is not
+@pytest.mark.parametrize("driver", [
+    lambda seed, k, ctx: pi_method1(seed, k, ctx, "self"),
+    unity_formula,
+], ids=["method1", "unity"])
+def test_a_driver_admits_its_depth_run_and_its_arccos_as_one_cost(no_work, driver):
+    with pytest.raises(PrecisionError, match=r"554394688 working bits x half-angle steps"):
+        driver(Seed.from_x0(Fraction(3, 10)), 1000, PrecisionContext(20936))
 
 
 @pytest.mark.parametrize("k_max, audited_bits", [(10**8, 53), (40, 10**9)])
@@ -147,6 +168,10 @@ REFUSED = [
     ["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "1000000000"],
     ["verify", "--bits", "100000000"],
     ["reproduce", "--bits", "100000000"],
+    ["compute", "--method", "unity", "--x0", "0.3", "--k", "1000", "--bits", "20936"],
+    ["compute", "--method", "method1", "--x0", "0.3", "--k", "1000", "--bits", "20936"],
+    ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "1000",
+     "--bits", "20936"],
 ]
 
 
@@ -161,3 +186,40 @@ def test_request_over_the_cost_bound_exits_3_at_once(argv):
     assert proc.stderr.startswith("radpi: error: request over the cost bound: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# Grids around the bound. With an arccos at x0 = 0.3 or for m = 50, d = 1, a
+# depth run is admitted up to 23051 bits at k = 1 and up to 20561 bits at
+# k = 1000; method2 with d = 1 up to 22965 bits at m = 50 and up to 22949
+# bits at m = 1000.
+_DEPTH_GRID = [(bits, k) for bits in (20561, 20562, 23051, 23052) for k in (1, 1000)]
+_STRADDLES = {
+    "method1 --x0": (["--method", "method1", "--x0", "0.3"], "--k", _DEPTH_GRID),
+    "unity": (["--method", "unity", "--x0", "0.3"], "--k", _DEPTH_GRID),
+    "combined uncataloged": (["--method", "combined", "--m", "50", "--d", "1"], "--k",
+                             _DEPTH_GRID),
+    "method2": (["--method", "method2", "--d", "1"], "--m",
+                [(bits, m) for bits in (22949, 22950, 22965, 22966) for m in (50, 1000)]),
+}
+
+_OUTCOMES = {3: "radpi: error: request over the cost bound: ",
+             70: "radpi: internal error: AssertionError: work started\n"}
+
+
+@pytest.mark.parametrize("route", sorted(_STRADDLES))
+def test_compute_is_refused_exactly_when_its_one_row_table_is(no_work, capsys, route):
+    flags, index_flag, grid = _STRADDLES[route]
+    codes = set()
+    for bits, index in grid:
+        sweep = ["--k-range", f"{index}:{index}"] if index_flag == "--k" else \
+            ["--m-range", str(index)]
+        outcomes = []
+        for argv in (["compute", *flags, index_flag, str(index)], ["table", *flags, *sweep]):
+            code = run_command([*argv, "--bits", str(bits)])
+            err = capsys.readouterr().err
+            # refused, or admitted and stopped by the tripwire at its first work
+            assert err.startswith(_OUTCOMES[code]), err
+            outcomes.append(code)
+        assert outcomes[0] == outcomes[1], (bits, index)
+        codes.add(outcomes[0])
+    assert codes == {3, 70}

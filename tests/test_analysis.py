@@ -92,6 +92,10 @@ class TestConvergenceTable:
         with pytest.raises(DomainError):
             convergence_table("bisection", {}, [1], ctx128)
 
+    def test_unknown_method_with_an_empty_sweep(self, ctx128):
+        with pytest.raises(DomainError, match="^unknown table method 'bisection'$"):
+            convergence_table("bisection", {}, [], ctx128)
+
 
 @pytest.fixture(scope="module")
 def audit_rows():

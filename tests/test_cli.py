@@ -116,6 +116,13 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert f"argument --x0: not a rational number: '{x0}'" in err
 
+    # a compute row's index is the m it was built at, as in a table's --m-range
+    @pytest.mark.parametrize("m", ["5/2", "2.5"])
+    def test_method2_non_integer_m_is_64(self, capsys, m):
+        assert run(capsys, "compute", "--method", "method2", "--m", m, "--d", "1") == (
+            64, "", "radpi: usage error: method2 requires an integer --m\n"
+        )
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_audit_depth_below_one_is_64(self, capsys, k):
         code, out, err = run(capsys, "audit", "--k", k)
