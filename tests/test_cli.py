@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import radpi.analysis
 from radpi import FixedReal, Seed
 from radpi.cli import _terminal_columns, build_parser, run_command
+from radpi.drivers import MISPRINT_DIAGNOSTIC
 
 
 def run(capsys, *argv):
@@ -222,6 +224,41 @@ class TestExitCodes:
         assert run(capsys, *argv) == (
             64, "", f"radpi: usage error: {argv[2]} does not read {flag}\n"
         )
+
+    # every message of a missing or malformed index, sweep or method flag,
+    # each with one argv per flag it names
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--method", "method1", "--m", "2", "--s", "2"], "method1 requires --k"),
+        (["compute", "--method", "method1", "--x0", "0.3"], "method1 requires --k"),
+        (["compute", "--method", "method2", "--d", "1"], "method2 requires --m and --d"),
+        (["compute", "--method", "method2", "--m", "50"], "method2 requires --m and --d"),
+        (["compute", "--method", "method2", "--m", "5/2", "--d", "1"],
+         "method2 requires an integer --m"),
+        (["compute", "--method", "combined", "--d", "1", "--k", "4"],
+         "combined requires --m, --d and --k"),
+        (["compute", "--method", "combined", "--m", "50", "--k", "4"],
+         "combined requires --m, --d and --k"),
+        (["compute", "--method", "combined", "--m", "50", "--d", "1"],
+         "combined requires --m, --d and --k"),
+        (["compute", "--method", "unity", "--x0", "0.3"], "unity requires --k"),
+        (["compute", "--method", "viete"], "viete requires --k"),
+        (["compute", "--method", "taylor", "--d", "3", "--terms", "4"],
+         "taylor requires --m, --d and --terms"),
+        (["compute", "--method", "taylor", "--m", "5", "--terms", "4"],
+         "taylor requires --m, --d and --terms"),
+        (["compute", "--method", "taylor", "--m", "5", "--d", "3"],
+         "taylor requires --m, --d and --terms"),
+        (["table", "--method", "combined", "--d", "1", "--k-range", "1:3"],
+         "combined tables require --m"),
+        (["table", "--method", "method1", "--m", "2", "--s", "2"],
+         "this method sweeps --k-range"),
+        (["table", "--method", "unity", "--x0", "0.3"], "this method sweeps --k-range"),
+        (["table", "--method", "viete"], "this method sweeps --k-range"),
+        (["table", "--method", "combined", "--m", "50"], "this method sweeps --k-range"),
+        (["table", "--method", "method2", "--d", "1"], "method2 tables sweep --m-range"),
+    ])
+    def test_missing_method_flag_is_64(self, capsys, argv, message):
+        assert run(capsys, *argv) == (64, "", f"radpi: usage error: {message}\n")
 
     def test_sign_is_unset_by_default_and_read_as_plus(self, capsys):
         argv = ["compute", "--method", "method1", "--m", "2", "--s", "3", "--k", "5"]
@@ -524,6 +561,33 @@ GOLDEN_CASES = [entry for entry in GOLDEN if entry["stdout"] is not None]
 def test_golden_stdout_is_byte_identical(entry, capsys):
     code = run_command(entry["argv"])
     assert (code, capsys.readouterr().out) == (0, entry["stdout"])
+
+
+def _readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """(comment above it, argv) of each `radpi ...` line in README's CLI section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples, comment = [], ""
+    for line in section.splitlines():
+        if line.startswith("    # "):
+            comment = line
+        elif line.startswith("    radpi "):
+            examples.append((comment, shlex.split(line)[1:]))
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+# the README's examples run as written: stdout, exit 0, and no stderr but the
+# MISPRINT line that the as-printed example documents
+@pytest.mark.parametrize("comment, argv", README_EXAMPLES,
+                         ids=[" ".join(argv) for _, argv in README_EXAMPLES])
+def test_readme_cli_examples_run(comment, argv, capsys):
+    code, out, err = run(capsys, *argv)
+    stderr = f"{MISPRINT_DIAGNOSTIC}\n" if "MISPRINT" in comment else ""
+    assert (code, err) == (0, stderr)
+    assert out
 
 
 # Every MATRIX argv in every format, plus the self-consistent audit, a
