@@ -22,6 +22,7 @@ from .analysis import (
     CatalogReport,
     ConvergenceReport,
     IdentityReport,
+    ReportRow,
     _ROWS,
     _measure_scale,
     _reference,
@@ -42,26 +43,26 @@ _EXIT_USAGE = 64
 _EXIT_SOFTWARE = 70
 _EXIT_IO = 74
 
-_CSV_HEADER = "index,approximant,abs_error,correct_digits,error_ratio"
-
-_METHODS = ["method1", "method2", "combined", "unity", "viete"]
-# the methods with variants, each with its default first
-_VARIANTS = {"method1": ("stable", "naive"), "method2": ("corrected", "as-printed")}
 # the compute and table flags (by dest) that --method chooses among, in the
 # order they are declared
 _METHOD_FLAGS = ("variant", "ratio_mode", "k", "terms", "k_range", "m_range",
                  "m", "s", "sign", "d", "x0")
-# the seed flags that --x0 replaces
+# a seed's flags besides --x0
 _SEED_FLAGS = ("m", "s", "sign", "d")
-# the flags of _METHOD_FLAGS that each method reads in compute; the first is
-# its index, which a table sweeps by --k-range or --m-range instead
-_READ_FLAGS = {
-    "method1": ("k", "variant", "ratio_mode", *_SEED_FLAGS, "x0"),
-    "method2": ("m", "variant", "d"),
-    "combined": ("k", "m", "d"),
-    "unity": ("k", *_SEED_FLAGS, "x0"),
-    "viete": ("k",),
-    "taylor": ("terms", "m", "d"),
+# the flags that --x0 replaces: the seed's, and the ratio mode it forces
+_X0_REPLACES = (*_SEED_FLAGS, "ratio_mode")
+# each method's (reads, requires, variants): the flags of _METHOD_FLAGS that
+# it reads in compute, its index first, which a table sweeps by --k-range or
+# --m-range instead; the flags that compute requires; its variants, the
+# default first. taylor has no table.
+_METHODS = {
+    "method1": (("k", "variant", "ratio_mode", *_SEED_FLAGS, "x0"), ("k",),
+                ("stable", "naive")),
+    "method2": (("m", "variant", "d"), ("m", "d"), ("corrected", "as-printed")),
+    "combined": (("k", "m", "d"), ("m", "d", "k"), ()),
+    "unity": (("k", *_SEED_FLAGS, "x0"), ("k",), ()),
+    "viete": (("k",), ("k",), ()),
+    "taylor": (("terms", "m", "d"), ("m", "d", "terms"), ()),
 }
 
 
@@ -143,20 +144,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_method_flags(p: argparse.ArgumentParser, methods: list[str]) -> None:
     p.add_argument("--method", required=True, choices=methods)
-    p.add_argument("--variant",
-                   choices=["stable", "naive", "corrected", "as-printed"], default=None)
+    p.add_argument("--variant", default=None,
+                   choices=[v for _, _, variants in _METHODS.values() for v in variants])
     p.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default=None)
 
 
 def _add_compute_flags(p: argparse.ArgumentParser) -> None:
-    _add_method_flags(p, [*_METHODS, "taylor"])
+    _add_method_flags(p, list(_METHODS))
     p.add_argument("--k", type=int, default=None, help="recursion depth")
     p.add_argument("--terms", type=int, default=None, help="series terms (taylor)")
     _add_seed_flags(p)
 
 
 def _add_table_flags(p: argparse.ArgumentParser) -> None:
-    _add_method_flags(p, _METHODS)
+    _add_method_flags(p, [name for name in _METHODS if name != "taylor"])
     p.add_argument("--k-range", type=str, default=None, help="inclusive LO:HI depth sweep")
     p.add_argument("--m-range", type=str, default=None,
                    help="comma-separated starting-term bases, e.g. 100,1000,10000")
@@ -248,17 +249,17 @@ def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _reject_unread_flags(args: argparse.Namespace) -> None:
     """Usage error on the first explicit flag that the method does not read."""
-    index, *reads = _READ_FLAGS[args.method]
+    index, *reads = _METHODS[args.method][0]
     reads.append(index if args.subcommand == "compute" else f"{index}_range")
     if args.x0 is not None and "x0" in reads:
-        reads = [dest for dest in reads if dest not in _SEED_FLAGS]
+        reads = [dest for dest in reads if dest not in _X0_REPLACES]
     for dest in _METHOD_FLAGS:
         if getattr(args, dest, None) is not None and dest not in reads:
             raise UsageError(f"{args.method} does not read --{dest.replace('_', '-')}")
 
 
 def _variant(args: argparse.Namespace) -> str:
-    allowed = _VARIANTS[args.method]
+    allowed = _METHODS[args.method][2]
     variant = args.variant or allowed[0]
     if variant not in allowed:
         raise UsageError(f"{args.method} variants are {'|'.join(allowed)}")
@@ -295,19 +296,16 @@ def _parse_m_range(text: str | None) -> list[int]:
 def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     _reject_unread_flags(args)
     method = args.method
-    if method in ("method1", "unity", "viete") and args.k is None:
-        raise UsageError(f"{method} requires --k")
+    reads, required, _ = _METHODS[method]
+    if any(getattr(args, dest) is None for dest in required):
+        *rest, last = [f"--{dest}" for dest in required]
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise UsageError(f"{method} requires {listed}")
     if method == "taylor":
-        if args.m is None or args.d is None or args.terms is None:
-            raise UsageError("taylor requires --m, --d and --terms")
         return _compute_taylor(args, ctx)
-    if method == "method2" and (args.m is None or args.d is None):
-        raise UsageError("method2 requires --m and --d")
     if method == "method2" and args.m.denominator != 1:
         raise UsageError("method2 requires an integer --m")
-    if method == "combined" and (args.m is None or args.d is None or args.k is None):
-        raise UsageError("combined requires --m, --d and --k")
-    index = int(args.m) if method == "method2" else args.k
+    index = int(getattr(args, reads[0]))
     name, params = _method_request(args)
     _, build = _ROWS[name](params, index, ctx)
     approx = build()
@@ -381,17 +379,21 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
 
 
 def _render(
-    fmt: str, meta: dict, rows: list[dict], csv_header: str, csv_lines: list[str],
+    fmt: str, meta: dict, header: tuple[str, ...], rows: list[dict], quoted: tuple[str, ...],
     text_lines: list[str],
 ) -> str:
-    """The one output format: JSON {meta, rows}; CSV header plus lines; text
-    as '# key = value' meta lines followed by the body lines."""
+    """The one output format: JSON {meta, rows}; CSV as the header's keys and
+    each row's values, those of the quoted keys in double quotes; text as
+    '# key = value' meta lines followed by the body lines."""
     if fmt == "json":
         import json  # imported here so that text and csv requests never load it
 
         return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = [csv_header, *csv_lines]
+        lines = [",".join(header)]
+        for row in _cells(rows):
+            lines.append(",".join(f'"{cell}"' if key in quoted else cell
+                                  for key, cell in zip(header, row)))
     else:
         lines = [f"# {key} = {value}" for key, value in sorted(meta.items(), key=str)]
         lines += text_lines
@@ -402,7 +404,7 @@ def _cells(rows: list[dict]) -> list[list[str]]:
     return [["" if v is None else str(v) for v in row.values()] for row in rows]
 
 
-def _columns(headers: list[str], table: list[list[str]]) -> list[str]:
+def _columns(headers: tuple[str, ...], table: list[list[str]]) -> list[str]:
     """Left-aligned text columns under a header line."""
     if not table:
         return ["(no rows)"]
@@ -412,82 +414,45 @@ def _columns(headers: list[str], table: list[list[str]]) -> list[str]:
 
 
 def render_report(report: ConvergenceReport, fmt: str) -> str:
-    rows = [
-        {
-            "index": r.index,
-            "approximant": r.approximant,
-            "abs_error": r.abs_error,
-            "correct_digits": r.correct_digits,
-            "error_ratio": r.error_ratio,
-        }
-        for r in report.rows
-    ]
-    cells = _cells(rows)
-    return _render(fmt, report.meta, rows, _CSV_HEADER, [",".join(c) for c in cells],
-                   _columns(["index", "approximant", "abs_error", "digits", "ratio"], cells))
+    header = ReportRow.__slots__
+    rows = [dict(zip(header, r._values())) for r in report.rows]
+    return _render(fmt, report.meta, header, rows, (),
+                   _columns(("index", "approximant", "abs_error", "digits", "ratio"), _cells(rows)))
 
 
 def render_audit(rows: list[AuditRow], meta: dict, fmt: str) -> str:
     digits = decimal_digits_for_bits(53) + 14
+    header = AuditRow.__slots__
     rendered = [
-        {
-            "k": r.k,
-            "naive_error": r.naive_error.rescale(120).to_decimal(digits),
-            "stable_error": r.stable_error.rescale(120).to_decimal(digits),
-            "digits_lost": r.digits_lost,
-        }
+        dict(zip(header, (r.k, r.naive_error.rescale(120).to_decimal(digits),
+                          r.stable_error.rescale(120).to_decimal(digits), r.digits_lost)))
         for r in rows
     ]
-    headers = ["k", "naive_error", "stable_error", "digits_lost"]
-    cells = _cells(rendered)
-    return _render(fmt, meta, rendered, ",".join(headers), [",".join(c) for c in cells],
-                   _columns(headers, cells))
+    return _render(fmt, meta, header, rendered, (), _columns(header, _cells(rendered)))
 
 
 def render_catalog(report: CatalogReport, fmt: str) -> str:
+    header = ("form", "seed", "prefactor_exact", "radical_shape_ok", "converged",
+              "abs_error_at_depth")
     rows = [
-        {
-            "form": r.name,
-            "seed": r.seed,
-            "prefactor_exact": r.prefactor_exact,
-            "radical_shape_ok": r.radical_shape_ok,
-            "converged": r.converged,
-            "abs_error_at_depth": r.error_at_depth.rescale(128).to_decimal(20),
-        }
+        dict(zip(header, (r.name, r.seed, r.prefactor_exact, r.radical_shape_ok, r.converged,
+                          r.error_at_depth.rescale(128).to_decimal(20))))
         for r in report.results
-    ]
-    csv_lines = [
-        f"\"{r['form']}\",\"{r['seed']}\",{r['prefactor_exact']},"
-        f"{r['radical_shape_ok']},{r['converged']},{r['abs_error_at_depth']}"
-        for r in rows
     ]
     text_lines = [f"PASS {r['form']}  [seed {r['seed']}, error {r['abs_error_at_depth']}]"
                   for r in rows]
-    return _render(fmt, report.meta, rows,
-                   "form,seed,prefactor_exact,radical_shape_ok,converged,abs_error_at_depth",
-                   csv_lines, text_lines)
+    return _render(fmt, report.meta, header, rows, ("form", "seed"), text_lines)
 
 
 def render_identities(report: IdentityReport, fmt: str) -> str:
-    rows = [
-        {
-            "identity": r.name,
-            "passed": r.passed,
-            "worst_residual": r.worst_residual,
-            "detail": r.detail,
-        }
-        for r in report.results
-    ]
-    csv_lines = [
-        f"\"{r['identity']}\",{r['passed']},\"{r['worst_residual']}\",\"{r['detail']}\""
-        for r in rows
-    ]
+    header = ("identity", "passed", "worst_residual", "detail")
+    rows = [dict(zip(header, r._values())) for r in report.results]
     text_lines = [
         f"{'PASS' if r['passed'] else 'FAIL'} {r['identity']}  [{r['worst_residual']}]"
         for r in rows
     ]
-    return _render(fmt, report.meta, rows, "identity,passed,worst_residual,detail",
-                   csv_lines, text_lines)
+    return _render(fmt, report.meta, header, rows, ("identity", "worst_residual", "detail"),
+                   text_lines)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -219,6 +219,11 @@ class TestExitCodes:
         (["table", "--method", "unity", "--x0", "0.3", "--k-range", "1:3", "--d", "1"], "--d"),
         (["table", "--method", "method1", "--x0", "0.3", "--k-range", "1:3", "--sign", "-"],
          "--sign"),
+        # --x0 forces the self-consistent ratio, so it replaces --ratio-mode too
+        (["compute", "--method", "method1", "--x0", "0.5", "--k", "5", "--ratio-mode", "exact"],
+         "--ratio-mode"),
+        (["table", "--method", "method1", "--x0", "0.5", "--k-range", "1:3",
+          "--ratio-mode", "self"], "--ratio-mode"),
     ])
     def test_flag_the_method_never_reads_is_64(self, capsys, argv, flag):
         assert run(capsys, *argv) == (
