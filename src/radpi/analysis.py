@@ -425,7 +425,7 @@ def _within(pairs) -> tuple[bool, int]:
 
 def _theta0(seed: Seed, scale_bits: int) -> FixedReal:
     """theta0 = 2*pi/R of a cataloged seed, from its exact angle ratio R and
-    the Machin pi: a fixed cost at any precision, and independent of the
+    the Chudnovsky pi: a fixed cost at any precision, and independent of the
     doubled sines it bounds."""
     return pi_fixed(scale_bits).mul_fraction(2 / exact_ratio_lookup(seed))
 

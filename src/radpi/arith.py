@@ -7,13 +7,14 @@ last place). All operands of a binary operation must share the same scale;
 rescaling is always explicit.
 
 The module also provides the two reference constants used for error
-measurement: pi from an arctangent identity over exact integer series, and
-arccos from a reduced arctangent series. Both are independent of the
-half-angle recursions they are used to check.
+measurement: pi from the Chudnovsky series, by binary splitting on exact
+integers and ``math.isqrt``, and arccos from a reduced arctangent series. Both
+are independent of the half-angle recursions they are used to check.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +46,9 @@ def isqrt(n: int) -> int:
 
     The initial guess ``2**ceil(bit_length/2)`` is >= sqrt(n), so the iterates
     decrease monotonically; the first non-decrease is exactly floor(sqrt(n)).
+    The engine keeps this loop, not the faster ``math.isqrt``, until the
+    benchmark's peak memory stops growing with its op count (ROADMAP items 1
+    and 2); only the pi reference uses ``math.isqrt``, so it shares no root.
     """
     if n < 0:
         raise DomainError("isqrt of negative integer")
@@ -281,36 +285,35 @@ class PrecisionContext(Record):
 # -- reference constants ----------------------------------------------------
 
 
-def _arctan_recip_mantissa(x: int, one: int) -> int:
-    """arctan(1/x) * one for integer x >= 2, by the alternating power series.
-
-    Each floor division is <= 1 off and the per-term error is bounded by a
-    constant, so the total error stays orders of magnitude under the 24 extra
-    bits the callers carry.
-    """
-    power = one // x
-    total = power
-    xsq = x * x
-    n = 1
-    while power:
-        power //= xsq
-        term = power // (2 * n + 1)
-        total += -term if n & 1 else term
-        n += 1
-    return total
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of Chudnovsky terms a..b-1 by binary splitting (Haible and
+    Papanikolaou 1998): T/Q sums them, and its limit is 426880*sqrt(10005)/pi."""
+    if b - a == 1:
+        p = q = 1
+        if a:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * 10939058860032000  # 640320**3 // 24
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    mid = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, mid)
+    p2, q2, t2 = _chudnovsky(mid, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 @lru_cache(maxsize=None)
 def _pi_mantissa(bits: int) -> int:
-    """pi * 2**bits via 16*arctan(1/5) - 4*arctan(1/239) on exact integers."""
-    work = bits + 24
-    one = 1 << work
-    total = 16 * _arctan_recip_mantissa(5, one) - 4 * _arctan_recip_mantissa(239, one)
-    return total >> 24
+    """pi * 2**bits within 1: the Chudnovsky series (47.1 bits a term) at 32
+    guard bits is at most 1.05 under pi * 2**(bits+32) and 2**-38 over it, so
+    this is floor(pi * 2**bits) unless pi * 2**bits is within 2**-31 of an
+    integer."""
+    w = bits + 32
+    _, q, t = _chudnovsky(0, w // 47 + 2)
+    return (426880 * math.isqrt(10005 << 2 * w) * q // t) >> 32
 
 
 def pi_oracle(ctx: PrecisionContext) -> FixedReal:
-    """pi at the context's output scale, within 2**(-scale_bits + 4)."""
+    """pi at the context's output scale, within 2**-scale_bits."""
     return FixedReal(_pi_mantissa(ctx.scale_bits), ctx.scale_bits)
 
 

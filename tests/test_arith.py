@@ -22,6 +22,7 @@ from radpi import (
     isqrt,
     pi_oracle,
 )
+from radpi.arith import MAX_WORKING_BITS, _pi_mantissa
 
 PI_60 = "3.141592653589793238462643383279502884197169399375105820974944"
 ARCCOS_08 = "0.643501108793284386802809228717322638041510591115312382865606"
@@ -173,11 +174,29 @@ class TestPiOracle:
         assert gap.to_decimal(40).startswith(TWENTYTWO_SEVENTHS_GAP[:38])
 
     def test_six_hundred_digits_vs_mpmath(self):
-        # the error-measurement scales reach ~1700 bits; check well past that
+        # the reference scales reach 4 * MAX_WORKING_BITS = 262144 bits; the
+        # exact-floor tests below check pi there, in binary
         mpmath.mp.dps = 640
         got = pi_oracle(PrecisionContext(2048)).to_decimal(610)
         want = mpmath.nstr(mpmath.pi, 625, strip_zeros=False)
         assert got[:610] == want[:610]
+
+    @staticmethod
+    def _floor_pi(bits: int) -> int:
+        # rounded to bits + 128 bits, pi * 2**bits keeps 126 fraction bits, so
+        # its floor is exact unless all of those are ones
+        with mpmath.workprec(bits + 128):
+            return int(mpmath.floor(mpmath.ldexp(mpmath.pi, bits)))
+
+    def test_exact_floor_at_every_scale_to_2048_bits(self):
+        assert [b for b in range(64, 2049) if _pi_mantissa(b) != self._floor_pi(b)] == []
+
+    # 11790: pi * 2**11790 has 16 zero bits after the binary point, so a
+    # reference with fewer guard bits returns floor - 1 there. 16656 is the
+    # warm-up's 4 * (4096 + 68); 262144 the largest reference scale admitted.
+    @pytest.mark.parametrize("bits", [11790, 16656, 65536, 4 * MAX_WORKING_BITS])
+    def test_exact_floor_at_reference_scales(self, bits):
+        assert _pi_mantissa(bits) == self._floor_pi(bits)
 
 
 class TestArccosOracle:
@@ -210,6 +229,20 @@ class TestArccosOracle:
             got = arccos_oracle(FixedReal.from_decimal(text, 256), ctx256).to_decimal(70)
             want = mpmath.nstr(mpmath.acos(mpmath.mpf(text)), 80, strip_zeros=False)
             assert got[:70] == want[:70]
+
+    # both arctan branches (|x| <= 1/2 and above) and the pi - a quadrant
+    @pytest.mark.parametrize("bits,text", [
+        *((bits, text) for bits in (1024, 4096)
+          for text in ("-0.999", "-0.5", "0", "0.3", "0.5", "0.9375")),
+        (16384, "-0.999"),
+    ])
+    def test_documented_bound_vs_mpmath(self, bits, text):
+        x = FixedReal.from_decimal(text, bits)
+        got = arccos_oracle(x, PrecisionContext(bits))
+        with mpmath.workprec(bits + 64):
+            want = mpmath.acos(mpmath.ldexp(x.mantissa, -bits))
+            err = abs(mpmath.ldexp(got.mantissa, -bits) - want)
+            assert err < mpmath.ldexp(1, 8 - bits)
 
     def test_out_of_range(self, ctx128):
         with pytest.raises(DomainError):
