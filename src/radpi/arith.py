@@ -8,8 +8,9 @@ rescaling is always explicit.
 
 The module also provides the two reference constants used for error
 measurement: pi from the Chudnovsky series, by binary splitting on exact
-integers and ``math.isqrt``, and arccos from a reduced arctangent series. Both
-are independent of the half-angle recursions they are used to check.
+integers, and arccos from a reduced arctangent series. Both take their square
+roots with ``math.isqrt``, not the engine's ``isqrt``, so they are independent
+of the half-angle recursions they are used to check.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def isqrt(n: int) -> int:
     decrease monotonically; the first non-decrease is exactly floor(sqrt(n)).
     The engine keeps this loop, not the faster ``math.isqrt``, until the
     benchmark's peak memory stops growing with its op count (ROADMAP items 1
-    and 2); only the pi reference uses ``math.isqrt``, so it shares no root.
+    and 2); the pi and arccos references use ``math.isqrt``, so they share no
+    root with it.
     """
     if n < 0:
         raise DomainError("isqrt of negative integer")
@@ -322,6 +324,12 @@ def pi_fixed(scale_bits: int) -> FixedReal:
     return FixedReal(_pi_mantissa(scale_bits), scale_bits)
 
 
+def _ref_sqrt(x: FixedReal) -> FixedReal:
+    """``x.sqrt()`` by ``math.isqrt``: the same floor root, without the engine's
+    Newton loop."""
+    return FixedReal(math.isqrt(x.mantissa << x.scale_bits), x.scale_bits)
+
+
 def _arctan_fixed(t: FixedReal) -> FixedReal:
     """arctan(t) at t's scale via argument halving plus the power series.
 
@@ -333,7 +341,7 @@ def _arctan_fixed(t: FixedReal) -> FixedReal:
     small = FixedReal(1 << (bits - 8), bits)
     halvings = 0
     while abs(t) > small:
-        t = t / (one + (one + t * t).sqrt())
+        t = t / (one + _ref_sqrt(one + t * t))
         halvings += 1
     tt = t * t
     term = t
@@ -368,9 +376,9 @@ def arccos_oracle(x: FixedReal, ctx: PrecisionContext) -> FixedReal:
     half_pi = pi_fixed(work) / 2
     if abs(xw.mantissa) * 2 <= one.mantissa:
         # arccos(x) = pi/2 - arctan(x / sqrt(1 - x^2)); argument stays <= 0.578
-        res = half_pi - _arctan_fixed(xw / (one - xw * xw).sqrt())
+        res = half_pi - _arctan_fixed(xw / _ref_sqrt(one - xw * xw))
     else:
         ax = abs(xw)
-        a = _arctan_fixed((one - ax * ax).sqrt() / ax)
+        a = _arctan_fixed(_ref_sqrt(one - ax * ax) / ax)
         res = a if xw.mantissa > 0 else pi_fixed(work) - a
     return res.rescale(out_bits)

@@ -7,6 +7,11 @@ c = sin(theta0 / 2**k). Each state also carries the unnormalized radicand g
 and the scale factor f with x = g / f, plus the doubled sine 2**k * c that
 drivers consume (tracking the doubled sine directly keeps one unit of
 relative precision per step instead of losing k bits to rescaling).
+
+The scale factors come from the one chain ``scale_factors``, which the engine,
+``nested_literal`` and the identity suite all read. At m = 2 every factor is
+exactly 2 and costs no root, so an engine step there takes two square roots
+(half angle and radicand); elsewhere f costs a third until it rounds to 2.
 """
 
 from __future__ import annotations
@@ -66,8 +71,10 @@ def f_power_form(k: int, m) -> PowerForm:
 def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
     """Scale factors f(2), ..., f(k_max) at ``scale_bits``, keyed by k.
 
-    f(2) = m and f(k+1) = sqrt(2 f(k)), the engine's own step, so each k costs
-    one square root until f reaches its fixed point 2 exactly (at once for m = 2).
+    f(2) = m and f(k+1) = sqrt(2 f(k)), so each k costs one square root until
+    f reaches its fixed point 2 exactly (at once for m = 2). This is the one f
+    chain: ``run_at_scale``, ``nested_literal`` and the identity suite read
+    their factors from it.
     """
     if k_max < 2:
         raise DomainError(f"scale function undefined for k={k_max} < 2")
@@ -151,8 +158,8 @@ class RecursionState(Record):
     """One step of the coupled recursion.
 
     Invariants (within rounding at the carried scale): x**2 + c**2 = 1,
-    x = g / f with f the scale factor at chain position k + 2, and
-    scaled_sine = 2**k * c. No angle value is stored.
+    x = g / f with f the scale factor at chain position k + 2 (read from
+    ``scale_factors``), and scaled_sine = 2**k * c. No angle value is stored.
     """
 
     __slots__ = ("k", "x", "c", "scaled_sine", "g", "f")
@@ -234,13 +241,11 @@ def run_at_scale(
     g = FixedReal.from_fraction(seed.s, scale_bits).sqrt()
     if seed.sign < 0:
         g = -g
-    f_val = FixedReal.from_fraction(seed.m, scale_bits)
-    states = [RecursionState(0, x, c, c, g, f_val)]
-    two = FixedReal.from_int(2, scale_bits)
+    f = scale_factors(seed.m, k + 2, scale_bits)
+    states = [RecursionState(0, x, c, c, g, f[2])]
     for j, (x, scaled) in zip(range(1, k + 1), _doubled_sines(x, variant)):
-        g = radicand_step(g, f_val)
-        f_val = (two * f_val).sqrt()
-        states.append(RecursionState(j, x, scaled.times_pow2(-j), scaled, g, f_val))
+        g = radicand_step(g, f[j + 1])
+        states.append(RecursionState(j, x, scaled.times_pow2(-j), scaled, g, f[j + 2]))
     return states
 
 

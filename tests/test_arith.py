@@ -248,6 +248,19 @@ class TestArccosOracle:
         with pytest.raises(DomainError):
             arccos_oracle(fr("1.5"), ctx128)
 
+    @pytest.mark.parametrize("bits", [128, 1024, 4096])
+    def test_shares_no_root_with_the_engine(self, bits, monkeypatch):
+        # a fault in the engine's isqrt must not move the reference it is checked against
+        xs = [FixedReal.from_decimal(text, bits) for text in ("-0.9", "-0.3", "0.3", "0.77")]
+        ctx = PrecisionContext(bits)
+        want = [arccos_oracle(x, ctx).mantissa for x in xs]
+
+        def broken(n):
+            raise AssertionError("arccos reference took the engine's isqrt")
+
+        monkeypatch.setattr("radpi.arith.isqrt", broken)
+        assert [arccos_oracle(x, ctx).mantissa for x in xs] == want
+
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=(1 << 128) - 1))
     def test_complement_identity(self, mantissa):

@@ -150,7 +150,7 @@ class TestScaleFactors:
         scale_factors(2, 40, 128)  # f is at its fixed point 2 from the start
         assert calls == []
 
-    @pytest.mark.parametrize("m", [2, 3, Fraction(1, 2), Fraction(7, 3), 18, 32])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, Fraction(1, 2), Fraction(7, 3), 18, 32])
     def test_same_chain_as_the_engine(self, m):
         k = 30
         factors = scale_factors(m, k + 2, 192)
@@ -245,6 +245,18 @@ class TestRunRecursion:
         for st_ in states[1:]:
             gap = abs((st_.scaled_sine - st_.c.times_pow2(st_.k)).mantissa)
             assert gap <= 1 << st_.k
+
+    # set-up takes 3 roots (x0, sine0, g0) and step 1 one more for its naive
+    # sine; each step then roots the half angle and the radicand, plus f while
+    # f is off its fixed point 2, which at m = 2 it never is
+    @pytest.mark.parametrize("seed,per_step", [(Seed(2, 2, 1), 2), (Seed(5, 16, 1), 3)])
+    def test_square_roots_per_step(self, seed, per_step, monkeypatch):
+        calls = []
+        real_sqrt = FixedReal.sqrt
+        monkeypatch.setattr(FixedReal, "sqrt", lambda self: calls.append(1) or real_sqrt(self))
+        k = 30
+        run_at_scale(seed, k, 192)
+        assert len(calls) == 3 + 1 + per_step * k
 
     def test_monotone_doubling(self, ctx128):
         states = run_at_scale(Seed(2, 2, 1), 30, ctx128.bits_for_depth(30))
