@@ -346,12 +346,17 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
         ratio = exact_ratio_lookup(entry.seed)
         if ratio is None:
             raise CatalogFailure(f"{entry.name}: seed unexpectedly uncataloged")
+        factor = entry.coefficient.factor
         for k in range(1, _CATALOG_DEPTH + 1):
-            f_exact = f_power_form(k + 2, entry.seed.m).exact_value()
-            if f_exact is None:
+            f_log2 = f_power_form(k + 2, entry.seed.m).exact_log2()
+            if f_log2 is None:
                 raise CatalogFailure(f"{entry.name}: scale factor not exact at k={k}")
-            prefactor = ratio * Fraction(2) ** (k - 1) / f_exact
-            if prefactor != entry.coefficient.at(k + 1):
+            # R * 2**(k-1) / 2**f_log2 = factor * 2**(k+1+shift) exactly when
+            # R = factor * 2**d, checked cross-multiplied on integers
+            d = entry.coefficient.shift + 2 + f_log2
+            if (ratio.numerator * factor.denominator << max(-d, 0)
+                    != factor.numerator * ratio.denominator << max(d, 0)):
+                prefactor = ratio * Fraction(2) ** (k - 1 - f_log2)
                 raise CatalogFailure(
                     f"{entry.name}: prefactor {prefactor} != printed "
                     f"{entry.coefficient.at(k + 1)} at n={k + 1}"
@@ -512,14 +517,16 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     )
 
     # |f(k) - 2| = 2(e^u - 1) with u = ln(m/2)/2^(k-2), bounded by u*f(k), and
-    # exactly 0 at m = 2; compared exactly in units of 2**-work: 2**work
-    # overflows a float
+    # exactly 0 at m = 2 (where u = 0); compared exactly on integers, in units
+    # of 2**-work with u = a/b the float's exact ratio: 2**work overflows a float
     two = FixedReal.from_int(2, work)
-    f_ok = all(
-        abs(f - two).mantissa
-        <= (0 if m == 2 else Fraction(abs(math.log(m / 2)) / 2 ** (k - 2)) * f.mantissa + (1 << 8))
-        for m in (2, 3, 5, 10) for k, f in scale_factors(m, 40, work).items() if k >= 6
-    )
+    f_ok = True
+    for m in (2, 3, 5, 10):
+        for k, f in scale_factors(m, 40, work).items():
+            if k >= 6:
+                a, b = (abs(math.log(m / 2)) / 2 ** (k - 2)).as_integer_ratio()
+                gap = abs(f - two).mantissa
+                f_ok = f_ok and gap * b <= a * f.mantissa + (0 if m == 2 else b << 8)
     results.append(
         IdentityResult(
             "scale factor tends to 2: |f(k) - 2| <= |ln(m/2)|/2^(k-2) * f(k), exact 2 at m=2",

@@ -35,51 +35,90 @@ def _to_fraction(value) -> Fraction:
 
 
 class PowerForm(Record):
-    """Exact value 2**p * m**q with rational exponents."""
+    """Exact value 2**p * m**q with dyadic exponents held as integers over one
+    power of two: p = a / 2**e and q = b / 2**e. The constructor reduces them
+    to lowest terms (a or b odd, or e = 0), so equal forms have equal fields.
+    m is a positive int or Fraction."""
 
-    __slots__ = ("p", "q", "m")
-    p: Fraction
-    q: Fraction
-    m: Fraction
+    __slots__ = ("a", "b", "e", "m")
+    a: int
+    b: int
+    e: int
+    m: int | Fraction
+
+    def __init__(self, a: int, b: int, e: int, m) -> None:
+        while e and not (a | b) & 1:
+            a, b, e = a >> 1, b >> 1, e - 1
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "e", e)
+        set_field(self, "m", m)
+
+    def _values(self) -> tuple:  # equality and hashing without the generic field walk
+        return (self.a, self.b, self.e, self.m)
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.a, 1 << self.e)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.b, 1 << self.e)
 
     def times_two(self) -> "PowerForm":
-        return PowerForm(self.p + 1, self.q, self.m)
+        return PowerForm(self.a + (1 << self.e), self.b, self.e, self.m)
 
     def squared(self) -> "PowerForm":
-        return PowerForm(2 * self.p, 2 * self.q, self.m)
+        return PowerForm(2 * self.a, 2 * self.b, self.e, self.m)
+
+    def exact_log2(self) -> int | None:
+        """The integer n with value 2**n, when m is a power of two or q = 0
+        and n comes out whole; None otherwise."""
+        num, den = self.m.numerator, self.m.denominator
+        if num & (num - 1) == 0 and den & (den - 1) == 0:
+            n = self.a + self.b * (num.bit_length() - den.bit_length())
+        elif self.b == 0:
+            n = self.a
+        else:
+            return None
+        return None if n & ((1 << self.e) - 1) else n >> self.e
 
     def exact_value(self) -> Fraction | None:
         """Exact rational value when one exists (m a power of two, or q = 0)."""
-        num, den = self.m.numerator, self.m.denominator
-        if num & (num - 1) == 0 and den & (den - 1) == 0:
-            exp2 = self.p + self.q * (num.bit_length() - den.bit_length())
-            if exp2.denominator == 1:
-                return Fraction(2) ** int(exp2)
-        if self.q == 0 and self.p.denominator == 1:
-            return Fraction(2) ** int(self.p)
-        return None
+        n = self.exact_log2()
+        return None if n is None else Fraction(2) ** n
+
+
+def _positive(m):
+    """m as an int or Fraction, rejected unless positive, as ``Seed`` rejects it."""
+    if not isinstance(m, (int, Fraction)):
+        m = _to_fraction(m)
+    if m <= 0:
+        raise DomainError("m must be positive")
+    return m
 
 
 def f_power_form(k: int, m) -> PowerForm:
-    """Scale factor at chain position k >= 2: exponents ((2**(k-2)-1)/2**(k-2), 1/2**(k-2))."""
+    """Scale factor at chain position k >= 2: exponents p = (2**e - 1)/2**e and
+    q = 1/2**e with e = k - 2, already in lowest terms since q's numerator is 1."""
     if k < 2:
         raise DomainError(f"scale function undefined for k={k} < 2")
-    den = 1 << (k - 2)
-    return PowerForm(Fraction(den - 1, den), Fraction(1, den), _to_fraction(m))
+    e = k - 2
+    return PowerForm((1 << e) - 1, 1, e, _positive(m))
 
 
 def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
     """Scale factors f(2), ..., f(k_max) at ``scale_bits``, keyed by k.
 
     f(2) = m and f(k+1) = sqrt(2 f(k)), so each k costs one square root until
-    f reaches its fixed point 2 exactly (at once for m = 2). This is the one f
-    chain: ``run_at_scale``, ``nested_literal`` and the identity suite read
-    their factors from it.
+    f reaches its fixed point 2 exactly (at once for m = 2); m must be
+    positive. This is the one f chain: ``run_at_scale``, ``nested_literal``
+    and the identity suite read their factors from it.
     """
     if k_max < 2:
         raise DomainError(f"scale function undefined for k={k_max} < 2")
     two = FixedReal.from_int(2, scale_bits)
-    f_val = FixedReal.from_fraction(_to_fraction(m), scale_bits)
+    f_val = FixedReal.from_fraction(_positive(m), scale_bits)
     factors = {2: f_val}
     for k in range(3, k_max + 1):
         if f_val != two:

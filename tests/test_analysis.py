@@ -23,7 +23,8 @@ from radpi import (
     reproduce_catalog,
     verify_identities,
 )
-from radpi.analysis import CATALOG
+from radpi.analysis import CATALOG, CatalogEntry, CoefficientRule
+from radpi.errors import CatalogFailure
 
 
 class TestCorrectDigits:
@@ -158,6 +159,21 @@ class TestReproduceCatalog:
     def test_index_shift_documented(self, ctx128):
         assert "k + 1" in reproduce_catalog(ctx128).meta["index_shift"]
 
+    @pytest.mark.parametrize("factor, shift, failure", [
+        (Fraction(2), -1, None),  # 2 * 2^(n-1) is the rule 2^n written another way
+        (Fraction(1), 1, ": prefactor 4 != printed 8 at n=2$"),
+        (Fraction(3, 2), 0, ": prefactor 4 != printed 6 at n=2$"),
+    ])
+    def test_prefactor_is_checked_exactly(self, factor, shift, failure, ctx128, monkeypatch):
+        first = CATALOG[0]
+        entry = CatalogEntry(first.name, first.seed, CoefficientRule(factor, shift))
+        monkeypatch.setattr(radpi.analysis, "CATALOG", (entry, *CATALOG[1:]))
+        if failure is None:
+            assert all(r.prefactor_exact for r in reproduce_catalog(ctx128).results)
+        else:
+            with pytest.raises(CatalogFailure, match=failure):
+                reproduce_catalog(ctx128)
+
 
 class TestVerifyIdentities:
     def test_all_pass(self, ctx128):
@@ -218,6 +234,28 @@ class TestVerifyIdentities:
         x0, ctx = entry.seed.value(work), PrecisionContext(work)
         assert abs((theta0 - arccos_oracle(x0, ctx)).mantissa) < 1 << 8
         assert abs((theta0 - arccos_by_recursion(x0, ctx)).mantissa) < 1 << 16
+
+
+# One run at 256 bits: the scale-function algebra is integer work, so few
+# Fractions are built, and the square roots (the engine's work) are pinned.
+@pytest.mark.parametrize("report, sqrt_calls", [(verify_identities, 938), (reproduce_catalog, 288)])
+def test_exact_algebra_builds_few_fractions(report, sqrt_calls, ctx256, monkeypatch):
+    counts = {"fractions": 0, "sqrt": 0}
+    real_new, real_sqrt = Fraction.__new__, FixedReal.sqrt
+
+    def counting_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counting_sqrt(self):
+        counts["sqrt"] += 1
+        return real_sqrt(self)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(FixedReal, "sqrt", counting_sqrt)
+    report(ctx256)
+    assert counts["fractions"] <= 300, counts
+    assert counts["sqrt"] == sqrt_calls, counts
 
 
 def test_combined_beats_both_individually(ctx128):

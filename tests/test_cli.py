@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radpi.analysis
-from radpi import FixedReal, Seed
+from radpi import FixedReal, PowerForm, Seed
 from radpi.cli import _terminal_columns, build_parser, run_command
 from radpi.drivers import MISPRINT_DIAGNOSTIC
 
@@ -506,17 +508,39 @@ def test_compute_row_is_the_one_row_table_row(flags, index_flag, index, bits, ca
 # A gap of exactly an identity's bound fails it and one unit under passes it;
 # either way `verify` prints all seven identities, and a failure exits 1. For
 # the strict monotonicity, a theta0 equal to the last doubled sine is the bound.
+# The exact scale identity fails on one exponent off by 2^-64. The f -> 2 bound
+# is `<=`, so there a factor on the bound (the largest whole gap within it)
+# passes and one unit over fails.
 @pytest.mark.parametrize("at_bound", [False, True])
 @pytest.mark.parametrize("patched, line, residual", [
+    ("f_power_form", 0, ("0", "0")),
     ("nested_literal", 3, ("worst gap < 2^48 units at 128 bits",
                            "worst gap < 2^49 units at 128 bits")),
     ("viete_product", 4, ("255 units at 128 bits", "256 units at 128 bits")),
     ("_theta0", 5, ("-", "-")),
+    ("scale_factors", 6, ("-", "-")),
 ])
 def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, monkeypatch):
     offset = int(at_bound) - 1
     real_run = radpi.analysis.run_at_scale
     real_theta0 = radpi.analysis._theta0
+    real_form = radpi.analysis.f_power_form
+    real_factors = radpi.analysis.scale_factors
+
+    def f_power_form(k, m):  # f(40) at m = 5, q over 2^64 with 0 or 2^-64 added
+        form = real_form(k, m)
+        if (k, m) != (40, 5):
+            return form
+        up = 64 - form.e
+        return PowerForm(form.a << up, (form.b << up) + offset + 1, 64, form.m)
+
+    def scale_factors(m, k_max, scale_bits):  # f(40) at m = 3 on its bound, or one over
+        factors = real_factors(m, k_max, scale_bits)
+        if m == 3:
+            u, two = Fraction(math.log(m / 2) / 2**38), 2 << scale_bits
+            gap = math.floor((u * two + 256) / (1 - u))  # gap <= u * (two + gap) + 2^8
+            factors[40] = FixedReal(two + gap + offset + 1, scale_bits)
+        return factors
 
     def nested_literal(seed, k, ctx):  # the depth-20 recursion's c, off by the bound
         recursion = real_run(seed, 20, ctx.bits_for_depth(20))[k].c.rescale(ctx.scale_bits)
@@ -533,8 +557,8 @@ def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, 
         *_, (_, sine) = islice(sines, 30)
         return sine - FixedReal(offset, scale_bits)
 
-    fakes = {"nested_literal": nested_literal, "viete_product": viete_product,
-             "_theta0": _theta0}
+    fakes = {"f_power_form": f_power_form, "nested_literal": nested_literal,
+             "viete_product": viete_product, "_theta0": _theta0, "scale_factors": scale_factors}
     monkeypatch.setattr(radpi.analysis, patched, fakes[patched])
     code, out, err = run(capsys, "verify")
     verdicts = [text for text in out.splitlines() if not text.startswith("#")]

@@ -16,6 +16,7 @@ from radpi import (
     DomainError,
     FixedReal,
     PrecisionContext,
+    PowerForm,
     PrecisionError,
     Seed,
     f_power_form,
@@ -97,6 +98,47 @@ class TestPowerForm:
             for k in range(2, 65):
                 assert f_power_form(k + 1, m).squared() == f_power_form(k, m).times_two()
 
+
+def _exact_value_by_fractions(p: Fraction, q: Fraction, m: Fraction) -> Fraction | None:
+    """The exact-value rule on Fraction exponents: m a power of two, or q = 0."""
+    num, den = m.numerator, m.denominator
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        exp2 = p + q * (num.bit_length() - den.bit_length())
+        if exp2.denominator == 1:
+            return Fraction(2) ** int(exp2)
+    if q == 0 and p.denominator == 1:
+        return Fraction(2) ** int(p)
+    return None
+
+
+class TestPowerFormParity:
+    """The integer exponents over 2**e against the Fraction formulas."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 10, Fraction(7, 3), Fraction(1, 2), 4, Fraction(1, 8)])
+    def test_exponents_and_exact_value(self, m):
+        for k in range(2, 65):
+            q = Fraction(1, 2 ** (k - 2))
+            p = 1 - q
+            form = f_power_form(k, m)
+            for got, (want_p, want_q) in ((form, (p, q)), (form.squared(), (2 * p, 2 * q)),
+                                          (form.times_two(), (p + 1, q))):
+                assert (got.p, got.q) == (want_p, want_q), (k, m)
+                assert got.exact_value() == _exact_value_by_fractions(want_p, want_q, Fraction(m))
+
+    def test_fields_are_kept_in_lowest_terms(self):
+        assert PowerForm(12, 4, 3, 3) == PowerForm(3, 1, 1, 3)
+        assert (PowerForm(12, 0, 2, 3).a, PowerForm(12, 0, 2, 3).e) == (3, 0)
+        assert PowerForm(12, 0, 2, 3).exact_value() == 8  # q = 0: 2**3
+        assert PowerForm(1, 0, 1, 3).exact_value() is None  # p = 1/2
+
+    @pytest.mark.parametrize("m", [0, -2, Fraction(-1, 3), "0"])
+    def test_m_not_positive_rejected_like_a_seed(self, m):
+        with pytest.raises(DomainError, match="m must be positive"):
+            f_power_form(3, m)
+        with pytest.raises(DomainError, match="m must be positive"):
+            scale_factors(m, 4, 64)
+        with pytest.raises(DomainError, match="m must be positive"):
+            Seed(m, 0)
 
 
 def _f_mpmath(k, m):
