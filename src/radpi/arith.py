@@ -242,10 +242,12 @@ def admit_cost(bit_steps: int, work: int = 0) -> None:
 class PrecisionContext(Record):
     """Working precision: output scale plus guard bits for internal slack.
 
-    ``guard_bits=None`` lets each route size the guard for its own recursion
-    depth by the rule ``2*depth + 64`` (the final 2**k scaling amplifies
-    absolute error by 2**k and radicand cancellation can cost another k bits).
-    An explicit guard is honored as a hard budget instead.
+    ``guard_bits=None`` lets each route of a requested depth size the guard
+    for that depth by the rule ``2*depth + 64`` (the final 2**k scaling
+    amplifies absolute error by 2**k and radicand cancellation can cost
+    another k bits). An explicit guard is honored as a hard budget instead.
+    The self-consistent arccos runs at ``working_bits``, the scale plus 64 or
+    plus the explicit guard.
     """
 
     __slots__ = ("scale_bits", "guard_bits")

@@ -245,9 +245,17 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
 def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     """arccos(x0) as the limit of the doubled sines 2**k * sin(theta0/2**k).
 
-    Needs no stored value of pi: iterate the stable recursion until successive
-    doubled sines agree to 2**(-scale_bits - 8), then round to the output
-    scale. Result matches the series arccos well within 2**(-scale_bits + 16).
+    Needs no stored value of pi: iterate the stable recursion at the working
+    bits of ``_arccos_bits`` until successive doubled sines agree to
+    2**(-scale_bits - 8), then round to the output scale. Result matches the
+    series arccos well within 2**(-scale_bits + 16).
+
+    x0 enters exact and each step rounds about one unit, so the error stays
+    far below the stopping tolerance (see ``_arccos_bits``). Rounding x0 would
+    not: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
+    at an s-bit x0 next to -1. So an x0 at the working bits or finer runs at
+    its own scale plus one, where the first step's (1 + x0)/2 is exact too,
+    and that run is admitted in its own right.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits
@@ -259,6 +267,9 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
     depth_cap, work = _arccos_bits(ctx)
+    if x0.scale_bits >= work:
+        work = x0.scale_bits + 1
+        admit_cost(work * depth_cap, work)
     tol = 1 << (work - out_bits - 8)
     sines = _doubled_sines(x0.rescale(work), "stable")
     _, previous = next(sines)
@@ -274,15 +285,16 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
 
 def _arccos_bits(ctx: PrecisionContext) -> tuple[int, int]:
     """The self-consistent arccos's depth cap, B/2 + 24 at B output bits, and
-    its working bits, refused over the cost bound.
+    its working bits, the context's (B + 64, or B + G under an explicit
+    guard G), refused over the cost bound.
 
-    The stable doubled sine loses about one unit per step, not two bits, so an
-    explicit guard is the headroom of the working bits, not a depth budget.
+    The stable doubled sine loses about one unit per step, not two bits: each
+    step rounds one root and one division by a cosine near 1, so after N <=
+    B/2 + 24 steps the error is a few N units, far below the stopping
+    tolerance of 2**(G - 8) units (2**56 at the default guard).
     """
     depth_cap = ctx.scale_bits // 2 + 24
-    if ctx.guard_bits is None:
-        return depth_cap, ctx.bits_for_depth(depth_cap)
-    work = ctx.scale_bits + ctx.guard_bits
+    work = ctx.working_bits
     admit_cost(work * depth_cap, work)
     return depth_cap, work
 

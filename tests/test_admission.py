@@ -13,9 +13,11 @@ import radpi.analysis
 import radpi.drivers
 from radpi import (
     DomainError,
+    FixedReal,
     PrecisionContext,
     PrecisionError,
     Seed,
+    arccos_by_recursion,
     cancellation_audit,
     convergence_table,
     nested_literal,
@@ -87,12 +89,19 @@ def test_budget_message_wins_over_the_cost_bound():
 
 
 def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
-    assert _arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 2 * 8216 + 64)
+    # the default run is at the context's working bits, as an explicit guard's is
+    assert _arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 64)
     # an explicit guard sets the working bits at the same depth cap
     guard = MAX_BIT_STEPS // 8216 - 16384
     assert _arccos_bits(PrecisionContext(16384, guard)) == (8216, 16384 + guard)
     with pytest.raises(PrecisionError, match="cost bound"):
         _arccos_bits(PrecisionContext(16384, guard + 1))
+
+
+def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
+    # the run widens to the x0's scale plus one, and that run is admitted
+    with pytest.raises(PrecisionError, match=r"^request over the cost bound: 65537 working bits"):
+        arccos_by_recursion(FixedReal.zero(MAX_WORKING_BITS), PrecisionContext(128))
 
 
 def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
@@ -128,21 +137,22 @@ def no_work(monkeypatch):
 def test_table_is_refused_before_its_first_row(no_work):
     with pytest.raises(PrecisionError, match="cost bound"):
         convergence_table("viete", {}, range(1, 10**8), PrecisionContext(128))
-    # three self-consistent rows at 16000 bits: each arccos alone is admitted
+    # five self-consistent rows at 16000 bits: each arccos alone is admitted,
+    # and the first four together (520191832 bit-steps) are too
     with pytest.raises(PrecisionError, match="cost bound"):
-        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 4),
+        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 6),
                           PrecisionContext(16000))
 
 
-# 1000 steps at 23000 working bits, and the self-consistent arccos at those
+# 1000 steps at 31730 working bits, and the self-consistent arccos at those
 # bits: each part is inside the bound, and their sum is not
 @pytest.mark.parametrize("driver", [
     lambda seed, k, ctx: pi_method1(seed, k, ctx, "self"),
     unity_formula,
 ], ids=["method1", "unity"])
 def test_a_driver_admits_its_depth_run_and_its_arccos_as_one_cost(no_work, driver):
-    with pytest.raises(PrecisionError, match=r"554394688 working bits x half-angle steps"):
-        driver(Seed.from_x0(Fraction(3, 10)), 1000, PrecisionContext(20936))
+    with pytest.raises(PrecisionError, match=r"536904866 working bits x half-angle steps"):
+        driver(Seed.from_x0(Fraction(3, 10)), 1000, PrecisionContext(29666))
 
 
 @pytest.mark.parametrize("k_max, audited_bits", [(10**8, 53), (40, 10**9)])
@@ -168,10 +178,10 @@ REFUSED = [
     ["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "1000000000"],
     ["verify", "--bits", "100000000"],
     ["reproduce", "--bits", "100000000"],
-    ["compute", "--method", "unity", "--x0", "0.3", "--k", "1000", "--bits", "20936"],
-    ["compute", "--method", "method1", "--x0", "0.3", "--k", "1000", "--bits", "20936"],
+    ["compute", "--method", "unity", "--x0", "0.3", "--k", "1000", "--bits", "29666"],
+    ["compute", "--method", "method1", "--x0", "0.3", "--k", "1000", "--bits", "29666"],
     ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "1000",
-     "--bits", "20936"],
+     "--bits", "29666"],
 ]
 
 
@@ -189,17 +199,17 @@ def test_request_over_the_cost_bound_exits_3_at_once(argv):
 
 
 # Grids around the bound. With an arccos at x0 = 0.3 or for m = 50, d = 1, a
-# depth run is admitted up to 23051 bits at k = 1 and up to 20561 bits at
-# k = 1000; method2 with d = 1 up to 22965 bits at m = 50 and up to 22949
+# depth run is admitted up to 32645 bits at k = 1 and up to 29665 bits at
+# k = 1000; method2 with d = 1 up to 32559 bits at m = 50 and up to 32543
 # bits at m = 1000.
-_DEPTH_GRID = [(bits, k) for bits in (20561, 20562, 23051, 23052) for k in (1, 1000)]
+_DEPTH_GRID = [(bits, k) for bits in (29665, 29666, 32645, 32646) for k in (1, 1000)]
 _STRADDLES = {
     "method1 --x0": (["--method", "method1", "--x0", "0.3"], "--k", _DEPTH_GRID),
     "unity": (["--method", "unity", "--x0", "0.3"], "--k", _DEPTH_GRID),
     "combined uncataloged": (["--method", "combined", "--m", "50", "--d", "1"], "--k",
                              _DEPTH_GRID),
     "method2": (["--method", "method2", "--d", "1"], "--m",
-                [(bits, m) for bits in (22949, 22950, 22965, 22966) for m in (50, 1000)]),
+                [(bits, m) for bits in (32543, 32544, 32559, 32560) for m in (50, 1000)]),
 }
 
 _OUTCOMES = {3: "radpi: error: request over the cost bound: ",

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radpi.analysis
-from radpi import FixedReal, PowerForm, Seed
+from radpi import FixedReal, PowerForm, PrecisionContext, Seed
 from radpi.cli import _terminal_columns, build_parser, run_command
-from radpi.drivers import MISPRINT_DIAGNOSTIC
+from radpi.drivers import MISPRINT_DIAGNOSTIC, _arccos_bits
 
 
 def run(capsys, *argv):
@@ -380,6 +380,15 @@ class TestSubcommands:
         code, out, _ = run(capsys, "arccos", "--x0", "0.8", "--bits", "128")
         assert code == 0
         assert "0.6435011087932843868" in out
+
+    @pytest.mark.parametrize("guard_flag", [[], ["--guard-bits", "100"]])
+    def test_arccos_reports_the_guard_its_run_used(self, capsys, guard_flag):
+        code, out, _ = run(capsys, "arccos", "--x0", "0.3", "--format", "json", *guard_flag)
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        guard = int(guard_flag[1]) if guard_flag else None
+        _, work = _arccos_bits(PrecisionContext(meta["bits"], guard))
+        assert meta["guard_bits"] == work - meta["bits"]
 
     def test_arccos_negative_one(self, capsys):
         code, out, _ = run(capsys, "arccos", "--m", "1", "--s", "1", "--sign", "-")

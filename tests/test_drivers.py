@@ -282,6 +282,21 @@ class TestArccosByRecursion:
         with pytest.raises(DomainError):
             arccos_by_recursion(FixedReal(largest + 1, bits), ctx)
 
+    @pytest.mark.parametrize("bits", [256, 1024])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 20])
+    def test_bound_holds_for_an_x0_finer_than_the_working_bits(self, bits, extra):
+        # an x0 at or past the working bits stays exact: rounding it to them
+        # would cost 1/sin(theta0) units at the ends of the domain, where the
+        # bound is tightest
+        ctx = PrecisionContext(bits)
+        scale = ctx.working_bits + extra
+        one = 1 << scale
+        largest = one - (1 << (scale - bits // 2))
+        for mantissa in (largest, largest - 1, largest - 3, -one + 1, -one + 3):
+            x = FixedReal(mantissa, scale)
+            gap = arccos_by_recursion(x, ctx) - arccos_oracle(x, ctx)
+            assert abs(gap.mantissa) <= 1 << 16, (bits, extra, mantissa - largest)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 127)))
     def test_complement_identity(self, mantissa):
@@ -374,11 +389,11 @@ def test_invalid_ratio_mode():
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
-@pytest.mark.parametrize("guard", [32, 40, 80, 120, 200, 240, 400])
+@pytest.mark.parametrize("guard", [32, 40, 64, 80, 120, 200, 240, 400])
 def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):
     # the working precision is bits + guard at the depth cap bits/2 + 24; the
     # result stays under one ulp from the truncated oracle at every guard the
-    # context accepts, and equals the default run at guard bits + 112
+    # context accepts, and equals the default run at the default guard 64
     ctx = PrecisionContext(bits, guard)
     ref_ctx = PrecisionContext(4 * bits)
     for text in ("-1", "-0.93", "-0.3", "0", "0.25", "0.8", "0.999"):
@@ -386,7 +401,7 @@ def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):
         got = arccos_by_recursion(x0, ctx)
         ref = arccos_oracle(x0.rescale(4 * bits), ref_ctx)
         assert abs(got.rescale(4 * bits) - ref).mantissa < 1 << (3 * bits), text
-        if guard == bits + 112:
+        if guard == 64:
             assert got == arccos_by_recursion(x0, PrecisionContext(bits))
 
 
