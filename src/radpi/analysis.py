@@ -15,23 +15,15 @@ from fractions import Fraction
 from itertools import islice
 
 from ._record import NEW_DICT, Record
-from .arith import (
-    FixedReal,
-    PrecisionContext,
-    admit_cost,
-    decimal_digits_for_bits,
-    pi_fixed,
-)
+from .arith import FixedReal, PrecisionContext, decimal_digits_for_bits, pi_fixed
 from .drivers import (
     Approximant,
-    _depth_route_bits,
-    _method2_bits,
-    _ratio_bit_steps,
     _resolve_ratio,
     exact_ratio_lookup,
     pi_combined,
     pi_method1,
     pi_method2,
+    plan,
     unity_formula,
     viete_product,
 )
@@ -96,10 +88,6 @@ def correct_decimal_digits(err: FixedReal) -> int | None:
     return -t
 
 
-def _measure_scale(working_bits: int) -> int:
-    return 4 * working_bits
-
-
 def _target_value(target: str, scale: int) -> FixedReal:
     if target == "pi":
         return pi_fixed(scale)
@@ -138,33 +126,16 @@ def _measure_row(
     return row, err
 
 
-# Each table method's row at an index, from the method's params: the row's
-# whole cost in working bits x steps (its depth run, or method2's single step,
-# plus its ratio's arccos), read from the helpers by which its driver admits
-# that same cost, and the call that builds the row.
-_ROWS: dict[str, Callable[[dict, int, PrecisionContext], tuple[int, Callable[[], Approximant]]]] = {
-    "method1": lambda p, k, ctx: (
-        _depth_route_bits(p["seed"], k, ctx, p.get("ratio_mode", "auto"))[1],
-        lambda: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
-                           p.get("variant", "stable")),
-    ),
-    "method2_corrected": lambda p, m, ctx: (
-        _method2_bits(Fraction(m), Fraction(p.get("d", 1)), ctx)[1],
-        lambda: pi_method2(m, p.get("d", 1), ctx, "corrected"),
-    ),
-    "method2_as_printed": lambda p, m, ctx: (
-        _method2_bits(Fraction(m), Fraction(p.get("d", 1)), ctx)[1],
-        lambda: pi_method2(m, p.get("d", 1), ctx, "as_printed"),
-    ),
-    "combined": lambda p, k, ctx: (
-        _depth_route_bits(Seed.from_m_d(p["m"], p.get("d", 1)), k, ctx, "auto")[1],
-        lambda: pi_combined(p["m"], p.get("d", 1), k, ctx),
-    ),
-    "unity": lambda p, k, ctx: (
-        _depth_route_bits(p["seed"], k, ctx, "self")[1],
-        lambda: unity_formula(p["seed"], k, ctx),
-    ),
-    "viete": lambda p, k, ctx: (ctx.bits_for_depth(k) * k, lambda: viete_product(k, ctx)),
+# Each table method's row at an index, from the method's params; the row's
+# plan is ``plan``'s table route.
+_ROWS: dict[str, Callable[[dict, int, PrecisionContext], Approximant]] = {
+    "method1": lambda p, k, ctx: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
+                                            p.get("variant", "stable")),
+    "method2_corrected": lambda p, m, ctx: pi_method2(m, p.get("d", 1), ctx, "corrected"),
+    "method2_as_printed": lambda p, m, ctx: pi_method2(m, p.get("d", 1), ctx, "as_printed"),
+    "combined": lambda p, k, ctx: pi_combined(p["m"], p.get("d", 1), k, ctx),
+    "unity": lambda p, k, ctx: unity_formula(p["seed"], k, ctx),
+    "viete": lambda p, k, ctx: viete_product(k, ctx),
 }
 
 
@@ -179,46 +150,30 @@ def convergence_table(
     """
     if method not in _ROWS:
         raise DomainError(f"unknown table method {method!r}")
-    bit_steps, builds = 0, []
-    for index in sweep:  # stops at the first row over the bound
-        cost, build = _ROWS[method](params, index, ctx)
-        bit_steps += cost
-        admit_cost(bit_steps)
-        builds.append(build)
-    approximants = [build() for build in builds]
+    table = plan("table", ctx, method=method, params=params, sweep=sweep)
+    approximants = [_ROWS[method](params, index, ctx) for index in sweep]
     described = {
         key: (value.describe() if isinstance(value, Seed) else str(value))
         for key, value in params.items()
     }
-    reference, guard = _reference(approximants, ctx)
-    return _report(sweep, [a.value for a in approximants], reference, ctx, guard,
+    reference = _target_value(approximants[0].target, table.measure_bits) if approximants else None
+    return _report(sweep, [a.value for a in approximants], reference, ctx, table.work,
                    method=method, params=described)
-
-
-def _reference(
-    approximants: Sequence[Approximant], ctx: PrecisionContext
-) -> tuple[FixedReal | None, int]:
-    """The approximants' target at the measurement scale of their worst guard,
-    and that guard; with no approximants, no reference and the context's guard."""
-    if not approximants:
-        return None, ctx.working_bits - ctx.scale_bits
-    guard = max(int(a.params["guard_bits"]) for a in approximants)
-    return _target_value(approximants[0].target, _measure_scale(ctx.scale_bits + guard)), guard
 
 
 def _report(
     indices: Sequence[int], values: Sequence[FixedReal], reference: FixedReal | None,
-    ctx: PrecisionContext, guard: int, **labels,
+    ctx: PrecisionContext, work: int, **labels,
 ) -> ConvergenceReport:
     """Rows of values measured against the reference, each error ratio taken
     over the row before; the labels gain the precision keys of every report
-    (measure_bits 0 without a reference)."""
+    (the guard over ``work``, measure_bits 0 without a reference)."""
     rows: list[ReportRow] = []
     prev_err: FixedReal | None = None
     for index, value in zip(indices, values):
         row, prev_err = _measure_row(index, value, reference, prev_err)
         rows.append(row)
-    labels.update(bits=ctx.scale_bits, guard_bits=guard,
+    labels.update(bits=ctx.scale_bits, guard_bits=work - ctx.scale_bits,
                   measure_bits=0 if reference is None else reference.scale_bits,
                   oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
     return ConvergenceReport(rows=rows, meta=labels)
@@ -234,16 +189,9 @@ def cancellation_audit(
     amplified cancellation noise climbs until the sine collapses entirely);
     the stable error falls to the rounding floor of about k units and stays.
     """
-    if audited_bits < 24:
-        raise DomainError("audited_bits must be >= 24")
-    if ctx_reference.scale_bits < _measure_scale(audited_bits):
-        raise DomainError("reference precision must be >= 4x audited_bits")
-    scale = ctx_reference.scale_bits
-    # the naive and the stable run, each step measured at the reference
-    # precision, and the ratio's arccos
-    admit_cost(2 * (audited_bits + scale) * k_max + _ratio_bit_steps(seed, "auto", scale + 64),
-               scale)
-    ratio = _resolve_ratio(seed, "auto", scale + 64)
+    audit = plan("audit", ctx_reference, seed=seed, k=k_max, audited_bits=audited_bits)
+    scale = audit.measure_bits
+    ratio = _resolve_ratio(seed, "auto", audit.work)
     pi_ref = pi_fixed(scale)
     naive_states = run_at_scale(seed, k_max, audited_bits, "naive")
     stable_states = run_at_scale(seed, k_max, audited_bits, "stable")
@@ -337,8 +285,8 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
     and (c) the depth-25 approximant is within the tolerance of pi. Any
     mismatch raises CatalogFailure naming the formula.
     """
-    work = ctx.bits_for_depth(_CATALOG_DEPTH)
-    scale = _measure_scale(work)
+    catalog = plan("depth", ctx, k=_CATALOG_DEPTH)
+    work, scale = catalog.work, catalog.measure_bits
     pi_ref = pi_fixed(scale)
     tol_fixed = FixedReal.from_fraction(_CATALOG_TOLERANCE, scale)
     results = []
@@ -451,7 +399,7 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     )
 
     depth = 20
-    work = ctx.bits_for_depth(depth)
+    work = plan("depth", ctx, k=depth).work
     runs = [(seed, run_at_scale(seed, depth, work)) for seed in seeds]
     states = [st for _, run in runs for st in run]
     one = FixedReal.one(work)
@@ -502,7 +450,7 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
 
     # each seed's doubled sines for k <= 30 at the depth-30 scale, then its
     # theta0 from the exact ratio, not from the recursion under test
-    mono_work = ctx.bits_for_depth(30)
+    mono_work = plan("depth", ctx, k=30).work
     chains = [
         [*(s for _, s in islice(_doubled_sines(seed.value(mono_work), "stable"), 30)),
          _theta0(seed, mono_work)]

@@ -247,7 +247,7 @@ class PrecisionContext(Record):
     amplifies absolute error by 2**k and radicand cancellation can cost
     another k bits). An explicit guard is honored as a hard budget instead.
     The self-consistent arccos runs at ``working_bits``, the scale plus 64 or
-    plus the explicit guard.
+    plus the explicit guard. ``drivers.plan`` applies both rules.
     """
 
     __slots__ = ("scale_bits", "guard_bits")
@@ -261,25 +261,6 @@ class PrecisionContext(Record):
             raise UsageError("guard_bits must be >= 32")
         set_field(self, "scale_bits", scale_bits)
         set_field(self, "guard_bits", guard_bits)
-
-    def bits_for_depth(self, k: int) -> int:
-        """Working bits of a route of k >= 1 half-angle steps: the scale plus
-        the guard rule, or plus an explicit guard that budgets 2 bits per step
-        over 64; refused over the cost bound."""
-        if k < 1:
-            raise DomainError("k must be >= 1")
-        if self.guard_bits is None:
-            work = self.scale_bits + 2 * k + 64
-        else:
-            allowed = (self.guard_bits - 64) // 2
-            if allowed < k:
-                raise PrecisionError(
-                    f"depth {k} exceeds precision budget "
-                    f"(guard_bits={self.guard_bits} allows {max(allowed, 0)})"
-                )
-            work = self.scale_bits + self.guard_bits
-        admit_cost(work * k, work)
-        return work
 
     @property
     def working_bits(self) -> int:

@@ -24,16 +24,15 @@ from .analysis import (
     IdentityReport,
     ReportRow,
     _ROWS,
-    _measure_scale,
-    _reference,
     _report,
+    _target_value,
     cancellation_audit,
     convergence_table,
     reproduce_catalog,
     verify_identities,
 )
-from .arith import FixedReal, PrecisionContext, admit_cost, arccos_oracle, decimal_digits_for_bits
-from .drivers import _arccos_bits, arccos_by_recursion, taylor_seed_exact
+from .arith import FixedReal, PrecisionContext, arccos_oracle, decimal_digits_for_bits
+from .drivers import arccos_by_recursion, plan, taylor_seed_exact
 from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
@@ -307,26 +306,24 @@ def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> Convergence
         raise UsageError("method2 requires an integer --m")
     index = int(getattr(args, reads[0]))
     name, params = _method_request(args)
-    _, build = _ROWS[name](params, index, ctx)
-    approx = build()
+    row = plan("table", ctx, method=name, params=params, sweep=[index])
+    approx = _ROWS[name](params, index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
-    reference, guard = _reference([approx], ctx)
-    return _report([index], [approx.value], reference, ctx, guard, method=approx.method,
+    reference = _target_value(approx.target, row.measure_bits)
+    return _report([index], [approx.value], reference, ctx, row.work, method=approx.method,
                    params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
 
 
 def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
-    partial = taylor_seed_exact(args.m, args.d, args.terms)
-    # the value and its limit are built at the working bits (the limit at 4x)
-    admit_cost(ctx.working_bits, ctx.working_bits)
-    value = FixedReal.from_fraction(partial, ctx.scale_bits)
-    scale = _measure_scale(ctx.working_bits)
+    taylor = plan("taylor", ctx, m=args.m, d=args.d, terms=args.terms)
+    value = FixedReal.from_fraction(taylor_seed_exact(args.m, args.d, args.terms), taylor.work)
+    scale = taylor.measure_bits
     limit = FixedReal.from_fraction(
         Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
     ).sqrt() / FixedReal.from_fraction(args.m, scale)
     params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
-    return _report([args.terms], [value], limit, ctx, ctx.working_bits - ctx.scale_bits,
+    return _report([args.terms], [value], limit, ctx, ctx.working_bits,
                    method="taylor", params=params, target="seed_value")
 
 
@@ -347,12 +344,12 @@ def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceRe
 
 def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
     seed = _seed_from_args(args)
-    _arccos_bits(ctx)  # refuse a request over the cost bound before x0 is built
+    run = plan("arccos", ctx)  # refuse a request over the cost bound before x0 is built
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
-    scale = _measure_scale(ctx.working_bits)
+    scale = run.measure_bits
     reference = arccos_oracle(x0.rescale(scale), PrecisionContext(scale))
-    return _report([0], [value], reference, ctx, ctx.working_bits - ctx.scale_bits,
+    return _report([0], [value], reference, ctx, run.work,
                    method="arccos_by_recursion", params={"seed": seed.describe()},
                    target="arccos")
 
@@ -364,7 +361,9 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
     # the audit reads only its reference's scale, so no guard is ever read
     if args.guard_bits is not None:
         raise UsageError("audit does not read --guard-bits")
-    reference = PrecisionContext(max(args.bits, _measure_scale(args.audited_bits)))
+    audit = plan("audit", None, seed=seed, k=args.k, audited_bits=args.audited_bits,
+                 bits=args.bits)
+    reference = PrecisionContext(audit.measure_bits)
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",

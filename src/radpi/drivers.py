@@ -16,7 +16,7 @@ from itertools import islice
 
 from ._record import NEW_DICT, Record
 from .arith import FixedReal, PrecisionContext, admit_cost, pi_fixed
-from .errors import CatalogMissError, ConvergenceError, DomainError
+from .errors import CatalogMissError, ConvergenceError, DomainError, PrecisionError, UsageError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
 # Exact 2*pi/arccos(x0) for starting terms whose angle is a rational multiple
@@ -90,23 +90,129 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
     return AngleRatio("self_consistent", fixed=two_pi / theta0)
 
 
-def _ratio_bit_steps(seed: Seed, mode: str, work: int) -> int:
-    """Working bits x steps of the ratio resolved at ``work`` bits: those of
-    the self-consistent arccos, none for an exact ratio."""
-    if mode == "self" or (mode == "auto" and exact_ratio_lookup(seed) is None):
-        depth_cap, arccos_work = _arccos_bits(PrecisionContext(work))
-        return arccos_work * depth_cap
-    return 0
+class Plan(Record):
+    """An admitted request: the working bits of its run, its steps (half-angle
+    steps, an arccos's depth cap, or series terms), its whole cost in working
+    bits x steps, and the scale of the reference it is measured against."""
+
+    __slots__ = ("work", "steps", "bit_steps", "measure_bits")
+    work: int
+    steps: int
+    bit_steps: int
+    measure_bits: int
 
 
-def _depth_route_bits(seed: Seed, k: int, ctx: PrecisionContext, mode: str) -> tuple[int, int]:
-    """Working bits of a route of k half-angle steps from the seed, and its
-    whole cost: working bits x steps of the run plus those of its ratio in the
-    mode, each part and their sum refused over the cost bound."""
-    work = ctx.bits_for_depth(k)
-    bit_steps = work * k + _ratio_bit_steps(seed, mode, work)
-    admit_cost(bit_steps)
-    return work, bit_steps
+# each table method's plan route and params at a sweep index
+_TABLE_ROWS = {
+    "method1": lambda p, k: ("depth", {"seed": p["seed"], "k": k,
+                                       "ratio_mode": p.get("ratio_mode", "auto")}),
+    "method2_corrected": lambda p, m: ("method2", {"m": m, "d": p.get("d", 1)}),
+    "method2_as_printed": lambda p, m: ("method2", {"m": m, "d": p.get("d", 1)}),
+    "combined": lambda p, k: ("depth", {"seed": Seed.from_m_d(p["m"], p.get("d", 1)), "k": k}),
+    "unity": lambda p, k: ("depth", {"seed": p["seed"], "k": k, "ratio_mode": "self"}),
+    "viete": lambda p, k: ("depth", {"k": k}),
+}
+
+
+def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
+    """The plan of one request, refused by ``admit_cost`` before any work
+    starts; its reference scale is 4x its working bits unless stated.
+
+    depth    k, and a ratio's seed and ratio_mode (auto): k steps at the scale
+             plus 2k + 64, or plus an explicit guard (2 bits a step over 64);
+             the run, its ratio and their sum are refused in that order
+    method2  m, d: one step at twice the cancelled bits plus slack, as depth
+    ratio    seed, ratio_mode (auto): a self-consistent ratio's arccos at the
+             context's scale, or nothing
+    arccos   x0_bits (0): B/2 + 24 steps at the working bits, or at an x0's
+             own scale plus one when it is that fine
+    taylor   m, d, terms: the exact sum, rounded once at the output scale (no
+             guard); ctx None plans the sum alone
+    audit    seed, k, audited_bits: both variants at the audited bits measured
+             at the context's scale (ctx None: the larger of bits and 4x them)
+    table    method, params, sweep: the rows' sum, refused after each row
+    """
+    if route == "table":
+        work = steps = bit_steps = 0
+        for index in params["sweep"]:  # stops at the first row over the bound
+            row_route, row_params = _TABLE_ROWS[params["method"]](params["params"], index)
+            row = plan(row_route, ctx, **row_params)
+            work, steps, bit_steps = max(work, row.work), steps + row.steps, bit_steps + row.bit_steps
+            admit_cost(bit_steps)
+        return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
+    if route == "ratio":
+        mode = params.get("ratio_mode", "auto")
+        if mode == "self" or (mode == "auto" and exact_ratio_lookup(params["seed"]) is None):
+            return plan("arccos", ctx)
+        return Plan(ctx.scale_bits, 0, 0, 0)
+    if route == "arccos":
+        # each step rounds about one unit (a root, a division by a cosine near
+        # 1): a few N units after N steps, far below the 2**(G - 8) tolerance
+        steps, work = ctx.scale_bits // 2 + 24, ctx.working_bits
+        admit_cost(work * steps, work)
+        if params.get("x0_bits", 0) >= work:
+            work = params["x0_bits"] + 1
+            admit_cost(work * steps, work)
+        return Plan(work, steps, work * steps, 4 * work)
+    if route == "taylor":
+        m, d, terms = Fraction(params["m"]), Fraction(params["d"]), params["terms"]
+        if m <= 0 or d <= 0:
+            raise DomainError("m and d must be positive")
+        u = d**2 / m**2
+        if u >= 1:
+            raise DomainError("series requires d < m")
+        if terms < 1:
+            raise DomainError("terms must be >= 1")
+        # the partial sum's numerator and denominator each grow by about the
+        # bits of u's denominator plus 2 per term: the sum's working bits
+        work = 2 * (u.denominator.bit_length() + 2) * terms
+        admit_cost(work * terms, work)
+        if ctx is None:
+            return Plan(work, terms, work * terms, 0)
+        # the value and its limit are built at the working bits (the limit at 4x)
+        admit_cost(ctx.working_bits, ctx.working_bits)
+        return Plan(ctx.scale_bits, terms, work * terms, 4 * ctx.working_bits)
+    if route == "audit":
+        audited, k = params["audited_bits"], params["k"]
+        if ctx is None:
+            ctx = PrecisionContext(max(params["bits"], 4 * audited))
+        if audited < 24:
+            raise DomainError("audited_bits must be >= 24")
+        if ctx.scale_bits < 4 * audited:
+            raise DomainError("reference precision must be >= 4x audited_bits")
+        scale = ctx.scale_bits
+        # the naive and the stable run, and the ratio 64 bits past the reference
+        bit_steps = 2 * (audited + scale) * k + plan(
+            "ratio", PrecisionContext(scale + 64), seed=params["seed"]).bit_steps
+        admit_cost(bit_steps, scale)
+        return Plan(scale + 64, k, bit_steps, scale)
+    if route == "depth":
+        k = steps = params["k"]
+        if k < 1:
+            raise DomainError("k must be >= 1")
+        allowed = None if ctx.guard_bits is None else (ctx.guard_bits - 64) // 2
+        if allowed is not None and allowed < k:
+            raise PrecisionError(f"depth {k} exceeds precision budget "
+                                 f"(guard_bits={ctx.guard_bits} allows {max(allowed, 0)})")
+        work = ctx.working_bits if allowed is not None else ctx.scale_bits + 2 * k + 64
+        seed = params.get("seed")
+    elif route == "method2":
+        m, d = Fraction(params["m"]), Fraction(params["d"])
+        if d <= 0 or d >= m:
+            raise DomainError("method2 requires 0 < d < m")
+        # m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack
+        cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
+        work, steps = ctx.working_bits + 64 + 4 * cancelled.bit_length(), 1
+        seed = Seed(m, m**2 - d**2)
+    else:
+        raise UsageError(f"unknown plan route {route!r}")
+    admit_cost(work * steps, work)
+    bit_steps = work * steps
+    if seed is not None:
+        bit_steps += plan("ratio", PrecisionContext(work), seed=seed,
+                          ratio_mode=params.get("ratio_mode", "auto")).bit_steps
+        admit_cost(bit_steps)
+    return Plan(work, steps, bit_steps, 4 * work)
 
 
 def pi_method1(
@@ -120,7 +226,7 @@ def pi_method1(
 
     Convergence is quartic per step: the error is about pi * (theta0/2**k)**2 / 6.
     """
-    work, _ = _depth_route_bits(seed, k, ctx, ratio_mode)
+    work = plan("depth", ctx, seed=seed, k=k, ratio_mode=ratio_mode).work
     ratio = _resolve_ratio(seed, ratio_mode, work)
     states = run_at_scale(seed, k, work, variant)
     value = ratio.apply(states[k].scaled_sine) / 2
@@ -152,7 +258,7 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     if variant not in ("corrected", "as_printed"):
         raise DomainError(f"unknown method2 variant {variant!r}")
     m, d = Fraction(m), Fraction(d)
-    work, _ = _method2_bits(m, d, ctx)
+    work = plan("method2", ctx, m=m, d=d).work
     s = m**2 - d**2
     ratio = _resolve_ratio(Seed(m, s), "auto", work)
     sqrt_s = FixedReal.from_fraction(s, work).sqrt()
@@ -178,23 +284,6 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         ratio_kind=ratio.kind,
         diagnostic=diagnostic,
     )
-
-
-def _method2_bits(m: Fraction, d: Fraction, ctx: PrecisionContext) -> tuple[int, int]:
-    """Working bits of method2's single step, and its whole cost: the step
-    plus its ratio's working bits x steps, each part and their sum refused
-    over the cost bound.
-
-    m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack.
-    """
-    if d <= 0 or d >= m:
-        raise DomainError("method2 requires 0 < d < m")
-    cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
-    work = ctx.working_bits + 64 + 4 * cancelled.bit_length()
-    admit_cost(work, work)
-    bit_steps = work + _ratio_bit_steps(Seed(m, m**2 - d**2), "auto", work)
-    admit_cost(bit_steps)
-    return work, bit_steps
 
 
 def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
@@ -224,7 +313,7 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
     theta0 comes from the self-consistent arccos, whose internal depth always
     exceeds k by well over 16 steps at the chosen working precision.
     """
-    work, _ = _depth_route_bits(seed, k, ctx, "self")
+    work = plan("depth", ctx, seed=seed, k=k, ratio_mode="self").work
     theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
     states = run_at_scale(seed, k, work, "stable")
     value = states[k].scaled_sine / theta0
@@ -246,12 +335,12 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     """arccos(x0) as the limit of the doubled sines 2**k * sin(theta0/2**k).
 
     Needs no stored value of pi: iterate the stable recursion at the working
-    bits of ``_arccos_bits`` until successive doubled sines agree to
+    bits of its plan until successive doubled sines agree to
     2**(-scale_bits - 8), then round to the output scale. Result matches the
     series arccos well within 2**(-scale_bits + 16).
 
     x0 enters exact and each step rounds about one unit, so the error stays
-    far below the stopping tolerance (see ``_arccos_bits``). Rounding x0 would
+    far below the stopping tolerance (see ``plan``). Rounding x0 would
     not: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
     at an s-bit x0 next to -1. So an x0 at the working bits or finer runs at
     its own scale plus one, where the first step's (1 + x0)/2 is exact too,
@@ -266,37 +355,19 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "arccos argument too close to 1 for the requested precision "
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
-    depth_cap, work = _arccos_bits(ctx)
-    if x0.scale_bits >= work:
-        work = x0.scale_bits + 1
-        admit_cost(work * depth_cap, work)
+    run = plan("arccos", ctx, x0_bits=x0.scale_bits)
+    work = run.work
     tol = 1 << (work - out_bits - 8)
     sines = _doubled_sines(x0.rescale(work), "stable")
     _, previous = next(sines)
-    for _, scaled in islice(sines, depth_cap - 1):
+    for _, scaled in islice(sines, run.steps - 1):
         if abs(scaled.mantissa - previous.mantissa) < tol:
             return scaled.rescale(out_bits)
         previous = scaled
     raise ConvergenceError(
-        f"arccos recursion did not converge within {depth_cap} steps "
+        f"arccos recursion did not converge within {run.steps} steps "
         f"at {work} working bits"
     )
-
-
-def _arccos_bits(ctx: PrecisionContext) -> tuple[int, int]:
-    """The self-consistent arccos's depth cap, B/2 + 24 at B output bits, and
-    its working bits, the context's (B + 64, or B + G under an explicit
-    guard G), refused over the cost bound.
-
-    The stable doubled sine loses about one unit per step, not two bits: each
-    step rounds one root and one division by a cosine near 1, so after N <=
-    B/2 + 24 steps the error is a few N units, far below the stopping
-    tolerance of 2**(G - 8) units (2**56 at the default guard).
-    """
-    depth_cap = ctx.scale_bits // 2 + 24
-    work = ctx.working_bits
-    admit_cost(work * depth_cap, work)
-    return depth_cap, work
 
 
 def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
@@ -305,7 +376,7 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
     Algebraically equal to 2**(k+1) * sin(pi / 2**(k+1)); kept as a literal
     running product so it cross-checks the recursion-based route.
     """
-    work = ctx.bits_for_depth(k)
+    work = plan("depth", ctx, k=k).work
     x = FixedReal.zero(work)
     value = FixedReal.from_int(2, work)
     for _ in range(k):
@@ -323,18 +394,8 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
 def taylor_seed_exact(m, d, terms: int) -> Fraction:
     """Exact partial sum of (1 - d**2/m**2)**(1/2) by the binomial series: the
     coefficients binom(1/2, j) times (-d**2/m**2)**j for j = 0..terms-1."""
-    m, d = Fraction(m), Fraction(d)
-    if m <= 0 or d <= 0:
-        raise DomainError("m and d must be positive")
-    u = d**2 / m**2
-    if u >= 1:
-        raise DomainError("series requires d < m")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    # the partial sum's numerator and denominator each grow by about the bits
-    # of u's denominator plus 2 per term: the sum is the series' working bits
-    work = 2 * (u.denominator.bit_length() + 2) * terms
-    admit_cost(work * terms, work)
+    plan("taylor", None, m=m, d=d, terms=terms)
+    u = Fraction(d) ** 2 / Fraction(m) ** 2
     total = Fraction(0)
     coeff = power = Fraction(1)
     for j in range(terms):

@@ -269,7 +269,7 @@ def run_at_scale(
     """States 0..k at an explicit scale, without guard management; the
     variants are those of ``_doubled_sines``.
 
-    Depth routes pass ``ctx.bits_for_depth(k)``; the cancellation audit
+    Depth routes pass their plan's working bits; the cancellation audit
     deliberately runs without guard bits to measure rounding behavior at a
     fixed precision.
     """
@@ -301,7 +301,9 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     both tend to 2 is the cancellation the audit measures. Result is at the
     context's output scale.
     """
-    work = ctx.bits_for_depth(k)
+    from .drivers import plan  # drivers imports this module
+
+    work = plan("depth", ctx, k=k).work
     f_vals = scale_factors(seed.m, k + 2, work)
     g = FixedReal.from_fraction(seed.s, work).sqrt()
     if seed.sign < 0:

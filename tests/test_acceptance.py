@@ -29,6 +29,7 @@ from radpi import (
     viete_product,
 )
 from radpi.cli import run_command
+from radpi.drivers import plan
 from radpi.recursion import run_at_scale
 
 
@@ -98,7 +99,7 @@ def test_criterion_05_literal_recursive_equivalence():
     ctx = PrecisionContext(128)
     ok = True
     for seed in (Seed(2, 2, 1), Seed(2, 2, -1), Seed(2, 3, 1), Seed(2, 3, -1)):
-        states = run_at_scale(seed, 20, ctx.bits_for_depth(20))
+        states = run_at_scale(seed, 20, plan("depth", ctx, k=20).work)
         for k in range(1, 21):
             lit = nested_literal(seed, k, ctx)
             rec = states[k].c.rescale(128)

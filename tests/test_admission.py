@@ -1,6 +1,7 @@
 """Admission: one rule sizes every route of k half-angle steps, and a request
 over the cost bound is refused with exit 3 before any work starts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from radpi import (
     PrecisionContext,
     PrecisionError,
     Seed,
+    UsageError,
     arccos_by_recursion,
     cancellation_audit,
     convergence_table,
@@ -27,10 +29,9 @@ from radpi import (
     unity_formula,
     viete_product,
 )
-from radpi.analysis import _ROWS
 from radpi.arith import MAX_BIT_STEPS, MAX_WORKING_BITS
 from radpi.cli import run_command
-from radpi.drivers import _arccos_bits
+from radpi.drivers import Plan, plan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,20 +58,24 @@ def test_every_depth_route_admits_by_one_rule(route):
         call(5, PrecisionContext(128, 40))
 
 
+def depth_bits(ctx, k):
+    return plan("depth", ctx, k=k).work
+
+
 def test_bits_for_depth_is_admitted_exactly_at_both_bounds():
     # 8192 steps at 65536 working bits are exactly 2**29 bit-steps
     k = MAX_BIT_STEPS // MAX_WORKING_BITS
     scale = MAX_WORKING_BITS - 2 * k - 64
-    assert PrecisionContext(scale).bits_for_depth(k) == MAX_WORKING_BITS
+    assert depth_bits(PrecisionContext(scale), k) == MAX_WORKING_BITS
     with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
-        PrecisionContext(scale + 1).bits_for_depth(k)
+        depth_bits(PrecisionContext(scale + 1), k)
 
 
 def test_working_bits_bound_alone():
     scale = MAX_WORKING_BITS - 2 - 64
-    assert PrecisionContext(scale).bits_for_depth(1) == MAX_WORKING_BITS
+    assert depth_bits(PrecisionContext(scale), 1) == MAX_WORKING_BITS
     with pytest.raises(PrecisionError, match=r"working bits \(at most 65536\)$"):
-        PrecisionContext(scale + 1).bits_for_depth(1)
+        depth_bits(PrecisionContext(scale + 1), 1)
 
 
 def test_bit_steps_bound_alone():
@@ -78,24 +83,29 @@ def test_bit_steps_bound_alone():
     k = 10_000
     work = MAX_BIT_STEPS // k
     scale = work - 2 * k - 64
-    assert PrecisionContext(scale).bits_for_depth(k) * k <= MAX_BIT_STEPS
+    assert depth_bits(PrecisionContext(scale), k) * k <= MAX_BIT_STEPS
     with pytest.raises(PrecisionError, match=r"x half-angle steps \(at most 536870912\)$"):
-        PrecisionContext(scale + 1).bits_for_depth(k)
+        depth_bits(PrecisionContext(scale + 1), k)
 
 
 def test_budget_message_wins_over_the_cost_bound():
     with pytest.raises(PrecisionError, match=r"^depth 100000000 exceeds precision budget"):
-        PrecisionContext(10**9, 40).bits_for_depth(10**8)
+        depth_bits(PrecisionContext(10**9, 40), 10**8)
+
+
+def arccos_bits(ctx):
+    run = plan("arccos", ctx)
+    return run.steps, run.work
 
 
 def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
     # the default run is at the context's working bits, as an explicit guard's is
-    assert _arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 64)
+    assert arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 64)
     # an explicit guard sets the working bits at the same depth cap
     guard = MAX_BIT_STEPS // 8216 - 16384
-    assert _arccos_bits(PrecisionContext(16384, guard)) == (8216, 16384 + guard)
+    assert arccos_bits(PrecisionContext(16384, guard)) == (8216, 16384 + guard)
     with pytest.raises(PrecisionError, match="cost bound"):
-        _arccos_bits(PrecisionContext(16384, guard + 1))
+        arccos_bits(PrecisionContext(16384, guard + 1))
 
 
 def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
@@ -106,12 +116,12 @@ def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
 
 def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
     ctx = PrecisionContext(16000)
-    work = ctx.bits_for_depth(3)
-    depth_cap, arccos_work = _arccos_bits(PrecisionContext(work))
+    work = depth_bits(ctx, 3)
+    depth_cap, arccos_work = arccos_bits(PrecisionContext(work))
     x0 = Seed.from_x0(Fraction(3, 10))
 
     def cost(method, params):
-        return _ROWS[method](params, 3, ctx)[0]
+        return plan("table", ctx, method=method, params=params, sweep=[3]).bit_steps
 
     assert cost("viete", {}) == work * 3
     assert cost("method1", {"seed": Seed(2, 2, 1)}) == work * 3
@@ -233,3 +243,71 @@ def test_compute_is_refused_exactly_when_its_one_row_table_is(no_work, capsys, r
         assert outcomes[0] == outcomes[1], (bits, index)
         codes.add(outcomes[0])
     assert codes == {3, 70}
+
+
+# Each grid cell's request as a plan, and for a table method as a one-row
+# table: its working bits, steps, bit-steps and reference scale, or its
+# refusal, as recorded from the admission helpers that the plan replaced.
+PLANS = json.loads((ROOT / "tests" / "data" / "plans.json").read_text(encoding="utf-8"))
+
+
+def _seed(p):
+    m, s, sign = p["seed"]
+    return Seed(Fraction(m), Fraction(s), sign)
+
+
+def _plan(route, ctx, bits, p):
+    if route == "method1":
+        return plan("depth", ctx, seed=_seed(p), k=p["k"], ratio_mode=p["ratio_mode"])
+    if route == "combined":
+        return plan("depth", ctx, seed=Seed.from_m_d(Fraction(p["m"]), Fraction(p["d"])),
+                    k=p["k"])
+    if route == "unity":
+        return plan("depth", ctx, seed=_seed(p), k=p["k"], ratio_mode="self")
+    if route == "viete":
+        return plan("depth", ctx, k=p["k"])
+    if route.startswith("method2"):
+        return plan("method2", ctx, m=Fraction(p["m"]), d=Fraction(p["d"]))
+    if route == "audit":  # as the command line asks, from its bits
+        return plan("audit", None, seed=_seed(p), k=p["k"], audited_bits=p["audited_bits"],
+                    bits=bits)
+    if route == "reproduce":
+        return plan("depth", ctx, k=25)
+    if route == "verify":  # the identities' depth-20 runs and depth-30 doubled sines
+        shallow, deep = plan("depth", ctx, k=20), plan("depth", ctx, k=30)
+        return Plan(shallow.work, deep.steps, shallow.bit_steps + deep.bit_steps, deep.work)
+    return plan(route, ctx, **p)  # arccos, taylor
+
+
+# each table method's params and sweep index in a cell
+_ONE_ROW = {
+    "method1": lambda p: ({"seed": _seed(p), "ratio_mode": p["ratio_mode"]}, p["k"]),
+    "combined": lambda p: ({"m": Fraction(p["m"]), "d": Fraction(p["d"])}, p["k"]),
+    "unity": lambda p: ({"seed": _seed(p)}, p["k"]),
+    "viete": lambda p: ({}, p["k"]),
+    "method2_corrected": lambda p: ({"d": Fraction(p["d"])}, int(p["m"])),
+    "method2_as_printed": lambda p: ({"d": Fraction(p["d"])}, int(p["m"])),
+}
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (PrecisionError, DomainError, UsageError) as exc:
+        return {"refused": f"{type(exc).__name__}: {exc}"}
+    return {"plan": [result.work, result.steps, result.bit_steps, result.measure_bits]}
+
+
+@pytest.mark.parametrize("route", sorted({cell["route"] for cell in PLANS}))
+def test_every_plan_matches_the_recorded_grid(route):
+    cells = [cell for cell in PLANS if cell["route"] == route]
+    assert len(cells) >= 16
+    for cell in cells:
+        ctx = PrecisionContext(cell["bits"], cell["guard"])
+        p = cell["params"]
+        want = {key: cell[key] for key in ("plan", "refused") if key in cell}
+        assert _outcome(lambda: _plan(route, ctx, cell["bits"], p)) == want, cell
+        if route in _ONE_ROW:
+            params, index = _ONE_ROW[route](p)
+            assert _outcome(lambda: plan("table", ctx, method=route, params=params,
+                                         sweep=[index])) == want, cell

@@ -23,6 +23,7 @@ from radpi import (
     pi_oracle,
 )
 from radpi.arith import MAX_WORKING_BITS, _pi_mantissa
+from radpi.drivers import plan
 
 PI_60 = "3.141592653589793238462643383279502884197169399375105820974944"
 ARCCOS_08 = "0.643501108793284386802809228717322638041510591115312382865606"
@@ -278,18 +279,18 @@ class TestPrecisionContext:
             PrecisionContext(128, 16)
 
     def test_guard_rule(self):
-        assert PrecisionContext(128).bits_for_depth(20) == 232
+        assert plan("depth", PrecisionContext(128), k=20).work == 232
 
     def test_explicit_guard_is_a_budget(self):
         from radpi import PrecisionError
 
         ctx = PrecisionContext(128, 80)
-        assert ctx.bits_for_depth(8) == 208
+        assert plan("depth", ctx, k=8).work == 208
         with pytest.raises(PrecisionError, match=r"guard_bits=80 allows 8\)"):
-            ctx.bits_for_depth(9)
+            plan("depth", ctx, k=9)
 
     def test_budget_under_64_bits_reports_no_depth(self):
         from radpi import PrecisionError
 
         with pytest.raises(PrecisionError, match=r"guard_bits=40 allows 0\)"):
-            PrecisionContext(128, 40).bits_for_depth(5)
+            plan("depth", PrecisionContext(128, 40), k=5)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import radpi.analysis
 from radpi import FixedReal, PowerForm, PrecisionContext, Seed
 from radpi.cli import _terminal_columns, build_parser, run_command
-from radpi.drivers import MISPRINT_DIAGNOSTIC, _arccos_bits
+from radpi.drivers import MISPRINT_DIAGNOSTIC, plan
 
 
 def run(capsys, *argv):
@@ -387,7 +387,7 @@ class TestSubcommands:
         assert code == 0
         meta = json.loads(out)["meta"]
         guard = int(guard_flag[1]) if guard_flag else None
-        _, work = _arccos_bits(PrecisionContext(meta["bits"], guard))
+        work = plan("arccos", PrecisionContext(meta["bits"], guard)).work
         assert meta["guard_bits"] == work - meta["bits"]
 
     def test_arccos_negative_one(self, capsys):
@@ -552,7 +552,7 @@ def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, 
         return factors
 
     def nested_literal(seed, k, ctx):  # the depth-20 recursion's c, off by the bound
-        recursion = real_run(seed, 20, ctx.bits_for_depth(20))[k].c.rescale(ctx.scale_bits)
+        recursion = real_run(seed, 20, plan("depth", ctx, k=20).work)[k].c.rescale(ctx.scale_bits)
         return recursion + FixedReal((1 << (2 * k + 8)) + offset, ctx.scale_bits)
 
     def viete_product(k, ctx):  # the matched recursion form, off by the bound

@@ -26,6 +26,7 @@ from radpi import (
     scale_factors,
     sine_step_naive,
 )
+from radpi.drivers import plan
 from radpi.recursion import run_at_scale
 
 COS_PI_8 = "0.923879532511286756128183189396788286822416625863642486115098"
@@ -245,34 +246,34 @@ class TestSeed:
 
 class TestRunRecursion:
     def test_first_state_from_octant_seed(self, ctx128):
-        states = run_at_scale(Seed(2, 2, 1), 1, ctx128.bits_for_depth(1))
+        states = run_at_scale(Seed(2, 2, 1), 1, plan("depth", ctx128, k=1).work)
         assert close_to(states[1].x, COS_PI_8)
         assert close_to(states[1].c, SIN_PI_8)
 
     def test_right_angle_seed(self, ctx128):
-        states = run_at_scale(Seed(1, 0, 1), 1, ctx128.bits_for_depth(1))
+        states = run_at_scale(Seed(1, 0, 1), 1, plan("depth", ctx128, k=1).work)
         assert close_to(states[1].x, SQRT_HALF)
         assert close_to(states[1].c, SQRT_HALF)
 
     def test_straight_angle_seed(self, ctx128):
-        states = run_at_scale(Seed(2, 4, -1), 2, ctx128.bits_for_depth(2))
+        states = run_at_scale(Seed(2, 4, -1), 2, plan("depth", ctx128, k=2).work)
         assert close_to(states[2].x, SQRT_HALF)
         assert close_to(states[2].c, SQRT_HALF)
 
     def test_naive_and_stable_agree_at_guarded_precision(self, ctx128):
-        naive = run_at_scale(Seed(2, 3, 1), 12, ctx128.bits_for_depth(12), "naive")
-        stable = run_at_scale(Seed(2, 3, 1), 12, ctx128.bits_for_depth(12), "stable")
+        naive = run_at_scale(Seed(2, 3, 1), 12, plan("depth", ctx128, k=12).work, "naive")
+        stable = run_at_scale(Seed(2, 3, 1), 12, plan("depth", ctx128, k=12).work, "stable")
         gap = abs((naive[12].c - stable[12].c).mantissa)
         assert gap < 1 << (2 * 12 + 8)
 
     def test_budget_enforced_for_explicit_guard(self):
         ctx = PrecisionContext(128, 72)
         with pytest.raises(PrecisionError):
-            run_at_scale(Seed(2, 2, 1), 5, ctx.bits_for_depth(5))
+            run_at_scale(Seed(2, 2, 1), 5, plan("depth", ctx, k=5).work)
 
     @pytest.mark.parametrize("seed", [Seed(2, 2, 1), Seed(2, 3, 1), Seed(2, 3, -1), Seed(2, 2, -1), Seed(5, 16, 1)])
     def test_state_invariants(self, seed, ctx128):
-        states = run_at_scale(seed, 20, ctx128.bits_for_depth(20))
+        states = run_at_scale(seed, 20, plan("depth", ctx128, k=20).work)
         work = states[0].x.scale_bits
         one = FixedReal.one(work)
         for st_ in states:
@@ -283,7 +284,7 @@ class TestRunRecursion:
             assert st_.c.mantissa >= 0 and st_.c <= one + FixedReal(16, work)
 
     def test_scaled_sine_matches_c(self, ctx128):
-        states = run_at_scale(Seed(2, 3, -1), 15, ctx128.bits_for_depth(15))
+        states = run_at_scale(Seed(2, 3, -1), 15, plan("depth", ctx128, k=15).work)
         for st_ in states[1:]:
             gap = abs((st_.scaled_sine - st_.c.times_pow2(st_.k)).mantissa)
             assert gap <= 1 << st_.k
@@ -301,7 +302,7 @@ class TestRunRecursion:
         assert len(calls) == 3 + 1 + per_step * k
 
     def test_monotone_doubling(self, ctx128):
-        states = run_at_scale(Seed(2, 2, 1), 30, ctx128.bits_for_depth(30))
+        states = run_at_scale(Seed(2, 2, 1), 30, plan("depth", ctx128, k=30).work)
         doubled = [st_.scaled_sine for st_ in states[1:]]
         assert all(a < b for a, b in zip(doubled, doubled[1:]))
 
@@ -323,7 +324,7 @@ class TestNestedLiteral:
     @pytest.mark.parametrize("k", [1, 2, 5, 10, 20])
     def test_matches_stable_recursion(self, seed, k, ctx128):
         lit = nested_literal(seed, k, ctx128)
-        rec = run_at_scale(seed, k, ctx128.bits_for_depth(k))[k].c.rescale(128)
+        rec = run_at_scale(seed, k, plan("depth", ctx128, k=k).work)[k].c.rescale(128)
         assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
     def test_square_roots_grow_linearly_with_depth(self, ctx128, monkeypatch):
@@ -340,7 +341,7 @@ class TestNestedLiteral:
         # m != 2 exercises the exact-exponent evaluation of every chain factor
         for k in (1, 4, 9, 15):
             lit = nested_literal(seed, k, ctx128)
-            rec = run_at_scale(seed, k, ctx128.bits_for_depth(k))[k].c.rescale(128)
+            rec = run_at_scale(seed, k, plan("depth", ctx128, k=k).work)[k].c.rescale(128)
             assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
 
@@ -369,7 +370,7 @@ def test_pythagorean_property(m, s_frac, sign, k):
         s = Fraction(m * m) - Fraction(1, 7)
     seed = Seed(m, s, sign)
     ctx = PrecisionContext(96)
-    states = run_at_scale(seed, k, ctx.bits_for_depth(k))
+    states = run_at_scale(seed, k, plan("depth", ctx, k=k).work)
     work = states[0].x.scale_bits
     one = FixedReal.one(work)
     for st_ in states:
