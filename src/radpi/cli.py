@@ -323,7 +323,7 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
         Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
     ).sqrt() / FixedReal.from_fraction(args.m, scale)
     params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
-    return _report([args.terms], [value], limit, ctx, ctx.working_bits,
+    return _report([args.terms], [value], limit, ctx, taylor.work,
                    method="taylor", params=params, target="seed_value")
 
 
