@@ -42,6 +42,11 @@ def _tdiv(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+def _tshift(a: int, n: int) -> int:
+    """``_tdiv(a, 1 << n)`` by a shift, not a long division."""
+    return a >> n if a >= 0 else -(-a >> n)
+
+
 def isqrt(n: int) -> int:
     """Floor square root of a non-negative integer by Newton iteration.
 
@@ -116,7 +121,7 @@ class FixedReal(Record):
             return self
         if diff > 0:
             return FixedReal(self.mantissa << diff, scale_bits)
-        return FixedReal(_tdiv(self.mantissa, 1 << -diff), scale_bits)
+        return FixedReal(_tshift(self.mantissa, -diff), scale_bits)
 
     def to_decimal(self, digits: int) -> str:
         """Plain decimal string with ``digits`` fraction digits, truncated toward zero."""
@@ -160,7 +165,7 @@ class FixedReal(Record):
             return FixedReal(self.mantissa * other, self.scale_bits)
         self._coscale(other)
         return FixedReal(
-            _tdiv(self.mantissa * other.mantissa, 1 << self.scale_bits),
+            _tshift(self.mantissa * other.mantissa, self.scale_bits),
             self.scale_bits,
         )
 
@@ -187,7 +192,7 @@ class FixedReal(Record):
         """Multiply by 2**n (exact for n >= 0, truncating for n < 0)."""
         if n >= 0:
             return FixedReal(self.mantissa << n, self.scale_bits)
-        return FixedReal(_tdiv(self.mantissa, 1 << -n), self.scale_bits)
+        return FixedReal(_tshift(self.mantissa, -n), self.scale_bits)
 
     def sqrt(self) -> "FixedReal":
         """Floor square root at the same scale: isqrt(mantissa << scale_bits)."""

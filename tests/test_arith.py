@@ -22,7 +22,7 @@ from radpi import (
     isqrt,
     pi_oracle,
 )
-from radpi.arith import MAX_WORKING_BITS, _pi_mantissa
+from radpi.arith import MAX_WORKING_BITS, _pi_mantissa, _tdiv, _tshift
 from radpi.drivers import plan
 
 PI_60 = "3.141592653589793238462643383279502884197169399375105820974944"
@@ -94,6 +94,17 @@ class TestFixedRealBasics:
         back = FixedReal.from_decimal(parsed.to_decimal(digits), bits)
         tol = (10 ** max(frac_len - digits, 0)) * ((1 << bits) // 10**digits + 2)
         assert abs(parsed.mantissa - back.mantissa) <= tol
+
+    @given(st.integers(min_value=-(1 << 300), max_value=1 << 300),
+           st.integers(min_value=-(1 << 300), max_value=1 << 300),
+           st.integers(min_value=0, max_value=320))
+    def test_truncating_shift_is_the_truncating_division(self, a, b, n):
+        # multiply, narrowing rescale and times_pow2(-n) shift instead of dividing
+        assert _tshift(a, n) == _tdiv(a, 1 << n)
+        x = FixedReal(a, n)
+        assert x.rescale(0).mantissa == _tdiv(a, 1 << n)
+        assert x.times_pow2(-n).mantissa == _tdiv(a, 1 << n)
+        assert (x * FixedReal(b, n)).mantissa == _tdiv(a * b, 1 << n)
 
 
 class TestIsqrt:
