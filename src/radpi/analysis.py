@@ -126,8 +126,7 @@ def _measure_row(
     return row, err
 
 
-# Each table method's row at an index, from the method's params; the row's
-# plan is ``plan``'s table route.
+# Each table method's row at an index, from the method's params.
 _ROWS: dict[str, Callable[[dict, int, PrecisionContext], Approximant]] = {
     "method1": lambda p, k, ctx: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
                                             p.get("variant", "stable")),

@@ -319,9 +319,8 @@ def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> Converge
     taylor = plan("taylor", ctx, m=args.m, d=args.d, terms=args.terms)
     value = FixedReal.from_fraction(taylor_seed_exact(args.m, args.d, args.terms), taylor.work)
     scale = taylor.measure_bits
-    limit = FixedReal.from_fraction(
-        Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale
-    ).sqrt() / FixedReal.from_fraction(args.m, scale)
+    limit = FixedReal.from_fraction(Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale).sqrt() \
+        / FixedReal.from_fraction(args.m, scale)
     params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
     return _report([args.terms], [value], limit, ctx, taylor.work,
                    method="taylor", params=params, target="seed_value")
@@ -347,8 +346,7 @@ def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceR
     run = plan("arccos", ctx)  # refuse a request over the cost bound before x0 is built
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
-    scale = run.measure_bits
-    reference = arccos_oracle(x0.rescale(scale), PrecisionContext(scale))
+    reference = arccos_oracle(x0.rescale(run.measure_bits), PrecisionContext(run.measure_bits))
     return _report([0], [value], reference, ctx, run.work,
                    method="arccos_by_recursion", params={"seed": seed.describe()},
                    target="arccos")
@@ -361,9 +359,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
     # the audit reads only its reference's scale, so no guard is ever read
     if args.guard_bits is not None:
         raise UsageError("audit does not read --guard-bits")
-    audit = plan("audit", None, seed=seed, k=args.k, audited_bits=args.audited_bits,
-                 bits=args.bits)
-    reference = PrecisionContext(audit.measure_bits)
+    reference = PrecisionContext(plan("audit", None, seed=seed, k=args.k, bits=args.bits,
+                                      audited_bits=args.audited_bits).measure_bits)
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",

@@ -77,23 +77,19 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
     self-consistent ratio is computed at ``work`` bits."""
     if mode not in ("auto", "exact", "self"):
         raise DomainError(f"unknown ratio mode {mode!r}")
-    if mode in ("auto", "exact"):
-        rational = exact_ratio_lookup(seed)
-        if rational is not None:
-            return AngleRatio("exact", rational=rational)
-        if mode == "exact":
-            raise CatalogMissError(
-                f"no exact angle ratio cataloged for seed ({seed.describe()})"
-            )
+    rational = None if mode == "self" else exact_ratio_lookup(seed)
+    if rational is not None:
+        return AngleRatio("exact", rational=rational)
+    if mode == "exact":
+        raise CatalogMissError(f"no exact angle ratio cataloged for seed ({seed.describe()})")
     theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
     two_pi = pi_fixed(work) * 2
     return AngleRatio("self_consistent", fixed=two_pi / theta0)
 
 
 class Plan(Record):
-    """An admitted request: the working bits of its run, its steps (half-angle
-    steps, an arccos's depth cap, or series terms), its whole cost in working
-    bits x steps, and the scale of the reference it is measured against."""
+    """An admitted request: its working bits, its steps (an arccos's depth cap,
+    a series' terms), its whole cost in working bits x steps, and its reference scale."""
 
     __slots__ = ("work", "steps", "bit_steps", "measure_bits")
     work: int
@@ -102,15 +98,16 @@ class Plan(Record):
     measure_bits: int
 
 
-# each table method's plan route and params at a sweep index
+# each table method's row plan at a sweep index, from the table's params
 _TABLE_ROWS = {
-    "method1": lambda p, k: ("depth", {"seed": p["seed"], "k": k,
-                                       "ratio_mode": p.get("ratio_mode", "auto")}),
-    "method2_corrected": lambda p, m: ("method2", {"m": m, "d": p.get("d", 1)}),
-    "method2_as_printed": lambda p, m: ("method2", {"m": m, "d": p.get("d", 1)}),
-    "combined": lambda p, k: ("depth", {"seed": Seed.from_m_d(p["m"], p.get("d", 1)), "k": k}),
-    "unity": lambda p, k: ("depth", {"seed": p["seed"], "k": k, "ratio_mode": "self"}),
-    "viete": lambda p, k: ("depth", {"k": k}),
+    "method1": lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k,
+                                      ratio_mode=p.get("ratio_mode", "auto")),
+    "method2_corrected": lambda p, m, ctx: plan("method2", ctx, m=m, d=p.get("d", 1)),
+    "method2_as_printed": lambda p, m, ctx: plan("method2", ctx, m=m, d=p.get("d", 1)),
+    "combined": lambda p, k, ctx: plan("depth", ctx, seed=Seed.from_m_d(p["m"], p.get("d", 1)),
+                                       k=k),
+    "unity": lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k, ratio_mode="self"),
+    "viete": lambda p, k, ctx: plan("depth", ctx, k=k),
 }
 
 
@@ -122,8 +119,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              plus 2k + 64, or plus an explicit guard (2 bits a step over 64);
              the run, its ratio and their sum are refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    ratio    seed, ratio_mode (auto): a self-consistent ratio's arccos at the
-             context's scale, or nothing
+    ratio    seed, ratio_mode (auto): a self-consistent ratio's arccos, or none
     arccos   x0_bits (0): B/2 + 24 steps at the working bits, or at an x0's
              own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
@@ -135,9 +131,9 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
     if route == "table":
         work = steps = bit_steps = 0
         for index in params["sweep"]:  # stops at the first row over the bound
-            row_route, row_params = _TABLE_ROWS[params["method"]](params["params"], index)
-            row = plan(row_route, ctx, **row_params)
-            work, steps, bit_steps = max(work, row.work), steps + row.steps, bit_steps + row.bit_steps
+            row = _TABLE_ROWS[params["method"]](params["params"], index, ctx)
+            work, steps = max(work, row.work), steps + row.steps
+            bit_steps += row.bit_steps
             admit_cost(bit_steps)
         return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
     if route == "ratio":
@@ -146,8 +142,6 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
             return plan("arccos", ctx)
         return Plan(ctx.scale_bits, 0, 0, 0)
     if route == "arccos":
-        # each step rounds about one unit (a root, a division by a cosine near
-        # 1): a few N units after N steps, far below the 2**(G - 8) tolerance
         steps, work = ctx.scale_bits // 2 + 24, ctx.working_bits
         admit_cost(work * steps, work)
         if params.get("x0_bits", 0) >= work:
@@ -339,12 +333,12 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     2**(-scale_bits - 8), then round to the output scale. Result matches the
     series arccos well within 2**(-scale_bits + 16).
 
-    x0 enters exact and each step rounds about one unit, so the error stays
-    far below the stopping tolerance (see ``plan``). Rounding x0 would
-    not: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
-    at an s-bit x0 next to -1. So an x0 at the working bits or finer runs at
-    its own scale plus one, where the first step's (1 + x0)/2 is exact too,
-    and that run is admitted in its own right.
+    x0 enters exact and each step rounds about one unit (one root, one
+    division by a cosine near 1): after N steps a few N units, far below the
+    2**(G - 8) tolerance. Rounding x0 would not be: d(arccos)/dx =
+    -1/sin(theta0) magnifies its error by up to 2**(s/2) at an s-bit x0 next
+    to -1. So an x0 at the working bits or finer runs at its own scale plus
+    one, where the first step's (1 + x0)/2 is exact too, and is admitted so.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits

@@ -302,7 +302,6 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     context's output scale.
     """
     from .drivers import plan  # drivers imports this module
-
     work = plan("depth", ctx, k=k).work
     f_vals = scale_factors(seed.m, k + 2, work)
     g = FixedReal.from_fraction(seed.s, work).sqrt()
