@@ -30,6 +30,11 @@ _LOG10_2_DEN = 100000
 
 _DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?$")
 
+# Decimal text converts 500 digits at a time: under 640, the least int/str
+# digit limit Python 3.11+ accepts, so no output depends on the interpreter.
+_CHUNK = 500
+_CHUNK_BASE = 10**_CHUNK
+
 
 def decimal_digits_for_bits(bits: int) -> int:
     """Number of trustworthy fraction digits at a binary scale."""
@@ -45,6 +50,15 @@ def _tdiv(a: int, b: int) -> int:
 def _tshift(a: int, n: int) -> int:
     """``_tdiv(a, 1 << n)`` by a shift, not a long division."""
     return a >> n if a >= 0 else -(-a >> n)
+
+
+def _digits(n: int, width: int) -> str:
+    """``str(n)`` of an n >= 0, zero-padded to ``width``, a chunk at a time."""
+    chunks = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return (str(n) + "".join(reversed(chunks))).zfill(width)
 
 
 def isqrt(n: int) -> int:
@@ -100,7 +114,9 @@ class FixedReal(Record):
         if not m:
             raise UsageError(f"malformed decimal literal: {text!r}")
         sign, int_part, frac_part = m.group(1), m.group(2), m.group(3) or ""
-        num = int(int_part + frac_part) if int_part + frac_part else 0
+        digits, num = int_part + frac_part, 0
+        for i in range(0, len(digits), _CHUNK):
+            num = num * 10 ** len(digits[i:i + _CHUNK]) + int(digits[i:i + _CHUNK])
         mant = _tdiv(num << scale_bits, 10 ** len(frac_part))
         return cls(-mant if sign == "-" else mant, scale_bits)
 
@@ -127,10 +143,8 @@ class FixedReal(Record):
         """Plain decimal string with ``digits`` fraction digits, truncated toward zero."""
         if digits < 0:
             raise UsageError("digits must be non-negative")
-        a = abs(self.mantissa)
-        scaled = (a * 10**digits) >> self.scale_bits
-        ip, fp = divmod(scaled, 10**digits)
-        body = f"{ip}.{fp:0{digits}d}" if digits else str(ip)
+        text = _digits((abs(self.mantissa) * 10**digits) >> self.scale_bits, digits + 1)
+        body = f"{text[:-digits]}.{text[-digits:]}" if digits else text
         return "-" + body if self.mantissa < 0 else body
 
     def to_fraction(self) -> Fraction:

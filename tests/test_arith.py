@@ -107,6 +107,29 @@ class TestFixedRealBasics:
         assert (x * FixedReal(b, n)).mantissa == _tdiv(a * b, 1 << n)
 
 
+class TestDecimalTextPastTheIntStrLimit:
+    # 20000 bits print 6018 fraction digits, past the 4300 digits that Python
+    # 3.11 converts between int and str by default
+    BITS = 20000
+
+    def test_to_decimal_prints_every_digit_at_any_limit(self, int_str_digits):
+        x = FixedReal(-_pi_mantissa(self.BITS) * 7, self.BITS)
+        digits = decimal_digits_for_bits(self.BITS)
+        got = x.to_decimal(digits)
+        int_str_digits(640)  # the least limit Python accepts
+        assert x.to_decimal(digits) == got
+        int_str_digits(0)
+        scaled = (-x.mantissa * 10**digits) >> self.BITS
+        assert got == f"-{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
+
+    def test_from_decimal_reads_every_digit(self, int_str_digits):
+        digits = decimal_digits_for_bits(self.BITS)
+        text = FixedReal(_pi_mantissa(self.BITS) << 40, self.BITS).to_decimal(digits)
+        got = FixedReal.from_decimal(text, self.BITS)
+        int_str_digits(0)
+        assert got.mantissa == (int(text.replace(".", "")) << self.BITS) // 10**digits
+
+
 class TestIsqrt:
     @pytest.mark.parametrize(
         "n,root", [(16, 4), (15, 3), (0, 0), (1, 1), (2, 1), (10**40, 10**20), (10**40 - 1, 10**20 - 1)]

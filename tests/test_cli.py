@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import radpi.analysis
 from radpi import FixedReal, PowerForm, PrecisionContext, Seed
+from radpi.arith import _pi_mantissa
 from radpi.cli import _terminal_columns, build_parser, run_command
 from radpi.drivers import MISPRINT_DIAGNOSTIC, plan
 
@@ -373,6 +374,23 @@ class TestRenderShapes:
         )
         body = "\n".join(line for line in out.splitlines()[1:])
         assert "e-" not in body and "E-" not in body
+
+
+def test_an_output_past_4300_digits_prints(capsys, int_str_digits):
+    # 14300 bits print 4302 fraction digits, past the 4300 digits that Python
+    # 3.11 converts between int and str by default
+    code, out, err = run(capsys, "compute", "--method", "viete", "--k", "1", "--bits", "14300",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    row, digits = report["rows"][0], report["meta"]["oracle_digits"]
+    assert len(row["approximant"]) == len(row["abs_error"]) == 2 + digits == 4304
+    # the approximant 2*sqrt(2) plus its error is pi to the printed digits
+    int_str_digits(0)
+    bits = report["meta"]["measure_bits"]
+    gap = Fraction(row["approximant"]) + Fraction(row["abs_error"]) - \
+        Fraction(_pi_mantissa(bits), 1 << bits)
+    assert abs(gap) < Fraction(2, 10**digits)
 
 
 class TestSubcommands:
