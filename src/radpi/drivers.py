@@ -334,11 +334,11 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     series arccos well within 2**(-scale_bits + 16).
 
     x0 enters exact and each step rounds about one unit (one root, one
-    division by a cosine near 1): after N steps a few N units, far below the
-    2**(G - 8) tolerance. Rounding x0 would not be: d(arccos)/dx =
+    division by a cosine near 1): a few N units after N steps, far below the
+    2**(G - 8) tolerance. A rounded x0 would cost more: d(arccos)/dx =
     -1/sin(theta0) magnifies its error by up to 2**(s/2) at an s-bit x0 next
-    to -1. So an x0 at the working bits or finer runs at its own scale plus
-    one, where the first step's (1 + x0)/2 is exact too, and is admitted so.
+    to -1. So an x0 at the working bits or finer runs, and is admitted, at
+    its own scale plus one, where the first step's (1 + x0)/2 is exact too.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits
