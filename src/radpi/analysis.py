@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 from ._record import NEW_DICT, Record
-from .arith import FixedReal, PrecisionContext, decimal_digits_for_bits, pi_fixed
+from .arith import FixedReal, PrecisionContext, _rational_text, decimal_digits_for_bits, pi_fixed
 from .drivers import (
     Approximant,
     _resolve_ratio,
@@ -152,7 +152,8 @@ def convergence_table(
     table = plan("table", ctx, method=method, params=params, sweep=sweep)
     approximants = [_ROWS[method](params, index, ctx) for index in sweep]
     described = {
-        key: (value.describe() if isinstance(value, Seed) else str(value))
+        key: (value.describe() if isinstance(value, Seed)
+              else _rational_text(value) if isinstance(value, (int, Fraction)) else str(value))
         for key, value in params.items()
     }
     reference = _target_value(approximants[0].target, table.measure_bits) if approximants else None

@@ -61,6 +61,23 @@ def _digits(n: int, width: int) -> str:
     return (str(n) + "".join(reversed(chunks))).zfill(width)
 
 
+def _int(digits: str) -> int:
+    """``int(digits)`` of a digit string (with int's underscores between
+    digits; 0 for an empty one), a chunk at a time."""
+    digits, n = digits.replace("_", ""), 0
+    for i in range(0, len(digits), _CHUNK):
+        n = n * 10 ** len(digits[i:i + _CHUNK]) + int(digits[i:i + _CHUNK])
+    return n
+
+
+def _rational_text(value: int | Fraction) -> str:
+    """``str(value)`` of an int or a Fraction, its integers printed a chunk at
+    a time."""
+    value = Fraction(value)
+    text = ("-" if value < 0 else "") + _digits(abs(value.numerator), 0)
+    return text if value.denominator == 1 else f"{text}/{_digits(value.denominator, 0)}"
+
+
 def isqrt(n: int) -> int:
     """Floor square root of a non-negative integer by Newton iteration.
 
@@ -114,10 +131,7 @@ class FixedReal(Record):
         if not m:
             raise UsageError(f"malformed decimal literal: {text!r}")
         sign, int_part, frac_part = m.group(1), m.group(2), m.group(3) or ""
-        digits, num = int_part + frac_part, 0
-        for i in range(0, len(digits), _CHUNK):
-            num = num * 10 ** len(digits[i:i + _CHUNK]) + int(digits[i:i + _CHUNK])
-        mant = _tdiv(num << scale_bits, 10 ** len(frac_part))
+        mant = _tdiv(_int(int_part + frac_part) << scale_bits, 10 ** len(frac_part))
         return cls(-mant if sign == "-" else mant, scale_bits)
 
     @classmethod

@@ -4,6 +4,12 @@ All numeric output is plain decimal strings from the fixed-point layer (no
 locale, no exponent form), so identical argument vectors produce byte
 identical output. Diagnostics go to stderr only.
 
+Every flag is declared once, in `_SUBCOMMANDS`. A subcommand followed by its
+exact long flags, each with a value, is parsed straight from that table;
+argparse, with its gettext and locale imports, loads only when the table
+declines (help, abbreviations, `--flag=value`, bad values and every other
+usage error), and its parser, declared from the same table, prints the text.
+
 Exit codes: 0 success, 1 a failing verify identity, 2 domain/catalog errors,
 3 precision/convergence errors and requests over the cost bound, 64 usage
 errors, 70 internal errors (a defect, reported in one line without a
@@ -12,10 +18,11 @@ traceback), 74 unwritable output path.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
+from types import SimpleNamespace
 
 from .analysis import (
     AuditRow,
@@ -31,7 +38,14 @@ from .analysis import (
     reproduce_catalog,
     verify_identities,
 )
-from .arith import FixedReal, PrecisionContext, arccos_oracle, decimal_digits_for_bits
+from .arith import (
+    FixedReal,
+    PrecisionContext,
+    _int,
+    _rational_text,
+    arccos_oracle,
+    decimal_digits_for_bits,
+)
 from .drivers import arccos_by_recursion, plan, taylor_seed_exact
 from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
@@ -82,133 +96,144 @@ def _terminal_columns() -> int:
     return columns or 80
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter with its default width taken from
-    `_terminal_columns`."""
-
-    def __init__(self, prog: str, **kwargs):
-        if kwargs.get("width") is None:
-            kwargs["width"] = _terminal_columns() - 2  # argparse's own margin
-        super().__init__(prog, **kwargs)
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("formatter_class", _Formatter)
-        super().__init__(*args, **kwargs)
-
-    def error(self, message: str):  # argparse default exits with 2; we use 64
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(_EXIT_USAGE)
-
-
-class _Reparse(Exception):
-    """A parse error on a parser that holds one subcommand."""
-
-
-class _OneCommandParser(_Parser):
-    """A parser that holds only the subcommand argv names. Its usage lines
-    would list that one choice, so on any error it defers to the full parser,
-    which prints argparse's message for the same argv."""
-
-    def error(self, message: str):
-        raise _Reparse
-
-
 def _fraction_arg(text: str) -> Fraction:
+    """``Fraction(text)``, its integers converted a chunk at a time, so that no
+    digit count meets Python's int/str limit."""
+    match = _RATIONAL_FORMAT.match(text)
     try:
-        return Fraction(text)
+        if match is None:
+            raise ValueError(text)
+        num = _int(match["num"])
+        if match["denom"]:
+            value = Fraction(num, _int(match["denom"]))
+        else:
+            decimal = (match["decimal"] or "").replace("_", "")
+            value = Fraction(num * 10 ** len(decimal) + _int(decimal), 10 ** len(decimal))
+            if match["exp"]:
+                value *= Fraction(10) ** int(match["exp"])
     except (ValueError, ZeroDivisionError) as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    return -value if match["sign"] == "-" else value
 
 
-def _add_seed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=_fraction_arg, help="starting-term base m")
-    p.add_argument("--s", type=_fraction_arg, help="starting-term radicand s")
-    p.add_argument("--sign", choices=["+", "-"],
-                   help="sign of the starting term (default +)")
-    p.add_argument("--d", type=_fraction_arg, help="offset d with s = m^2 - d^2")
-    p.add_argument("--x0", type=_fraction_arg, default=None,
-                   help="starting term as a decimal; forces self-consistent ratio mode")
+def _method_flags(methods: list[str]) -> dict:
+    """--method over these methods, and the --variant and --ratio-mode it reads."""
+    return {
+        "--method": dict(required=True, choices=methods),
+        "--variant": dict(choices=[v for _, _, variants in _METHODS.values() for v in variants]),
+        "--ratio-mode": dict(choices=["auto", "exact", "self"]),
+    }
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bits", type=int, default=128, help="output precision in bits (default 128)")
-    p.add_argument("--guard-bits", type=int, default=None,
-                   help="explicit guard-bit budget (default: sized per depth)")
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--out", type=str, default=None, help="write output to this path")
+_SEED_ARGS = {
+    "--m": dict(type=_fraction_arg, help="starting-term base m"),
+    "--s": dict(type=_fraction_arg, help="starting-term radicand s"),
+    "--sign": dict(choices=["+", "-"], help="sign of the starting term (default +)"),
+    "--d": dict(type=_fraction_arg, help="offset d with s = m^2 - d^2"),
+    "--x0": dict(type=_fraction_arg,
+                 help="starting term as a decimal; forces self-consistent ratio mode"),
+}
+_COMMON_ARGS = {
+    "--bits": dict(type=int, default=128, help="output precision in bits (default 128)"),
+    "--guard-bits": dict(type=int, help="explicit guard-bit budget (default: sized per depth)"),
+    "--format": dict(choices=["text", "csv", "json"], default="text"),
+    "--out": dict(help="write output to this path"),
+}
 
-
-def _add_method_flags(p: argparse.ArgumentParser, methods: list[str]) -> None:
-    p.add_argument("--method", required=True, choices=methods)
-    p.add_argument("--variant", default=None,
-                   choices=[v for _, _, variants in _METHODS.values() for v in variants])
-    p.add_argument("--ratio-mode", choices=["auto", "exact", "self"], default=None)
-
-
-def _add_compute_flags(p: argparse.ArgumentParser) -> None:
-    _add_method_flags(p, list(_METHODS))
-    p.add_argument("--k", type=int, default=None, help="recursion depth")
-    p.add_argument("--terms", type=int, default=None, help="series terms (taylor)")
-    _add_seed_flags(p)
-
-
-def _add_table_flags(p: argparse.ArgumentParser) -> None:
-    _add_method_flags(p, [name for name in _METHODS if name != "taylor"])
-    p.add_argument("--k-range", type=str, default=None, help="inclusive LO:HI depth sweep")
-    p.add_argument("--m-range", type=str, default=None,
-                   help="comma-separated starting-term bases, e.g. 100,1000,10000")
-    _add_seed_flags(p)
-
-
-def _add_audit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=40, help="maximum depth (default 40)")
-    p.add_argument("--audited-bits", type=int, default=53,
-                   help="raw working precision under audit (default 53)")
-    _add_seed_flags(p)
-
-
-# each subcommand's help line and the flags it adds before the common ones
+# The one flag table: each subcommand's help line and its flags, in the order
+# that --help lists them, as argparse.add_argument keywords.
 _SUBCOMMANDS = {
-    "compute": ("evaluate a single approximant", _add_compute_flags),
-    "table": ("convergence table over a sweep", _add_table_flags),
-    "arccos": ("self-consistent arccos of a starting term", _add_seed_flags),
-    "audit": ("naive vs stable cancellation audit", _add_audit_flags),
-    "reproduce": ("reproduce the four classical formulas", None),
-    "verify": ("run the identity verification suite", None),
+    "compute": ("evaluate a single approximant", {
+        **_method_flags(list(_METHODS)),
+        "--k": dict(type=int, help="recursion depth"),
+        "--terms": dict(type=int, help="series terms (taylor)"),
+        **_SEED_ARGS, **_COMMON_ARGS}),
+    "table": ("convergence table over a sweep", {
+        **_method_flags([name for name in _METHODS if name != "taylor"]),
+        "--k-range": dict(help="inclusive LO:HI depth sweep"),
+        "--m-range": dict(help="comma-separated starting-term bases, e.g. 100,1000,10000"),
+        **_SEED_ARGS, **_COMMON_ARGS}),
+    "arccos": ("self-consistent arccos of a starting term", {**_SEED_ARGS, **_COMMON_ARGS}),
+    "audit": ("naive vs stable cancellation audit", {
+        "--k": dict(type=int, default=40, help="maximum depth (default 40)"),
+        "--audited-bits": dict(type=int, default=53,
+                               help="raw working precision under audit (default 53)"),
+        **_SEED_ARGS, **_COMMON_ARGS}),
+    "reproduce": ("reproduce the four classical formulas", _COMMON_ARGS),
+    "verify": ("run the identity verification suite", _COMMON_ARGS),
 }
 
 
-def build_parser(subcommand: str | None = None) -> _Parser:
-    """The radpi parser; given a subcommand name, one that holds only that
-    subcommand and leaves every error to the full parser."""
-    parser_class = _Parser if subcommand is None else _OneCommandParser
-    parser = parser_class(prog="radpi", description=__doc__.splitlines()[0])
+def build_parser():
+    """The radpi argparse parser, declared from `_SUBCOMMANDS`: usage errors
+    exit 64, and the help width is taken from `_terminal_columns`."""
+    import argparse
+
+    class _Formatter(argparse.HelpFormatter):
+        def __init__(self, prog: str, **kwargs):
+            if kwargs.get("width") is None:
+                kwargs["width"] = _terminal_columns() - 2  # argparse's own margin
+            super().__init__(prog, **kwargs)
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            kwargs.setdefault("formatter_class", _Formatter)
+            super().__init__(*args, **kwargs)
+
+        def error(self, message: str):  # argparse default exits with 2; we use 64
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(_EXIT_USAGE)
+
+    parser = _Parser(prog="radpi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
-        if subcommand in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            if add_flags is not None:
-                add_flags(p)
-            _add_common_flags(p)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse with a parser that holds only the subcommand argv names, and with
-    the full parser for anything else or for any error."""
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _SUBCOMMANDS:
+# the values argparse 3.10-3.12 reads as negative numbers, not as options
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` of a subcommand followed by its exact
+    long flags, each with a value that argparse reads as one and accepts; None
+    for anything else."""
+    if not argv or argv[0] not in _SUBCOMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _SUBCOMMANDS[argv[0]][1]
+    values = {flag: keywords.get("default") for flag, keywords in flags.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = flags.get(flag)
+        if keywords is None or (text.startswith("-") and text != "-"
+                                and not _NEGATIVE_NUMBER.match(text)):
+            return None
         try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse reports it, or raises it, on the same argv
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        values[flag] = value
+    if any(keywords.get("required") and flag not in argv[1::2]
+           for flag, keywords in flags.items()):
+        return None
+    return SimpleNamespace(subcommand=argv[0],
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
-def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Seed:
+def _parse(argv: list[str] | None) -> SimpleNamespace:
+    """Parse from the flag table, and with argparse when the table declines."""
+    argv = sys.argv[1:] if argv is None else argv
+    return _parse_table(argv) or build_parser().parse_args(argv, SimpleNamespace())
+
+
+def _seed_from_args(args: SimpleNamespace, default: Seed | None = None) -> Seed:
     """The seed of --x0 alone, or of --m with --s or --d (and --sign); the
     default only when no seed flag is given."""
     given = [dest for dest in _SEED_FLAGS if getattr(args, dest) is not None]
@@ -228,7 +253,7 @@ def _seed_from_args(args: argparse.Namespace, default: Seed | None = None) -> Se
     return Seed(args.m, args.s, sign)
 
 
-def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
+def _method_request(args: SimpleNamespace) -> tuple[str, dict]:
     """The analysis method name and parameters that --method and its flags ask
     for: the seed before the variant, the self ratio under --x0, d = 1 unset."""
     method = args.method
@@ -246,7 +271,7 @@ def _method_request(args: argparse.Namespace) -> tuple[str, dict]:
     return method, {}
 
 
-def _reject_unread_flags(args: argparse.Namespace) -> None:
+def _reject_unread_flags(args: SimpleNamespace) -> None:
     """Usage error on the first explicit flag that the method does not read."""
     index, *reads = _METHODS[args.method][0]
     reads.append(index if args.subcommand == "compute" else f"{index}_range")
@@ -257,7 +282,7 @@ def _reject_unread_flags(args: argparse.Namespace) -> None:
             raise UsageError(f"{args.method} does not read --{dest.replace('_', '-')}")
 
 
-def _variant(args: argparse.Namespace) -> str:
+def _variant(args: SimpleNamespace) -> str:
     allowed = _METHODS[args.method][2]
     variant = args.variant or allowed[0]
     if variant not in allowed:
@@ -292,7 +317,7 @@ def _parse_m_range(text: str | None) -> list[int]:
     return values
 
 
-def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
     _reject_unread_flags(args)
     method = args.method
     reads, required, _ = _METHODS[method]
@@ -315,18 +340,18 @@ def _cmd_compute(args: argparse.Namespace, ctx: PrecisionContext) -> Convergence
                    params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
 
 
-def _compute_taylor(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
     taylor = plan("taylor", ctx, m=args.m, d=args.d, terms=args.terms)
     value = FixedReal.from_fraction(taylor_seed_exact(args.m, args.d, args.terms), taylor.work)
     scale = taylor.measure_bits
     limit = FixedReal.from_fraction(Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale).sqrt() \
         / FixedReal.from_fraction(args.m, scale)
-    params = {"m": str(args.m), "d": str(args.d), "terms": str(args.terms)}
+    params = {"m": _rational_text(args.m), "d": _rational_text(args.d), "terms": str(args.terms)}
     return _report([args.terms], [value], limit, ctx, taylor.work,
                    method="taylor", params=params, target="seed_value")
 
 
-def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_table(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
     # an unread flag first; then method2 reports a bad variant before a bad
     # sweep, the others a bad sweep before a bad seed
     _reject_unread_flags(args)
@@ -341,7 +366,7 @@ def _cmd_table(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceRe
     return convergence_table(method, params, sweep, ctx)
 
 
-def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_arccos(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
     seed = _seed_from_args(args)
     run = plan("arccos", ctx)  # refuse a request over the cost bound before x0 is built
     x0 = seed.value(ctx.scale_bits)
@@ -352,7 +377,7 @@ def _cmd_arccos(args: argparse.Namespace, ctx: PrecisionContext) -> ConvergenceR
                    target="arccos")
 
 
-def _cmd_audit(args: argparse.Namespace) -> tuple[list[AuditRow], dict]:
+def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     seed = _seed_from_args(args, default=Seed(2, 2, 1))
@@ -459,7 +484,7 @@ def _emit(text: str, out_path: str | None) -> None:
         handle.write(text)
 
 
-def _run(args: argparse.Namespace) -> tuple[str, int]:
+def _run(args: SimpleNamespace) -> tuple[str, int]:
     """The rendered output of one parsed command line, and its exit code."""
     if args.subcommand == "audit":
         rows, meta = _cmd_audit(args)
@@ -478,7 +503,7 @@ def run_command(argv: list[str] | None = None) -> int:
     """Dispatch one command line; returns the process exit code."""
     try:
         args = _parse(argv)
-    except SystemExit as exc:  # our parser raises 64; --help raises 0
+    except SystemExit as exc:  # argparse: 64 on an error, 0 after --help
         return int(exc.code or 0)
 
     try:

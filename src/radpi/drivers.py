@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 from ._record import NEW_DICT, Record
-from .arith import FixedReal, PrecisionContext, admit_cost, pi_fixed
+from .arith import FixedReal, PrecisionContext, _rational_text, admit_cost, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError, PrecisionError, UsageError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
@@ -269,9 +269,9 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         target="pi",
         method=f"method2_{variant}",
         params={
-            "m": str(m),
-            "d": str(d),
-            "s": str(s),
+            "m": _rational_text(m),
+            "d": _rational_text(d),
+            "s": _rational_text(s),
             "bits": str(ctx.scale_bits),
             "guard_bits": str(work - ctx.scale_bits),
         },
@@ -291,8 +291,8 @@ def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
         target="pi",
         method="combined",
         params={
-            "m": str(Fraction(m)),
-            "d": str(Fraction(d)),
+            "m": _rational_text(m),
+            "d": _rational_text(d),
             "k": str(k),
             "bits": str(ctx.scale_bits),
             "guard_bits": inner.params["guard_bits"],

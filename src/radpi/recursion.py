@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from ._record import Record, set_field
-from .arith import FixedReal, PrecisionContext
+from .arith import FixedReal, PrecisionContext, _rational_text
 from .errors import DomainError, UsageError
 
 # Rounding slack accepted on |x| <= 1 preconditions: 16 units in the last place.
@@ -190,7 +190,7 @@ class Seed(Record):
 
     def describe(self) -> str:
         sgn = "+" if self.sign > 0 else "-"
-        return f"m={self.m}, s={self.s}, sign={sgn}"
+        return f"m={_rational_text(self.m)}, s={_rational_text(self.s)}, sign={sgn}"
 
 
 class RecursionState(Record):

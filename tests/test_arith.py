@@ -22,7 +22,7 @@ from radpi import (
     isqrt,
     pi_oracle,
 )
-from radpi.arith import MAX_WORKING_BITS, _pi_mantissa, _tdiv, _tshift
+from radpi.arith import MAX_WORKING_BITS, _int, _pi_mantissa, _rational_text, _tdiv, _tshift
 from radpi.drivers import plan
 
 PI_60 = "3.141592653589793238462643383279502884197169399375105820974944"
@@ -128,6 +128,18 @@ class TestDecimalTextPastTheIntStrLimit:
         got = FixedReal.from_decimal(text, self.BITS)
         int_str_digits(0)
         assert got.mantissa == (int(text.replace(".", "")) << self.BITS) // 10**digits
+
+    @pytest.mark.parametrize("num, den", [(0, 1), (7, 3), (-(10**6000) - 7, 1),
+                                          (3**9001, 2**9001), (-1, 10**5000 + 1)],
+                             ids=["0", "7/3", "-10^6000-7", "3^9001/2^9001", "-1/(10^5000+1)"])
+    def test_rationals_print_and_parse_every_digit(self, int_str_digits, num, den):
+        value = Fraction(num, den)
+        num = abs(value.numerator)
+        int_str_digits(640)
+        text, digits = _rational_text(value), _rational_text(num)
+        back = _int(f"{digits[:1]}_{digits[1:]}" if len(digits) > 1 else digits)
+        int_str_digits(0)
+        assert (text, digits, back) == (str(value), str(num), num)
 
 
 class TestIsqrt:
