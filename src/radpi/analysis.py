@@ -10,7 +10,7 @@ reference never pollutes reported digits.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -18,13 +18,11 @@ from ._record import NEW_DICT, Record
 from .arith import FixedReal, PrecisionContext, _rational_text, decimal_digits_for_bits, pi_fixed
 from .drivers import (
     Approximant,
+    _TABLE_METHODS,
     _resolve_ratio,
     exact_ratio_lookup,
-    pi_combined,
     pi_method1,
-    pi_method2,
     plan,
-    unity_formula,
     viete_product,
 )
 from .errors import CatalogFailure, DomainError
@@ -126,31 +124,17 @@ def _measure_row(
     return row, err
 
 
-# Each table method's row at an index, from the method's params.
-_ROWS: dict[str, Callable[[dict, int, PrecisionContext], Approximant]] = {
-    "method1": lambda p, k, ctx: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
-                                            p.get("variant", "stable")),
-    "method2_corrected": lambda p, m, ctx: pi_method2(m, p.get("d", 1), ctx, "corrected"),
-    "method2_as_printed": lambda p, m, ctx: pi_method2(m, p.get("d", 1), ctx, "as_printed"),
-    "combined": lambda p, k, ctx: pi_combined(p["m"], p.get("d", 1), k, ctx),
-    "unity": lambda p, k, ctx: unity_formula(p["seed"], k, ctx),
-    "viete": lambda p, k, ctx: viete_product(k, ctx),
-}
-
-
 def convergence_table(
     method: str, params: dict, sweep: Sequence[int], ctx: PrecisionContext
 ) -> ConvergenceReport:
     """One row per sweep index (recursion depth k, or starting term m).
 
-    The whole sweep is refused before its first row if its rows together are
-    over the cost bound. error_ratio is previous abs_error over current
-    abs_error; the first row's ratio is empty.
+    The whole sweep is refused before its first row if its method is unknown
+    or its rows together are over the cost bound. error_ratio is previous
+    abs_error over current abs_error; the first row's ratio is empty.
     """
-    if method not in _ROWS:
-        raise DomainError(f"unknown table method {method!r}")
     table = plan("table", ctx, method=method, params=params, sweep=sweep)
-    approximants = [_ROWS[method](params, index, ctx) for index in sweep]
+    approximants = [_TABLE_METHODS[method][1](params, index, ctx) for index in sweep]
     described = {
         key: (value.describe() if isinstance(value, Seed)
               else _rational_text(value) if isinstance(value, (int, Fraction)) else str(value))

@@ -120,8 +120,7 @@ class FixedReal(Record):
         return cls(n << scale_bits, scale_bits)
 
     @classmethod
-    def from_fraction(cls, fr: Fraction, scale_bits: int) -> "FixedReal":
-        fr = Fraction(fr)
+    def from_fraction(cls, fr: int | Fraction, scale_bits: int) -> "FixedReal":
         return cls(_tdiv(fr.numerator << scale_bits, fr.denominator), scale_bits)
 
     @classmethod
@@ -211,9 +210,8 @@ class FixedReal(Record):
             _tdiv(self.mantissa << self.scale_bits, other.mantissa), self.scale_bits
         )
 
-    def mul_fraction(self, fr: Fraction) -> "FixedReal":
+    def mul_fraction(self, fr: int | Fraction) -> "FixedReal":
         """Multiply by an exact rational with a single truncation."""
-        fr = Fraction(fr)
         return FixedReal(_tdiv(self.mantissa * fr.numerator, fr.denominator), self.scale_bits)
 
     def times_pow2(self, n: int) -> "FixedReal":

@@ -30,7 +30,6 @@ from .analysis import (
     ConvergenceReport,
     IdentityReport,
     ReportRow,
-    _ROWS,
     _report,
     _target_value,
     cancellation_audit,
@@ -39,6 +38,7 @@ from .analysis import (
     verify_identities,
 )
 from .arith import (
+    MAX_WORKING_BITS,
     FixedReal,
     PrecisionContext,
     _int,
@@ -46,7 +46,7 @@ from .arith import (
     arccos_oracle,
     decimal_digits_for_bits,
 )
-from .drivers import arccos_by_recursion, plan, taylor_seed_exact
+from .drivers import _TABLE_METHODS, arccos_by_recursion, plan, taylor_seed_exact
 from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
@@ -56,16 +56,12 @@ _EXIT_USAGE = 64
 _EXIT_SOFTWARE = 70
 _EXIT_IO = 74
 
-# the compute and table flags (by dest) that --method chooses among, in the
-# order they are declared
-_METHOD_FLAGS = ("variant", "ratio_mode", "k", "terms", "k_range", "m_range",
-                 "m", "s", "sign", "d", "x0")
 # a seed's flags besides --x0
 _SEED_FLAGS = ("m", "s", "sign", "d")
 # the flags that --x0 replaces: the seed's, and the ratio mode it forces
 _X0_REPLACES = (*_SEED_FLAGS, "ratio_mode")
-# each method's (reads, requires, variants): the flags of _METHOD_FLAGS that
-# it reads in compute, its index first, which a table sweeps by --k-range or
+# each method's (reads, requires, variants): the flags (by dest) that it reads
+# in compute, its index first, which a table sweeps by --k-range or
 # --m-range instead; the flags that compute requires; its variants, the
 # default first. taylor has no table.
 _METHODS = {
@@ -96,21 +92,29 @@ def _terminal_columns() -> int:
     return columns or 80
 
 
+# the most digits of a rational flag's numerator or denominator: all fit in MAX_WORKING_BITS bits
+_MAX_DIGITS = decimal_digits_for_bits(MAX_WORKING_BITS)
+
+
 def _fraction_arg(text: str) -> Fraction:
     """``Fraction(text)``, its integers converted a chunk at a time, so that no
-    digit count meets Python's int/str limit."""
+    digit count meets Python's int/str limit. A numerator or denominator of
+    over _MAX_DIGITS digits, as written with its exponent applied, is refused
+    as over the cost bound before any power of ten is built."""
     match = _RATIONAL_FORMAT.match(text)
     try:
         if match is None:
             raise ValueError(text)
-        num = _int(match["num"])
-        if match["denom"]:
-            value = Fraction(num, _int(match["denom"]))
-        else:
-            decimal = (match["decimal"] or "").replace("_", "")
-            value = Fraction(num * 10 ** len(decimal) + _int(decimal), 10 ** len(decimal))
-            if match["exp"]:
-                value *= Fraction(10) ** int(match["exp"])
+        decimal = (match["decimal"] or "").replace("_", "")
+        digits = (match["num"] + decimal).replace("_", "")
+        denom = (match["denom"] or "").replace("_", "")
+        shift = int(match["exp"] or 0) - len(decimal)  # value = digits * 10**shift
+        size = max(len(digits.lstrip("0")) + max(shift, 0), len(denom.lstrip("0")), 1 - shift)
+        if size > _MAX_DIGITS:
+            raise PrecisionError(f"request over the cost bound: a rational of {size} digits "
+                                 f"(at most {_MAX_DIGITS})")
+        value = Fraction(_int(digits) * 10 ** max(shift, 0),
+                         _int(denom or "1") * 10 ** max(-shift, 0))
     except (ValueError, ZeroDivisionError) as exc:
         import argparse
 
@@ -272,14 +276,15 @@ def _method_request(args: SimpleNamespace) -> tuple[str, dict]:
 
 
 def _reject_unread_flags(args: SimpleNamespace) -> None:
-    """Usage error on the first explicit flag that the method does not read."""
+    """Usage error on the first explicit flag, in declared order, that the method does not read."""
     index, *reads = _METHODS[args.method][0]
-    reads.append(index if args.subcommand == "compute" else f"{index}_range")
+    reads += [index if args.subcommand == "compute" else f"{index}_range", "method"]
     if args.x0 is not None and "x0" in reads:
         reads = [dest for dest in reads if dest not in _X0_REPLACES]
-    for dest in _METHOD_FLAGS:
-        if getattr(args, dest, None) is not None and dest not in reads:
-            raise UsageError(f"{args.method} does not read --{dest.replace('_', '-')}")
+    for flag in _SUBCOMMANDS[args.subcommand][1]:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is not None and dest not in reads and flag not in _COMMON_ARGS:
+            raise UsageError(f"{args.method} does not read {flag}")
 
 
 def _variant(args: SimpleNamespace) -> str:
@@ -332,7 +337,7 @@ def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRep
     index = int(getattr(args, reads[0]))
     name, params = _method_request(args)
     row = plan("table", ctx, method=name, params=params, sweep=[index])
-    approx = _ROWS[name](params, index, ctx)
+    approx = _TABLE_METHODS[name][1](params, index, ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
     reference = _target_value(approx.target, row.measure_bits)
@@ -502,12 +507,10 @@ def _run(args: SimpleNamespace) -> tuple[str, int]:
 def run_command(argv: list[str] | None = None) -> int:
     """Dispatch one command line; returns the process exit code."""
     try:
-        args = _parse(argv)
+        args = _parse(argv)  # argparse re-raises a radpi error from a flag's type
+        text, exit_code = _run(args)
     except SystemExit as exc:  # argparse: 64 on an error, 0 after --help
         return int(exc.code or 0)
-
-    try:
-        text, exit_code = _run(args)
     except UsageError as exc:
         print(f"radpi: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -98,19 +98,6 @@ class Plan(Record):
     measure_bits: int
 
 
-# each table method's row plan at a sweep index, from the table's params
-_TABLE_ROWS = {
-    "method1": lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k,
-                                      ratio_mode=p.get("ratio_mode", "auto")),
-    "method2_corrected": lambda p, m, ctx: plan("method2", ctx, m=m, d=p.get("d", 1)),
-    "method2_as_printed": lambda p, m, ctx: plan("method2", ctx, m=m, d=p.get("d", 1)),
-    "combined": lambda p, k, ctx: plan("depth", ctx, seed=Seed.from_m_d(p["m"], p.get("d", 1)),
-                                       k=k),
-    "unity": lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k, ratio_mode="self"),
-    "viete": lambda p, k, ctx: plan("depth", ctx, k=k),
-}
-
-
 def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
     """The plan of one request, refused by ``admit_cost`` before any work
     starts; its reference scale is 4x its working bits unless stated.
@@ -126,12 +113,15 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              guard); ctx None plans the sum alone
     audit    seed, k, audited_bits: both variants at the audited bits measured
              at the context's scale (ctx None: the larger of bits and 4x them)
-    table    method, params, sweep: the rows' sum, refused after each row
+    table    a known method, params, sweep: the rows' sum, refused after each row
     """
     if route == "table":
+        if params["method"] not in _TABLE_METHODS:
+            raise DomainError(f"unknown table method {params['method']!r}")
+        plan_row, _ = _TABLE_METHODS[params["method"]]
         work = steps = bit_steps = 0
         for index in params["sweep"]:  # stops at the first row over the bound
-            row = _TABLE_ROWS[params["method"]](params["params"], index, ctx)
+            row = plan_row(params["params"], index, ctx)
             work, steps = max(work, row.work), steps + row.steps
             bit_steps += row.bit_steps
             admit_cost(bit_steps)
@@ -397,3 +387,25 @@ def taylor_seed_exact(m, d, terms: int) -> Fraction:
         coeff *= (Fraction(1, 2) - j) / (j + 1)
         power *= -u
     return total
+
+
+# Each table method's row at a sweep index (k, or m for method2) from the
+# table's params, as a pair: its plan, and its driver call. plan("table"),
+# analysis.convergence_table and the CLI's compute all read this one table.
+_TABLE_METHODS = {
+    "method1": (
+        lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k,
+                               ratio_mode=p.get("ratio_mode", "auto")),
+        lambda p, k, ctx: pi_method1(p["seed"], k, ctx, p.get("ratio_mode", "auto"),
+                                     p.get("variant", "stable"))),
+    **{f"method2_{variant}": (lambda p, m, ctx: plan("method2", ctx, m=m, d=p.get("d", 1)),
+                              lambda p, m, ctx, v=variant: pi_method2(m, p.get("d", 1), ctx, v))
+       for variant in ("corrected", "as_printed")},
+    "combined": (
+        lambda p, k, ctx: plan("depth", ctx, seed=Seed.from_m_d(p["m"], p.get("d", 1)), k=k),
+        lambda p, k, ctx: pi_combined(p["m"], p.get("d", 1), k, ctx)),
+    "unity": (
+        lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k, ratio_mode="self"),
+        lambda p, k, ctx: unity_formula(p["seed"], k, ctx)),
+    "viete": (lambda p, k, ctx: plan("depth", ctx, k=k), lambda p, k, ctx: viete_product(k, ctx)),
+}

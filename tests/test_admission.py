@@ -129,6 +129,12 @@ def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
     assert cost("unity", {"seed": Seed(2, 2, 1)}) == work * 3 + arccos_work * depth_cap
 
 
+@pytest.mark.parametrize("sweep", [[], [1]])
+def test_an_unknown_table_method_is_refused_before_any_row(sweep):
+    with pytest.raises(DomainError, match="^unknown table method 'bogus'$"):
+        plan("table", PrecisionContext(128), method="bogus", params={}, sweep=sweep)
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Make every engine run, ratio and reference value fail the test, so a
@@ -192,6 +198,11 @@ REFUSED = [
     ["compute", "--method", "method1", "--x0", "0.3", "--k", "1000", "--bits", "29666"],
     ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "1000",
      "--bits", "29666"],
+    # rationals past MAX_WORKING_BITS bits, refused before their power of ten is built
+    ["arccos", "--x0", "1e-1000000"],
+    ["arccos", "--x0", "1e-99999999"],
+    ["compute", "--method", "method1", "--m", "1e-1000000", "--s", "2", "--k", "3"],
+    ["compute", "--method", "method1", "--m", "1e-99999999", "--s", "2", "--k", "3"],
 ]
 
 

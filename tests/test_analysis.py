@@ -237,7 +237,8 @@ class TestVerifyIdentities:
 
 
 # One run at 256 bits: the scale-function algebra is integer work, so few
-# Fractions are built, and the square roots (the engine's work) are pinned.
+# Fractions are built (98 and 80, with a margin), and the square roots (the
+# engine's work) are pinned.
 @pytest.mark.parametrize("report, sqrt_calls", [(verify_identities, 938), (reproduce_catalog, 288)])
 def test_exact_algebra_builds_few_fractions(report, sqrt_calls, ctx256, monkeypatch):
     counts = {"fractions": 0, "sqrt": 0}
@@ -254,7 +255,7 @@ def test_exact_algebra_builds_few_fractions(report, sqrt_calls, ctx256, monkeypa
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(FixedReal, "sqrt", counting_sqrt)
     report(ctx256)
-    assert counts["fractions"] <= 300, counts
+    assert counts["fractions"] <= {verify_identities: 108, reproduce_catalog: 90}[report], counts
     assert counts["sqrt"] == sqrt_calls, counts
 
 

@@ -16,13 +16,22 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radpi.analysis
-from radpi import FixedReal, PowerForm, PrecisionContext, Seed
+from radpi import FixedReal, PowerForm, PrecisionContext, PrecisionError, Seed
 from radpi.arith import _pi_mantissa
-from radpi.cli import _fraction_arg, _parse_table, _terminal_columns, build_parser, run_command
+from radpi.cli import (
+    _METHODS,
+    _SUBCOMMANDS,
+    _X0_REPLACES,
+    _fraction_arg,
+    _parse_table,
+    _terminal_columns,
+    build_parser,
+    run_command,
+)
 from radpi.drivers import MISPRINT_DIAGNOSTIC, plan
 
 
@@ -165,6 +174,18 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == (
             "radpi: error: depth 5 exceeds precision budget (guard_bits=40 allows 0)\n"
+        )
+
+    # a flag declared in the one flag table that no method reads is refused
+    # by its declaration alone, from the table parse or from argparse
+    @pytest.mark.parametrize("subcommand", ["compute", "table"])
+    @pytest.mark.parametrize("method", ["method1", "method2", "combined", "unity", "viete"])
+    @pytest.mark.parametrize("digits", [["--digits", "5"], ["--digits=5"]])
+    def test_a_declared_flag_no_method_reads_is_64(self, capsys, monkeypatch, subcommand, method,
+                                                   digits):
+        monkeypatch.setitem(_SUBCOMMANDS[subcommand][1], "--digits", dict(type=int))
+        assert run(capsys, subcommand, "--method", method, *digits) == (
+            64, "", f"radpi: usage error: {method} does not read --digits\n"
         )
 
     def test_internal_error_is_70_without_traceback(self, capsys, monkeypatch):
@@ -397,18 +418,60 @@ def test_rational_flags_past_4300_digits(argv, expected_code, capsys, int_str_di
     assert lifted[0] == expected_code
 
 
+# A rational flag is Fraction(text) while its numerator and denominator, as
+# written with the exponent applied, have at most 19726 digits (all of which fit
+# in MAX_WORKING_BITS bits), and over the cost bound past that. Within a
+# text's length of the bound either outcome is right.
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.from_regex(_RATIONAL_FORMAT), st.text("0123456789_./eE+- x", max_size=10)))
+@given(st.one_of(st.from_regex(_RATIONAL_FORMAT), st.text("0123456789_./eE+- x", max_size=10),
+                 st.tuples(st.sampled_from(["1", "-0.3", "7.25", "0"]), st.integers(-10**9, 10**9))
+                 .map(lambda drawn: f"{drawn[0]}e{drawn[1]}")))
 def test_rational_flag_is_fraction_of_its_text(text):
     match = _RATIONAL_FORMAT.match(text)
-    assume(match is None or not match["exp"] or abs(int(match["exp"])) <= 2000)
+    exp = abs(int(match["exp"])) if match is not None and match["exp"] else 0
+    if exp > 19726 + len(text):
+        with pytest.raises(PrecisionError, match="^request over the cost bound: a rational of "):
+            _fraction_arg(text)
+        return
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(argparse.ArgumentTypeError, match="not a rational number"):
             _fraction_arg(text)
-    else:
+        return
+    try:
         assert _fraction_arg(text) == expected
+    except PrecisionError:
+        assert exp + len(text) > 19726
+
+
+def test_every_flag_a_method_names_is_declared():
+    compute, table = _SUBCOMMANDS["compute"][1], _SUBCOMMANDS["table"][1]
+    assert all(f"--{dest.replace('_', '-')}" in compute for dest in _X0_REPLACES)
+    for method, (reads, requires, variants) in _METHODS.items():
+        for dest in (*reads, *requires):
+            assert f"--{dest.replace('_', '-')}" in compute, (method, dest)
+        if method != "taylor":
+            index, *rest = reads
+            for dest in (f"{index}_range", *rest):
+                assert f"--{dest.replace('_', '-')}" in table, (method, dest)
+        assert set(variants) <= set(compute["--variant"]["choices"])
+
+
+# the bound at its edge: the digits of 10**n are n + 1
+@pytest.mark.parametrize("text, digits", [
+    ("1e19725", None), ("1e19726", 19727), ("-2.5e-19724", None), ("25e-19726", 19727),
+    ("-0.5e-19725", 19727), ("9" * 40 + "e19686", None), ("9" * 40 + "e19687", 19727),
+    ("3/1" + "0" * 19725, None), ("3/1" + "0" * 19726, 19727), ("0e99999999", 99999999),
+])
+def test_rational_flag_is_refused_past_19726_digits(text, digits, int_str_digits):
+    int_str_digits(0)
+    if digits is None:
+        assert _fraction_arg(text) == Fraction(text)
+    else:
+        with pytest.raises(PrecisionError, match=f"^request over the cost bound: a rational of "
+                                                 f"{digits} digits \\(at most 19726\\)$"):
+            _fraction_arg(text)
 
 
 def test_an_output_past_4300_digits_prints(capsys, int_str_digits):
