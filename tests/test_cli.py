@@ -762,7 +762,11 @@ def test_readme_cli_examples_run(comment, argv, capsys):
 # stayed 64 and 3. The text and json entries of `compute --method taylor` were
 # re-recorded when taylor began to report the guard of its plan: the exact
 # partial sum is rounded once at the output scale, so `guard_bits` is 0, not
-# 64; nothing else in them changed.
+# 64; nothing else in them changed. Last come the compute requests whose
+# printed params each method builds in its own way, in every format: every
+# method under `--guard-bits 200`, method1 and unity under `--x0`, method1
+# under `--ratio-mode exact|self` and with a rational negative seed, and
+# combined with a rational m; recorded while each driver still wrote them.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 
