@@ -10,11 +10,7 @@ from .arith import (
     pi_oracle,
 )
 from .analysis import (
-    AuditRow,
-    CatalogReport,
-    ConvergenceReport,
     IdentityReport,
-    ReportRow,
     cancellation_audit,
     convergence_table,
     correct_decimal_digits,
@@ -43,7 +39,6 @@ from .errors import (
 )
 from .recursion import (
     PowerForm,
-    RecursionState,
     Seed,
     f_power_form,
     half_angle_step,
@@ -58,12 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleRatio",
     "Approximant",
-    "AuditRow",
     "CatalogFailure",
     "CatalogMissError",
-    "CatalogReport",
     "ConvergenceError",
-    "ConvergenceReport",
     "DomainError",
     "FixedReal",
     "IdentityReport",
@@ -71,8 +63,6 @@ __all__ = [
     "PrecisionContext",
     "PrecisionError",
     "RadpiError",
-    "RecursionState",
-    "ReportRow",
     "Seed",
     "UsageError",
     "arccos_by_recursion",

@@ -10,9 +10,6 @@ import and class-decoration cost of ``dataclasses`` (which also loads
 # Writes a field past the raising __setattr__; for constructors only.
 set_field = object.__setattr__
 
-# Default marker: each instance gets its own new empty dict.
-NEW_DICT = object()
-
 
 class Record:
     __slots__ = ()
@@ -31,8 +28,6 @@ class Record:
                 value = kwargs.pop(name)
             elif name in self._defaults:
                 value = self._defaults[name]
-                if value is NEW_DICT:
-                    value = {}
             else:
                 raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
             set_field(self, name, value)

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 
-from ._record import NEW_DICT, Record
+from ._record import Record
 from .arith import FixedReal, PrecisionContext, _rational_text, decimal_digits_for_bits, pi_fixed
 from .drivers import (
     Approximant,
@@ -135,29 +135,34 @@ def convergence_table(
     """
     table = plan("table", ctx, method=method, params=params, sweep=sweep)
     approximants = [_TABLE_METHODS[method][1](params, index, ctx) for index in sweep]
-    described = {
-        key: (value.describe() if isinstance(value, Seed)
-              else _rational_text(value) if isinstance(value, (int, Fraction)) else str(value))
-        for key, value in params.items()
-    }
     reference = _target_value(approximants[0].target, table.measure_bits) if approximants else None
     return _report(sweep, [a.value for a in approximants], reference, ctx, table.work,
-                   method=method, params=described)
+                   method, params)
+
+
+def _param_text(params: dict) -> dict[str, str]:
+    """A report's params as printed, in their given order: a seed described,
+    an int or a rational in exact digits, anything else by ``str``."""
+    return {key: value.describe() if isinstance(value, Seed)
+            else _rational_text(value) if isinstance(value, (int, Fraction)) else str(value)
+            for key, value in params.items()}
 
 
 def _report(
     indices: Sequence[int], values: Sequence[FixedReal], reference: FixedReal | None,
-    ctx: PrecisionContext, work: int, **labels,
+    ctx: PrecisionContext, work: int, method: str, params: dict, **labels,
 ) -> ConvergenceReport:
     """Rows of values measured against the reference, each error ratio taken
-    over the row before; the labels gain the precision keys of every report
-    (the guard over ``work``, measure_bits 0 without a reference)."""
+    over the row before; the labels gain the method, the params as printed,
+    and the precision keys of every report (the guard over ``work``,
+    measure_bits 0 without a reference)."""
     rows: list[ReportRow] = []
     prev_err: FixedReal | None = None
     for index, value in zip(indices, values):
         row, prev_err = _measure_row(index, value, reference, prev_err)
         rows.append(row)
-    labels.update(bits=ctx.scale_bits, guard_bits=work - ctx.scale_bits,
+    labels.update(method=method, params=_param_text(params),
+                  bits=ctx.scale_bits, guard_bits=work - ctx.scale_bits,
                   measure_bits=0 if reference is None else reference.scale_bits,
                   oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
     return ConvergenceReport(rows=rows, meta=labels)
@@ -341,7 +346,6 @@ class IdentityResult(Record):
 
 class IdentityReport(Record):
     __slots__ = ("results", "meta")
-    _defaults = {"meta": NEW_DICT}
     results: list[IdentityResult]
     meta: dict[str, object]
 

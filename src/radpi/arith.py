@@ -160,9 +160,6 @@ class FixedReal(Record):
         body = f"{text[:-digits]}.{text[-digits:]}" if digits else text
         return "-" + body if self.mantissa < 0 else body
 
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.scale_bits)
-
     # -- arithmetic (same-scale operands; rescaling is explicit) -----------
 
     def _coscale(self, other: "FixedReal") -> None:

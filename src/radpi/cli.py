@@ -18,7 +18,6 @@ traceback), 74 unwritable output path.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from fractions import _RATIONAL_FORMAT, Fraction
@@ -30,6 +29,7 @@ from .analysis import (
     ConvergenceReport,
     IdentityReport,
     ReportRow,
+    _param_text,
     _report,
     _target_value,
     cancellation_audit,
@@ -42,7 +42,6 @@ from .arith import (
     FixedReal,
     PrecisionContext,
     _int,
-    _rational_text,
     arccos_oracle,
     decimal_digits_for_bits,
 )
@@ -60,36 +59,22 @@ _EXIT_IO = 74
 _SEED_FLAGS = ("m", "s", "sign", "d")
 # the flags that --x0 replaces: the seed's, and the ratio mode it forces
 _X0_REPLACES = (*_SEED_FLAGS, "ratio_mode")
-# each method's (reads, requires, variants): the flags (by dest) that it reads
-# in compute, its index first, which a table sweeps by --k-range or
+# each method's (reads, requires, variants, params): the flags (by dest) that
+# it reads in compute, its index first, which a table sweeps by --k-range or
 # --m-range instead; the flags that compute requires; its variants, the
-# default first. taylor has no table.
+# default first; the keys of compute's params, in their printed order: the
+# table's params, the index, bits, guard_bits, and method2's s. taylor has no
+# table.
 _METHODS = {
     "method1": (("k", "variant", "ratio_mode", *_SEED_FLAGS, "x0"), ("k",),
-                ("stable", "naive")),
-    "method2": (("m", "variant", "d"), ("m", "d"), ("corrected", "as-printed")),
-    "combined": (("k", "m", "d"), ("m", "d", "k"), ()),
-    "unity": (("k", *_SEED_FLAGS, "x0"), ("k",), ()),
-    "viete": (("k",), ("k",), ()),
-    "taylor": (("terms", "m", "d"), ("m", "d", "terms"), ()),
+                ("stable", "naive"), ("seed", "k", "bits", "guard_bits", "ratio_mode", "variant")),
+    "method2": (("m", "variant", "d"), ("m", "d"), ("corrected", "as-printed"),
+                ("m", "d", "s", "bits", "guard_bits")),
+    "combined": (("k", "m", "d"), ("m", "d", "k"), (), ("m", "d", "k", "bits", "guard_bits")),
+    "unity": (("k", *_SEED_FLAGS, "x0"), ("k",), (), ("seed", "k", "bits", "guard_bits")),
+    "viete": (("k",), ("k",), (), ("k", "bits", "guard_bits")),
+    "taylor": (("terms", "m", "d"), ("m", "d", "terms"), (), ("m", "d", "terms")),
 }
-
-
-def _terminal_columns() -> int:
-    """``shutil.get_terminal_size().columns`` by its own rule, without
-    importing shutil (and with it bz2, lzma, zlib and fnmatch): COLUMNS if it
-    is a positive int, else the width of the terminal on stdout, else 80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns > 0:
-        return columns
-    try:
-        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-    except (AttributeError, ValueError, OSError):
-        columns = 0
-    return columns or 80
 
 
 # the most digits of a rational flag's numerator or denominator: all fit in MAX_WORKING_BITS bits
@@ -126,7 +111,7 @@ def _method_flags(methods: list[str]) -> dict:
     """--method over these methods, and the --variant and --ratio-mode it reads."""
     return {
         "--method": dict(required=True, choices=methods),
-        "--variant": dict(choices=[v for _, _, variants in _METHODS.values() for v in variants]),
+        "--variant": dict(choices=[v for _, _, variants, _ in _METHODS.values() for v in variants]),
         "--ratio-mode": dict(choices=["auto", "exact", "self"]),
     }
 
@@ -172,20 +157,10 @@ _SUBCOMMANDS = {
 
 def build_parser():
     """The radpi argparse parser, declared from `_SUBCOMMANDS`: usage errors
-    exit 64, and the help width is taken from `_terminal_columns`."""
+    exit 64."""
     import argparse
 
-    class _Formatter(argparse.HelpFormatter):
-        def __init__(self, prog: str, **kwargs):
-            if kwargs.get("width") is None:
-                kwargs["width"] = _terminal_columns() - 2  # argparse's own margin
-            super().__init__(prog, **kwargs)
-
     class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            kwargs.setdefault("formatter_class", _Formatter)
-            super().__init__(*args, **kwargs)
-
         def error(self, message: str):  # argparse default exits with 2; we use 64
             self.print_usage(sys.stderr)
             print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -325,7 +300,7 @@ def _parse_m_range(text: str | None) -> list[int]:
 def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
     _reject_unread_flags(args)
     method = args.method
-    reads, required, _ = _METHODS[method]
+    reads, required, _, printed = _METHODS[method]
     if any(getattr(args, dest) is None for dest in required):
         *rest, last = [f"--{dest}" for dest in required]
         listed = f"{', '.join(rest)} and {last}" if rest else last
@@ -341,8 +316,12 @@ def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRep
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
     reference = _target_value(approx.target, row.measure_bits)
-    return _report([index], [approx.value], reference, ctx, row.work, method=approx.method,
-                   params=approx.params, ratio_kind=approx.ratio_kind, target=approx.target)
+    params |= {reads[0]: index, "bits": ctx.scale_bits, "guard_bits": row.work - ctx.scale_bits}
+    if method == "method2":
+        params["s"] = index**2 - params["d"] ** 2
+    return _report([index], [approx.value], reference, ctx, row.work, approx.method,
+                   {key: params[key] for key in printed},
+                   ratio_kind=approx.ratio_kind, target=approx.target)
 
 
 def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
@@ -351,9 +330,9 @@ def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> Convergence
     scale = taylor.measure_bits
     limit = FixedReal.from_fraction(Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale).sqrt() \
         / FixedReal.from_fraction(args.m, scale)
-    params = {"m": _rational_text(args.m), "d": _rational_text(args.d), "terms": str(args.terms)}
-    return _report([args.terms], [value], limit, ctx, taylor.work,
-                   method="taylor", params=params, target="seed_value")
+    params = {key: getattr(args, key) for key in _METHODS["taylor"][3]}
+    return _report([args.terms], [value], limit, ctx, taylor.work, "taylor", params,
+                   target="seed_value")
 
 
 def _cmd_table(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
@@ -377,9 +356,8 @@ def _cmd_arccos(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRepo
     x0 = seed.value(ctx.scale_bits)
     value = arccos_by_recursion(x0, ctx)
     reference = arccos_oracle(x0.rescale(run.measure_bits), PrecisionContext(run.measure_bits))
-    return _report([0], [value], reference, ctx, run.work,
-                   method="arccos_by_recursion", params={"seed": seed.describe()},
-                   target="arccos")
+    return _report([0], [value], reference, ctx, run.work, "arccos_by_recursion",
+                   {"seed": seed}, target="arccos")
 
 
 def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
@@ -394,7 +372,7 @@ def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",
-        "params": {"seed": seed.describe(), "audited_bits": str(args.audited_bits)},
+        "params": _param_text({"seed": seed, "audited_bits": args.audited_bits}),
         "bits": reference.scale_bits,
         "oracle_digits": decimal_digits_for_bits(reference.scale_bits),
     }

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from ._record import NEW_DICT, Record
-from .arith import FixedReal, PrecisionContext, _rational_text, admit_cost, pi_fixed
+from ._record import Record
+from .arith import FixedReal, PrecisionContext, admit_cost, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError, PrecisionError, UsageError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
@@ -56,14 +56,14 @@ class AngleRatio(Record):
 
 
 class Approximant(Record):
-    """A single approximant with the parameters needed to reproduce it."""
+    """A single approximant: its value, the number it approaches, the method
+    and angle-ratio kind that made it, and any diagnostic."""
 
-    __slots__ = ("value", "target", "method", "params", "ratio_kind", "diagnostic")
-    _defaults = {"params": NEW_DICT, "ratio_kind": None, "diagnostic": None}
+    __slots__ = ("value", "target", "method", "ratio_kind", "diagnostic")
+    _defaults = {"ratio_kind": None, "diagnostic": None}
     value: FixedReal
-    target: str  # "pi" | "one" | "seed_value"
+    target: str  # "pi" | "one"
     method: str
-    params: dict[str, str]
     ratio_kind: str | None
     diagnostic: str | None
 
@@ -218,14 +218,6 @@ def pi_method1(
         value=value.rescale(ctx.scale_bits),
         target="pi",
         method="method1",
-        params={
-            "seed": seed.describe(),
-            "k": str(k),
-            "bits": str(ctx.scale_bits),
-            "guard_bits": str(work - ctx.scale_bits),
-            "ratio_mode": ratio_mode,
-            "variant": variant,
-        },
         ratio_kind=ratio.kind,
     )
 
@@ -258,13 +250,6 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         value=value.rescale(ctx.scale_bits),
         target="pi",
         method=f"method2_{variant}",
-        params={
-            "m": _rational_text(m),
-            "d": _rational_text(d),
-            "s": _rational_text(s),
-            "bits": str(ctx.scale_bits),
-            "guard_bits": str(work - ctx.scale_bits),
-        },
         ratio_kind=ratio.kind,
         diagnostic=diagnostic,
     )
@@ -276,19 +261,7 @@ def pi_combined(m, d, k: int, ctx: PrecisionContext) -> Approximant:
     if seed.s == 0:
         raise DomainError("combined method requires d < m")
     inner = pi_method1(seed, k, ctx)
-    return Approximant(
-        value=inner.value,
-        target="pi",
-        method="combined",
-        params={
-            "m": _rational_text(m),
-            "d": _rational_text(d),
-            "k": str(k),
-            "bits": str(ctx.scale_bits),
-            "guard_bits": inner.params["guard_bits"],
-        },
-        ratio_kind=inner.ratio_kind,
-    )
+    return Approximant(inner.value, inner.target, "combined", inner.ratio_kind)
 
 
 def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
@@ -305,12 +278,6 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
         value=value.rescale(ctx.scale_bits),
         target="one",
         method="unity",
-        params={
-            "seed": seed.describe(),
-            "k": str(k),
-            "bits": str(ctx.scale_bits),
-            "guard_bits": str(work - ctx.scale_bits),
-        },
         ratio_kind="self_consistent",
     )
 
@@ -370,7 +337,6 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
         value=value.rescale(ctx.scale_bits),
         target="pi",
         method="viete",
-        params={"k": str(k), "bits": str(ctx.scale_bits), "guard_bits": str(work - ctx.scale_bits)},
         ratio_kind="exact",
     )
 

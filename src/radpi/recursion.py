@@ -28,12 +28,6 @@ from .errors import DomainError, UsageError
 _UNIT_SLACK = 16
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, FixedReal):
-        return value.to_fraction()
-    return Fraction(value)
-
-
 class PowerForm(Record):
     """Exact value 2**p * m**q with dyadic exponents held as integers over one
     power of two: p = a / 2**e and q = b / 2**e. The constructor reduces them
@@ -56,14 +50,6 @@ class PowerForm(Record):
 
     def _values(self) -> tuple:  # equality and hashing without the generic field walk
         return (self.a, self.b, self.e, self.m)
-
-    @property
-    def p(self) -> Fraction:
-        return Fraction(self.a, 1 << self.e)
-
-    @property
-    def q(self) -> Fraction:
-        return Fraction(self.b, 1 << self.e)
 
     def times_two(self) -> "PowerForm":
         return PowerForm(self.a + (1 << self.e), self.b, self.e, self.m)
@@ -92,7 +78,7 @@ class PowerForm(Record):
 def _positive(m):
     """m as an int or Fraction, rejected unless positive, as ``Seed`` rejects it."""
     if not isinstance(m, (int, Fraction)):
-        m = _to_fraction(m)
+        m = Fraction(m)
     if m <= 0:
         raise DomainError("m must be positive")
     return m
@@ -141,7 +127,7 @@ class Seed(Record):
     sign: int
 
     def __init__(self, m, s, sign: int = 1) -> None:
-        m, s = _to_fraction(m), _to_fraction(s)
+        m, s = Fraction(m), Fraction(s)
         if sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
         if m <= 0:
@@ -158,7 +144,7 @@ class Seed(Record):
 
     @classmethod
     def from_m_d(cls, m, d, sign: int = 1) -> "Seed":
-        m, d = _to_fraction(m), _to_fraction(d)
+        m, d = Fraction(m), Fraction(d)
         if d <= 0:
             raise DomainError("d must be positive")
         s = m**2 - d**2
@@ -168,16 +154,12 @@ class Seed(Record):
 
     @classmethod
     def from_x0(cls, x0) -> "Seed":
-        x0 = _to_fraction(x0)
+        x0 = Fraction(x0)
         return cls(Fraction(1), x0**2, -1 if x0 < 0 else 1)
 
     @property
     def x0_squared(self) -> Fraction:
         return self.s / self.m**2
-
-    @property
-    def d_squared(self) -> Fraction:
-        return self.m**2 - self.s
 
     def value(self, scale_bits: int) -> FixedReal:
         """x0 as a FixedReal (one rounding: the square root of an exact ratio)."""
@@ -185,8 +167,8 @@ class Seed(Record):
         return -root if self.sign < 0 else root
 
     def sine0(self, scale_bits: int) -> FixedReal:
-        """sin(theta0) = sqrt(1 - x0**2), from the exact ratio d**2/m**2."""
-        return FixedReal.from_fraction(self.d_squared / self.m**2, scale_bits).sqrt()
+        """sin(theta0) = sqrt(1 - x0**2), from the exact ratio."""
+        return FixedReal.from_fraction(1 - self.x0_squared, scale_bits).sqrt()
 
     def describe(self) -> str:
         sgn = "+" if self.sign > 0 else "-"

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import shlex
-import shutil
 import subprocess
 import sys
 from fractions import _RATIONAL_FORMAT, Fraction
@@ -26,9 +25,10 @@ from radpi.cli import (
     _METHODS,
     _SUBCOMMANDS,
     _X0_REPLACES,
+    _cmd_compute,
     _fraction_arg,
+    _method_request,
     _parse_table,
-    _terminal_columns,
     build_parser,
     run_command,
 )
@@ -448,7 +448,7 @@ def test_rational_flag_is_fraction_of_its_text(text):
 def test_every_flag_a_method_names_is_declared():
     compute, table = _SUBCOMMANDS["compute"][1], _SUBCOMMANDS["table"][1]
     assert all(f"--{dest.replace('_', '-')}" in compute for dest in _X0_REPLACES)
-    for method, (reads, requires, variants) in _METHODS.items():
+    for method, (reads, requires, variants, _) in _METHODS.items():
         for dest in (*reads, *requires):
             assert f"--{dest.replace('_', '-')}" in compute, (method, dest)
         if method != "taylor":
@@ -456,6 +456,26 @@ def test_every_flag_a_method_names_is_declared():
             for dest in (f"{index}_range", *rest):
                 assert f"--{dest.replace('_', '-')}" in table, (method, dest)
         assert set(variants) <= set(compute["--variant"]["choices"])
+
+
+# compute prints a method's table params, its index, bits, guard_bits and
+# method2's s, in the order that _METHODS declares
+@pytest.mark.parametrize("method, flags", [
+    ("method1", ["--m", "2", "--s", "2", "--k", "6"]),
+    ("method2", ["--m", "50", "--d", "1", "--guard-bits", "200"]),
+    ("combined", ["--m", "7/3", "--d", "1", "--k", "4"]),
+    ("unity", ["--x0", "0.3", "--k", "6"]),
+    ("viete", ["--k", "6"]),
+])
+def test_compute_params_are_the_table_params_and_the_precision(method, flags):
+    args = _parse_table(["compute", "--method", method, *flags])
+    reads, _, _, printed = _METHODS[method]
+    expected = [*_method_request(args)[1], reads[0], "bits", "guard_bits"]
+    expected += ["s"] if method == "method2" else []
+    assert sorted(printed) == sorted(expected)
+    meta = _cmd_compute(args, PrecisionContext(args.bits, args.guard_bits)).meta
+    assert list(meta["params"]) == list(printed)
+    assert meta["params"]["guard_bits"] == str(meta["guard_bits"])
 
 
 # the bound at its edge: the digits of 10**n are n + 1
@@ -794,17 +814,20 @@ def test_help_and_usage_bytes_are_pinned(entry, capsys, monkeypatch):
 
 
 # Run in a fresh interpreter: the modules that `import argparse, fractions`
-# already loads are the floor; a text request and a usage error must add none
-# of the listed ones.
+# already loads are the floor. A text request must add none of the listed
+# ones; a usage error none but those that argparse's help width reads
+# through shutil.get_terminal_size.
 _FOOTPRINT_PROBE = """
 import sys
 import argparse, fractions
 floor = set(sys.modules)
-from radpi.cli import run_command
-run_command(["compute", "--method", "method1", "--m", "2", "--s", "2", "--k", "20"])
-run_command(["compute", "--method", "method1", "--frobnicate"])
 heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json",
          "shutil", "bz2", "lzma", "zlib", "fnmatch")
+from radpi.cli import run_command
+run_command(["compute", "--method", "method1", "--m", "2", "--s", "2", "--k", "20"])
+print(sorted(name for name in heavy if name in sys.modules and name not in floor))
+run_command(["compute", "--method", "method1", "--frobnicate"])
+heavy = [name for name in heavy if name not in ("shutil", "bz2", "lzma", "zlib", "fnmatch")]
 print(sorted(name for name in heavy if name in sys.modules and name not in floor))
 """
 
@@ -815,7 +838,7 @@ def test_text_request_imports_no_heavy_stdlib_modules():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 # A fresh `python -S` whose floor is `import fractions`, which radpi cannot
@@ -880,22 +903,6 @@ def test_well_formed_requests_parse_from_the_table(argv):
 ])
 def test_table_parse_declines(argv):
     assert _parse_table(argv) is None
-
-
-@pytest.mark.parametrize("columns", [None, "", "0", "-3", "x", "40", "200"])
-@pytest.mark.parametrize("terminal", [None, 0, 123])
-def test_terminal_columns_follow_shutil(columns, terminal, monkeypatch, tmp_path):
-    """The help width is read by shutil.get_terminal_size's rule, with stdout
-    a file (not a terminal) or a terminal of 0 or 123 columns."""
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    if terminal is not None:
-        monkeypatch.setattr(os, "get_terminal_size", lambda fd: os.terminal_size((terminal, 24)))
-    with open(tmp_path / "stdout", "w") as stdout:
-        monkeypatch.setattr(sys, "__stdout__", stdout)
-        assert _terminal_columns() == shutil.get_terminal_size().columns
 
 
 # Bad input of every kind ends in a documented exit code, never in 70 (an

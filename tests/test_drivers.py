@@ -388,6 +388,32 @@ def test_invalid_ratio_mode():
         _resolve_ratio(Seed(2, 2, 1), "sideways", 192)
 
 
+# every public driver, in each of its variants and ratio modes
+_EVERY_DRIVER = {
+    **{f"method1 {mode} {variant}": (lambda ctx, mode=mode, variant=variant:
+                                     pi_method1(Seed(2, 2), 6, ctx, mode, variant))
+       for mode in ("auto", "exact", "self") for variant in ("stable", "naive")},
+    **{f"method2 {variant}": lambda ctx, variant=variant: pi_method2(50, 1, ctx, variant)
+       for variant in ("corrected", "as_printed")},
+    "combined": lambda ctx: pi_combined(50, 1, 4, ctx),
+    "unity": lambda ctx: unity_formula(Seed.from_x0("0.3"), 6, ctx),
+    "viete": lambda ctx: viete_product(6, ctx),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_DRIVER))
+def test_drivers_return_numbers_without_formatting_params(name, ctx128, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a driver formatted a parameter")
+
+    monkeypatch.setattr(Seed, "describe", refuse)
+    for module in ("arith", "recursion", "drivers"):
+        monkeypatch.setattr(f"radpi.{module}._rational_text", refuse, raising=False)
+    approx = _EVERY_DRIVER[name](ctx128)
+    assert approx.value.scale_bits == 128
+    assert approx.target in ("pi", "one")
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 @pytest.mark.parametrize("guard", [32, 40, 64, 80, 120, 200, 240, 400])
 def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):

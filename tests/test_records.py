@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from radpi import AngleRatio, Approximant, FixedReal, IdentityReport, PrecisionContext, Seed
+from radpi import AngleRatio, FixedReal, PrecisionContext, Seed
 
 
 def test_equality_and_hash_are_field_wise():
@@ -27,13 +27,6 @@ def test_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         Seed(2, 2).extra = 1
     assert x == FixedReal(5, 64)
-
-
-def test_dict_defaults_are_fresh_per_instance():
-    a = Approximant(FixedReal.one(64), "one", "unity")
-    a.params["k"] = "1"
-    assert Approximant(FixedReal.one(64), "one", "unity").params == {}
-    assert IdentityReport([]).meta is not IdentityReport([]).meta
 
 
 def test_constructor_takes_fields_by_position_or_name():

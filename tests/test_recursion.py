@@ -84,7 +84,7 @@ class TestPowerForm:
     )
     def test_exponents(self, k, p, q):
         form = f_power_form(k, 2)
-        assert (form.p, form.q) == (p, q)
+        assert (Fraction(form.a, 1 << form.e), Fraction(form.b, 1 << form.e)) == (p, q)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -123,7 +123,8 @@ class TestPowerFormParity:
             form = f_power_form(k, m)
             for got, (want_p, want_q) in ((form, (p, q)), (form.squared(), (2 * p, 2 * q)),
                                           (form.times_two(), (p + 1, q))):
-                assert (got.p, got.q) == (want_p, want_q), (k, m)
+                got_p, got_q = Fraction(got.a, 1 << got.e), Fraction(got.b, 1 << got.e)
+                assert (got_p, got_q) == (want_p, want_q), (k, m)
                 assert got.exact_value() == _exact_value_by_fractions(want_p, want_q, Fraction(m))
 
     def test_fields_are_kept_in_lowest_terms(self):
@@ -232,16 +233,11 @@ class TestSeed:
     def test_from_m_d(self):
         seed = Seed.from_m_d(5, 3)
         assert (seed.m, seed.s) == (5, 16)
-        assert seed.d_squared == 9
 
     def test_from_x0(self):
         seed = Seed.from_x0(Fraction(-4, 5))
         assert seed.sign == -1
         assert seed.x0_squared == Fraction(16, 25)
-
-    def test_fixedreal_inputs_convert_exactly(self):
-        seed = Seed(FixedReal.from_int(2, 16), FixedReal.from_decimal("2", 16), 1)
-        assert (seed.m, seed.s) == (Fraction(2), Fraction(2))
 
 
 class TestRunRecursion:
