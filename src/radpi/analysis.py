@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import islice
 
 from ._record import Record
-from .arith import FixedReal, PrecisionContext, _rational_text, decimal_digits_for_bits, pi_fixed
+from .arith import (FixedReal, PrecisionContext, Rational, _rational_text,
+                    decimal_digits_for_bits, pi_fixed)
 from .drivers import (
     Approximant,
     _TABLE_METHODS,
@@ -144,7 +144,7 @@ def _param_text(params: dict) -> dict[str, str]:
     """A report's params as printed, in their given order: a seed described,
     an int or a rational in exact digits, anything else by ``str``."""
     return {key: value.describe() if isinstance(value, Seed)
-            else _rational_text(value) if isinstance(value, (int, Fraction)) else str(value)
+            else _rational_text(value) if isinstance(value, (int, Rational)) else str(value)
             for key, value in params.items()}
 
 
@@ -212,26 +212,26 @@ class CoefficientRule(Record):
     """Printed coefficient c * 2**(n + shift) at n nested square roots."""
 
     __slots__ = ("factor", "shift")
-    factor: Fraction
+    factor: Rational
     shift: int
 
-    def at(self, n: int) -> Fraction:
-        return self.factor * Fraction(2) ** (n + self.shift)
+    def at(self, n: int) -> Rational:
+        return self.factor * Rational(2) ** (n + self.shift)
 
 
 # the depth every catalog check runs to, and how close to pi it must end
 _CATALOG_DEPTH = 25
-_CATALOG_TOLERANCE = Fraction(1, 10**12)
+_CATALOG_TOLERANCE = Rational(1, 10**12)
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("2^n * sqrt(2 - sqrt(2 + ... + sqrt(2 + sqrt(2))))",
-                 Seed(2, 2, 1), CoefficientRule(Fraction(1), 0)),
+                 Seed(2, 2, 1), CoefficientRule(Rational(1), 0)),
     CatalogEntry("3*2^(n-1) * sqrt(2 - sqrt(2 + ... + sqrt(2 + sqrt(3))))",
-                 Seed(2, 3, 1), CoefficientRule(Fraction(3), -1)),
+                 Seed(2, 3, 1), CoefficientRule(Rational(3), -1)),
     CatalogEntry("(3/5)*2^(n-1) * sqrt(2 - sqrt(2 + ... + sqrt(2 - sqrt(3))))",
-                 Seed(2, 3, -1), CoefficientRule(Fraction(3, 5), -1)),
+                 Seed(2, 3, -1), CoefficientRule(Rational(3, 5), -1)),
     CatalogEntry("(4/3)*2^(n-2) * sqrt(2 - sqrt(2 + ... + sqrt(2 - sqrt(2))))",
-                 Seed(2, 2, -1), CoefficientRule(Fraction(4, 3), -2)),
+                 Seed(2, 2, -1), CoefficientRule(Rational(4, 3), -2)),
 )
 
 
@@ -252,7 +252,7 @@ class CatalogReport(Record):
     meta: dict[str, object]
 
 
-def _printed_all_twos_radical(s: Fraction, inner_sign: int, n: int, scale: int) -> FixedReal:
+def _printed_all_twos_radical(s: Rational, inner_sign: int, n: int, scale: int) -> FixedReal:
     """The classical radical with n square roots, hard-coded for m = 2:
     sqrt(2 - sqrt(2 + ... + sqrt(2 +- sqrt(s)))). Independent of the engine's
     chain construction, so it checks the radical shape."""
@@ -293,7 +293,7 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
             d = entry.coefficient.shift + 2 + f_log2
             if (ratio.numerator * factor.denominator << max(-d, 0)
                     != factor.numerator * ratio.denominator << max(d, 0)):
-                prefactor = ratio * Fraction(2) ** (k - 1 - f_log2)
+                prefactor = ratio * Rational(2) ** (k - 1 - f_log2)
                 raise CatalogFailure(
                     f"{entry.name}: prefactor {prefactor} != printed "
                     f"{entry.coefficient.at(k + 1)} at n={k + 1}"
@@ -303,7 +303,7 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
             entry.seed.s, entry.seed.sign, shape_k + 1, work
         ).mul_fraction(entry.coefficient.at(shape_k + 1))
         via_literal = nested_literal(entry.seed, shape_k, ctx).rescale(work).mul_fraction(
-            ratio * Fraction(2) ** (shape_k - 1)
+            ratio * Rational(2) ** (shape_k - 1)
         )
         shape_gap = abs(printed - via_literal)
         # both routes agree to ~2^(-B + 2k) absolute; structural mismatches are O(1)

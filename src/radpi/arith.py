@@ -16,8 +16,7 @@ of the half-angle recursions they are used to check.
 from __future__ import annotations
 
 import math
-import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
 
 from ._record import Record, set_field
@@ -27,8 +26,6 @@ from .errors import DomainError, PrecisionError, UsageError
 # scale this package reaches).
 _LOG10_2_NUM = 30103
 _LOG10_2_DEN = 100000
-
-_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?$")
 
 # Decimal text converts 500 digits at a time: under 640, the least int/str
 # digit limit Python 3.11+ accepts, so no output depends on the interpreter.
@@ -70,12 +67,90 @@ def _int(digits: str) -> int:
     return n
 
 
-def _rational_text(value: int | Fraction) -> str:
-    """``str(value)`` of an int or a Fraction, its integers printed a chunk at
-    a time."""
-    value = Fraction(value)
+def _rational_text(value: int | Rational) -> str:
+    """``str(Fraction(value))`` of an int or a Rational, printed a chunk at a time."""
     text = ("-" if value < 0 else "") + _digits(abs(value.numerator), 0)
     return text if value.denominator == 1 else f"{text}/{_digits(value.denominator, 0)}"
+
+
+def _rational_literal(text: str, max_digits: int | None = None) -> tuple[int, int]:
+    """(numerator, denominator), converted a chunk at a time, of text in Python
+    3.11's ``Fraction`` grammar on every Python (a digit: ``str.isdecimal``, what
+    ``re`` reads as ``\\d``); else ValueError. With max_digits, one of more digits
+    as written, its exponent applied, is over the cost bound before it is built."""
+    body = text.strip()
+    sign, body = -1 if body[:1] == "-" else 1, body[1:] if body[:1] in "+-" else body
+    parts = body.split("_")  # each underscore stands between two digits
+    num, slash, denom = "".join(parts).partition("/")
+    mantissa, e, exp = num.replace("E", "e").partition("e")
+    whole, dot, decimal = mantissa.partition(".")  # one side may be empty
+    if not (all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(parts, parts[1:]))
+            and (whole + decimal).isdecimal()
+            and (not e or (exp[1:] if exp[:1] in "+-" else exp).isdecimal())
+            and (not slash or not dot and not e and denom.isdecimal())):
+        raise ValueError(f"invalid literal for a rational: {text!r}")
+    digits, shift = whole + decimal, int(exp or 0) - len(decimal)  # digits * 10**shift / denom
+    size = max(len(digits.lstrip("0")) + max(shift, 0), len(denom.lstrip("0")), 1 - shift)
+    if max_digits is not None and size > max_digits:
+        raise PrecisionError(f"request over the cost bound: a rational of {size} digits "
+                             f"(at most {max_digits})")
+    return sign * _int(digits) * 10 ** max(shift, 0), _int(denom or "1") * 10 ** max(-shift, 0)
+
+
+def _operator(op):
+    """op's forward and reflected Rational methods: op(an, ad, bn, bd) of the operands'
+    lowest-terms integer ratios; NotImplemented for an operand without one."""
+    return (lambda a, b: op(*a._values(), *b.as_integer_ratio())
+            if hasattr(b, "as_integer_ratio") else NotImplemented,
+            lambda b, a: op(*a.as_integer_ratio(), *b._values())
+            if hasattr(a, "as_integer_ratio") else NotImplemented)
+
+
+class Rational(Record):
+    """An exact numerator/denominator in lowest terms (denominator > 0) of ints,
+    a ``_rational_literal`` or anything with ``as_integer_ratio()``: a Fraction's
+    ``==``, ``hash`` and ``str``, without the ``re`` and ``decimal`` it loads."""
+
+    __slots__ = ("numerator", "denominator")
+    numerator: int
+    denominator: int
+
+    def __init__(self, value, denominator: int = 1) -> None:
+        value, d = _rational_literal(value) if isinstance(value, str) else value.as_integer_ratio()
+        d *= denominator
+        if d == 0:
+            raise ZeroDivisionError(f"Rational({value}, 0)")
+        g = math.gcd(value, d) if d > 0 else -math.gcd(value, d)
+        set_field(self, "numerator", value // g)
+        set_field(self, "denominator", d // g)
+
+    as_integer_ratio = Record._values  # (numerator, denominator)
+
+    __add__, __radd__ = _operator(lambda an, ad, bn, bd: Rational(an * bd + bn * ad, ad * bd))
+    __sub__, __rsub__ = _operator(lambda an, ad, bn, bd: Rational(an * bd - bn * ad, ad * bd))
+    __mul__, __rmul__ = _operator(lambda an, ad, bn, bd: Rational(an * bn, ad * bd))
+    __truediv__, __rtruediv__ = _operator(lambda an, ad, bn, bd: Rational(an * bd, ad * bn))
+    __eq__ = _operator(lambda an, ad, bn, bd: an == bn and ad == bd)[0]
+    __lt__ = _operator(lambda an, ad, bn, bd: an * bd < bn * ad)[0]
+    __le__ = _operator(lambda an, ad, bn, bd: an * bd <= bn * ad)[0]
+    __gt__ = _operator(lambda an, ad, bn, bd: an * bd > bn * ad)[0]
+    __ge__ = _operator(lambda an, ad, bn, bd: an * bd >= bn * ad)[0]
+
+    def __neg__(self) -> "Rational":
+        return Rational(-self.numerator, self.denominator)
+
+    def __pow__(self, n: int) -> "Rational":
+        num, den = (self.numerator, self.denominator)[::1 if n >= 0 else -1]
+        return Rational(num ** abs(n), den ** abs(n)) if isinstance(n, int) else NotImplemented
+
+    def __hash__(self) -> int:  # Fraction's: |numerator| / denominator modulo a prime
+        try:
+            h = hash(abs(self.numerator)) * pow(self.denominator, -1, sys.hash_info.modulus)
+        except ValueError:  # the denominator is a multiple of the prime
+            h = sys.hash_info.inf
+        return hash(h if self.numerator >= 0 else -h)
+
+    __str__ = _rational_text
 
 
 def isqrt(n: int) -> int:
@@ -120,18 +195,18 @@ class FixedReal(Record):
         return cls(n << scale_bits, scale_bits)
 
     @classmethod
-    def from_fraction(cls, fr: int | Fraction, scale_bits: int) -> "FixedReal":
+    def from_fraction(cls, fr: int | Rational, scale_bits: int) -> "FixedReal":
         return cls(_tdiv(fr.numerator << scale_bits, fr.denominator), scale_bits)
 
     @classmethod
     def from_decimal(cls, text: str, scale_bits: int) -> "FixedReal":
         """Parse ``[+-]digits[.digits]``; no exponent form. Truncates toward zero."""
-        m = _DECIMAL_RE.match(text.strip())
-        if not m:
+        body = text.strip()
+        int_part, _, frac_part = (body[1:] if body[:1] in "+-" else body).partition(".")
+        if not int_part.isdecimal() or not (int_part + frac_part).isdecimal():
             raise UsageError(f"malformed decimal literal: {text!r}")
-        sign, int_part, frac_part = m.group(1), m.group(2), m.group(3) or ""
         mant = _tdiv(_int(int_part + frac_part) << scale_bits, 10 ** len(frac_part))
-        return cls(-mant if sign == "-" else mant, scale_bits)
+        return cls(-mant if body[:1] == "-" else mant, scale_bits)
 
     @classmethod
     def zero(cls, scale_bits: int) -> "FixedReal":
@@ -207,8 +282,8 @@ class FixedReal(Record):
             _tdiv(self.mantissa << self.scale_bits, other.mantissa), self.scale_bits
         )
 
-    def mul_fraction(self, fr: int | Fraction) -> "FixedReal":
-        """Multiply by an exact rational with a single truncation."""
+    def mul_fraction(self, fr: int | Rational) -> "FixedReal":
+        """Multiply by an int or a Rational with a single truncation."""
         return FixedReal(_tdiv(self.mantissa * fr.numerator, fr.denominator), self.scale_bits)
 
     def times_pow2(self, n: int) -> "FixedReal":

@@ -18,9 +18,7 @@ traceback), 74 unwritable output path.
 
 from __future__ import annotations
 
-import re
 import sys
-from fractions import _RATIONAL_FORMAT, Fraction
 from types import SimpleNamespace
 
 from .analysis import (
@@ -41,7 +39,8 @@ from .arith import (
     MAX_WORKING_BITS,
     FixedReal,
     PrecisionContext,
-    _int,
+    Rational,
+    _rational_literal,
     arccos_oracle,
     decimal_digits_for_bits,
 )
@@ -81,30 +80,14 @@ _METHODS = {
 _MAX_DIGITS = decimal_digits_for_bits(MAX_WORKING_BITS)
 
 
-def _fraction_arg(text: str) -> Fraction:
-    """``Fraction(text)``, its integers converted a chunk at a time, so that no
-    digit count meets Python's int/str limit. A numerator or denominator of
-    over _MAX_DIGITS digits, as written with its exponent applied, is refused
-    as over the cost bound before any power of ten is built."""
-    match = _RATIONAL_FORMAT.match(text)
+def _fraction_arg(text: str) -> Rational:
+    """A rational flag: a ``_rational_literal`` of at most _MAX_DIGITS digits."""
     try:
-        if match is None:
-            raise ValueError(text)
-        decimal = (match["decimal"] or "").replace("_", "")
-        digits = (match["num"] + decimal).replace("_", "")
-        denom = (match["denom"] or "").replace("_", "")
-        shift = int(match["exp"] or 0) - len(decimal)  # value = digits * 10**shift
-        size = max(len(digits.lstrip("0")) + max(shift, 0), len(denom.lstrip("0")), 1 - shift)
-        if size > _MAX_DIGITS:
-            raise PrecisionError(f"request over the cost bound: a rational of {size} digits "
-                                 f"(at most {_MAX_DIGITS})")
-        value = Fraction(_int(digits) * 10 ** max(shift, 0),
-                         _int(denom or "1") * 10 ** max(-shift, 0))
+        return Rational(*_rational_literal(text, _MAX_DIGITS))
     except (ValueError, ZeroDivisionError) as exc:
         import argparse
 
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-    return -value if match["sign"] == "-" else value
 
 
 def _method_flags(methods: list[str]) -> dict:
@@ -175,10 +158,6 @@ def build_parser():
     return parser
 
 
-# the values argparse 3.10-3.12 reads as negative numbers, not as options
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
 def _parse_table(argv: list[str]) -> SimpleNamespace | None:
     """``build_parser().parse_args(argv)`` of a subcommand followed by its exact
     long flags, each with a value that argparse reads as one and accepts; None
@@ -189,8 +168,10 @@ def _parse_table(argv: list[str]) -> SimpleNamespace | None:
     values = {flag: keywords.get("default") for flag, keywords in flags.items()}
     for flag, text in zip(argv[1::2], argv[2::2]):
         keywords = flags.get(flag)
-        if keywords is None or (text.startswith("-") and text != "-"
-                                and not _NEGATIVE_NUMBER.match(text)):
+        # argparse 3.10-3.12 reads "-", -\d+ and -\d*\.\d+ as values, and other "-x" as options
+        whole, dot, decimal = text[1:].partition(".")
+        if keywords is None or (text.startswith("-") and text != "-" and not (
+                (decimal if dot else whole).isdecimal() and (whole + decimal).isdecimal())):
             return None
         try:
             value = keywords.get("type", str)(text)
@@ -236,7 +217,7 @@ def _method_request(args: SimpleNamespace) -> tuple[str, dict]:
     """The analysis method name and parameters that --method and its flags ask
     for: the seed before the variant, the self ratio under --x0, d = 1 unset."""
     method = args.method
-    d = Fraction(1) if args.d is None else args.d
+    d = Rational(1) if args.d is None else args.d
     if method == "method1":
         seed = _seed_from_args(args)
         ratio_mode = "self" if args.x0 is not None else args.ratio_mode or "auto"
@@ -309,7 +290,7 @@ def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRep
         return _compute_taylor(args, ctx)
     if method == "method2" and args.m.denominator != 1:
         raise UsageError("method2 requires an integer --m")
-    index = int(getattr(args, reads[0]))
+    index = getattr(args, reads[0]).numerator  # an int, or method2's integer --m
     name, params = _method_request(args)
     row = plan("table", ctx, method=name, params=params, sweep=[index])
     approx = _TABLE_METHODS[name][1](params, index, ctx)
@@ -328,7 +309,7 @@ def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> Convergence
     taylor = plan("taylor", ctx, m=args.m, d=args.d, terms=args.terms)
     value = FixedReal.from_fraction(taylor_seed_exact(args.m, args.d, args.terms), taylor.work)
     scale = taylor.measure_bits
-    limit = FixedReal.from_fraction(Fraction(args.m) ** 2 - Fraction(args.d) ** 2, scale).sqrt() \
+    limit = FixedReal.from_fraction(args.m**2 - args.d**2, scale).sqrt() \
         / FixedReal.from_fraction(args.m, scale)
     params = {key: getattr(args, key) for key in _METHODS["taylor"][3]}
     return _report([args.terms], [value], limit, ctx, taylor.work, "taylor", params,
@@ -390,9 +371,7 @@ def _render(
     each row's values, those of the quoted keys in double quotes; text as
     '# key = value' meta lines followed by the body lines."""
     if fmt == "json":
-        import json  # imported here so that text and csv requests never load it
-
-        return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        return _json({"meta": meta, "rows": rows}) + "\n"
     if fmt == "csv":
         lines = [",".join(header)]
         for row in _cells(rows):
@@ -402,6 +381,32 @@ def _render(
         lines = [f"# {key} = {value}" for key, value in sorted(meta.items(), key=str)]
         lines += text_lines
     return "\n".join(lines) + "\n"
+
+
+# json.dumps's escapes of the ASCII characters that it does not write as they are
+_JSON_ESCAPES = {n: f"\\u{n:04x}" for n in (*range(32), 127)} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of dicts with str keys,
+    lists, str, int, bool and None, without loading ``json`` (and its ``re``)."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+    if isinstance(value, str):
+        text = value.translate(_JSON_ESCAPES)
+        if not text.isascii():  # the rest as UTF-16 code units, in native order after a BOM
+            units = memoryview(text.encode("utf-16", "surrogatepass")).cast("H")[1:]
+            text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
+        return f'"{text}"'
+    if value is None or isinstance(value, int):  # bools are ints: True prints true
+        return "null" if value is None else str(value).lower()
+    raise TypeError(f"{type(value).__name__} is not rendered as JSON")
 
 
 def _cells(rows: list[dict]) -> list[list[str]]:

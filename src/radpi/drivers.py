@@ -11,26 +11,25 @@ used so callers can tell the two apart.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 from ._record import Record
-from .arith import FixedReal, PrecisionContext, admit_cost, pi_fixed
+from .arith import FixedReal, PrecisionContext, Rational, admit_cost, pi_fixed
 from .errors import CatalogMissError, ConvergenceError, DomainError, PrecisionError, UsageError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
 # Exact 2*pi/arccos(x0) for starting terms whose angle is a rational multiple
 # of pi, keyed by (x0**2, sign).
-_EXACT_RATIOS: dict[tuple[Fraction, int], Fraction] = {
-    (Fraction(0), 1): Fraction(4),
-    (Fraction(0), -1): Fraction(4),
-    (Fraction(1, 4), 1): Fraction(6),
-    (Fraction(1, 4), -1): Fraction(3),
-    (Fraction(1, 2), 1): Fraction(8),
-    (Fraction(1, 2), -1): Fraction(8, 3),
-    (Fraction(3, 4), 1): Fraction(12),
-    (Fraction(3, 4), -1): Fraction(12, 5),
-    (Fraction(1), -1): Fraction(2),
+_EXACT_RATIOS: dict[tuple[Rational, int], Rational] = {
+    (Rational(0), 1): Rational(4),
+    (Rational(0), -1): Rational(4),
+    (Rational(1, 4), 1): Rational(6),
+    (Rational(1, 4), -1): Rational(3),
+    (Rational(1, 2), 1): Rational(8),
+    (Rational(1, 2), -1): Rational(8, 3),
+    (Rational(3, 4), 1): Rational(12),
+    (Rational(3, 4), -1): Rational(12, 5),
+    (Rational(1), -1): Rational(2),
 }
 
 MISPRINT_DIAGNOSTIC = (
@@ -46,7 +45,7 @@ class AngleRatio(Record):
     __slots__ = ("kind", "rational", "fixed")
     _defaults = {"rational": None, "fixed": None}
     kind: str  # "exact" | "self_consistent"
-    rational: Fraction | None
+    rational: Rational | None
     fixed: FixedReal | None
 
     def apply(self, value: FixedReal) -> FixedReal:
@@ -68,7 +67,7 @@ class Approximant(Record):
     diagnostic: str | None
 
 
-def exact_ratio_lookup(seed: Seed) -> Fraction | None:
+def exact_ratio_lookup(seed: Seed) -> Rational | None:
     return _EXACT_RATIOS.get((seed.x0_squared, seed.sign))
 
 
@@ -139,7 +138,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
             admit_cost(work * steps, work)
         return Plan(work, steps, work * steps, 4 * work)
     if route == "taylor":
-        m, d, terms = Fraction(params["m"]), Fraction(params["d"]), params["terms"]
+        m, d, terms = Rational(params["m"]), Rational(params["d"]), params["terms"]
         if m <= 0 or d <= 0:
             raise DomainError("m and d must be positive")
         u = d**2 / m**2
@@ -181,7 +180,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         work = ctx.working_bits if allowed is not None else ctx.scale_bits + 2 * k + 64
         seed = params.get("seed")
     elif route == "method2":
-        m, d = Fraction(params["m"]), Fraction(params["d"])
+        m, d = Rational(params["m"]), Rational(params["d"])
         if d <= 0 or d >= m:
             raise DomainError("method2 requires 0 < d < m")
         # m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack
@@ -233,7 +232,7 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
     """
     if variant not in ("corrected", "as_printed"):
         raise DomainError(f"unknown method2 variant {variant!r}")
-    m, d = Fraction(m), Fraction(d)
+    m, d = Rational(m), Rational(d)
     work = plan("method2", ctx, m=m, d=d).work
     s = m**2 - d**2
     ratio = _resolve_ratio(Seed(m, s), "auto", work)
@@ -341,16 +340,16 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
     )
 
 
-def taylor_seed_exact(m, d, terms: int) -> Fraction:
+def taylor_seed_exact(m, d, terms: int) -> Rational:
     """Exact partial sum of (1 - d**2/m**2)**(1/2) by the binomial series: the
     coefficients binom(1/2, j) times (-d**2/m**2)**j for j = 0..terms-1."""
     plan("taylor", None, m=m, d=d, terms=terms)
-    u = Fraction(d) ** 2 / Fraction(m) ** 2
-    total = Fraction(0)
-    coeff = power = Fraction(1)
+    u = Rational(d) ** 2 / Rational(m) ** 2
+    total = Rational(0)
+    coeff = power = Rational(1)
     for j in range(terms):
         total += coeff * power
-        coeff *= (Fraction(1, 2) - j) / (j + 1)
+        coeff *= (Rational(1, 2) - j) / (j + 1)
         power *= -u
     return total
 

@@ -17,11 +17,10 @@ exactly 2 and costs no root, so an engine step there takes two square roots
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import count
 
 from ._record import Record, set_field
-from .arith import FixedReal, PrecisionContext, _rational_text
+from .arith import FixedReal, PrecisionContext, Rational, _rational_text
 from .errors import DomainError, UsageError
 
 # Rounding slack accepted on |x| <= 1 preconditions: 16 units in the last place.
@@ -32,13 +31,13 @@ class PowerForm(Record):
     """Exact value 2**p * m**q with dyadic exponents held as integers over one
     power of two: p = a / 2**e and q = b / 2**e. The constructor reduces them
     to lowest terms (a or b odd, or e = 0), so equal forms have equal fields.
-    m is a positive int or Fraction."""
+    m is a positive int or Rational."""
 
     __slots__ = ("a", "b", "e", "m")
     a: int
     b: int
     e: int
-    m: int | Fraction
+    m: int | Rational
 
     def __init__(self, a: int, b: int, e: int, m) -> None:
         while e and not (a | b) & 1:
@@ -69,16 +68,16 @@ class PowerForm(Record):
             return None
         return None if n & ((1 << self.e) - 1) else n >> self.e
 
-    def exact_value(self) -> Fraction | None:
+    def exact_value(self) -> Rational | None:
         """Exact rational value when one exists (m a power of two, or q = 0)."""
         n = self.exact_log2()
-        return None if n is None else Fraction(2) ** n
+        return None if n is None else Rational(2) ** n
 
 
 def _positive(m):
-    """m as an int or Fraction, rejected unless positive, as ``Seed`` rejects it."""
-    if not isinstance(m, (int, Fraction)):
-        m = Fraction(m)
+    """m as an int or a Rational, rejected unless positive, as ``Seed`` rejects it."""
+    if not isinstance(m, (int, Rational)):
+        m = Rational(m)
     if m <= 0:
         raise DomainError("m must be positive")
     return m
@@ -116,18 +115,19 @@ def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
 class Seed(Record):
     """Starting term x0 = sign * sqrt(s) / m of the recursion.
 
-    m and s are exact rationals so that seeds whose angle is a rational
-    multiple of pi are recognized exactly. The pair s = m**2 with sign +1
-    (x0 = 1, theta0 = 0) is rejected; x0 = -1 is allowed.
+    m and s are exact Rationals (of anything that ``Rational`` takes) so that
+    seeds whose angle is a rational multiple of pi are recognized exactly. The
+    pair s = m**2 with sign +1 (x0 = 1, theta0 = 0) is rejected; x0 = -1 is
+    allowed.
     """
 
     __slots__ = ("m", "s", "sign")
-    m: Fraction
-    s: Fraction
+    m: Rational
+    s: Rational
     sign: int
 
     def __init__(self, m, s, sign: int = 1) -> None:
-        m, s = Fraction(m), Fraction(s)
+        m, s = Rational(m), Rational(s)
         if sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
         if m <= 0:
@@ -144,7 +144,7 @@ class Seed(Record):
 
     @classmethod
     def from_m_d(cls, m, d, sign: int = 1) -> "Seed":
-        m, d = Fraction(m), Fraction(d)
+        m, d = Rational(m), Rational(d)
         if d <= 0:
             raise DomainError("d must be positive")
         s = m**2 - d**2
@@ -154,11 +154,11 @@ class Seed(Record):
 
     @classmethod
     def from_x0(cls, x0) -> "Seed":
-        x0 = Fraction(x0)
-        return cls(Fraction(1), x0**2, -1 if x0 < 0 else 1)
+        x0 = Rational(x0)
+        return cls(1, x0**2, -1 if x0 < 0 else 1)
 
     @property
-    def x0_squared(self) -> Fraction:
+    def x0_squared(self) -> Rational:
         return self.s / self.m**2
 
     def value(self, scale_bits: int) -> FixedReal:

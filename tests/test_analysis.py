@@ -24,6 +24,7 @@ from radpi import (
     verify_identities,
 )
 from radpi.analysis import CATALOG, CatalogEntry, CoefficientRule
+from radpi.arith import Rational
 from radpi.errors import CatalogFailure
 
 
@@ -237,25 +238,25 @@ class TestVerifyIdentities:
 
 
 # One run at 256 bits: the scale-function algebra is integer work, so few
-# Fractions are built (98 and 80, with a margin), and the square roots (the
+# rationals are built (79 and 60, with a margin), and the square roots (the
 # engine's work) are pinned.
 @pytest.mark.parametrize("report, sqrt_calls", [(verify_identities, 938), (reproduce_catalog, 288)])
-def test_exact_algebra_builds_few_fractions(report, sqrt_calls, ctx256, monkeypatch):
-    counts = {"fractions": 0, "sqrt": 0}
-    real_new, real_sqrt = Fraction.__new__, FixedReal.sqrt
+def test_exact_algebra_builds_few_rationals(report, sqrt_calls, ctx256, monkeypatch):
+    counts = {"rationals": 0, "sqrt": 0}
+    real_init, real_sqrt = Rational.__init__, FixedReal.sqrt
 
-    def counting_new(cls, *args, **kwargs):
-        counts["fractions"] += 1
-        return real_new(cls, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        counts["rationals"] += 1
+        real_init(self, *args, **kwargs)
 
     def counting_sqrt(self):
         counts["sqrt"] += 1
         return real_sqrt(self)
 
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Rational, "__init__", counting_init)
     monkeypatch.setattr(FixedReal, "sqrt", counting_sqrt)
     report(ctx256)
-    assert counts["fractions"] <= {verify_identities: 108, reproduce_catalog: 90}[report], counts
+    assert counts["rationals"] <= {verify_identities: 89, reproduce_catalog: 70}[report], counts
     assert counts["sqrt"] == sqrt_calls, counts
 
 

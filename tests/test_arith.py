@@ -5,11 +5,14 @@ the mpmath cross-checks below keep the frozen strings honest.
 """
 
 import math
+import operator
+import re
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radpi import (
@@ -22,7 +25,15 @@ from radpi import (
     isqrt,
     pi_oracle,
 )
-from radpi.arith import MAX_WORKING_BITS, _int, _pi_mantissa, _rational_text, _tdiv, _tshift
+from radpi.arith import (
+    MAX_WORKING_BITS,
+    Rational,
+    _int,
+    _pi_mantissa,
+    _rational_text,
+    _tdiv,
+    _tshift,
+)
 from radpi.drivers import plan
 
 PI_60 = "3.141592653589793238462643383279502884197169399375105820974944"
@@ -140,6 +151,100 @@ class TestDecimalTextPastTheIntStrLimit:
         back = _int(f"{digits[:1]}_{digits[1:]}" if len(digits) > 1 else digits)
         int_str_digits(0)
         assert (text, digits, back) == (str(value), str(num), num)
+
+
+# The grammar that from_decimal read through a regex: after strip(), a sign,
+# digits of any script (what `\d` matches), and a point with optional digits.
+_DECIMAL_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?$")
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.from_regex(_DECIMAL_RE), st.text(" +-.0123456789_e/\n\t\u0663\u00b2", max_size=8)))
+@example("\u0661\u0662.\u0663")  # Arabic-Indic digits: \d matches them, and so does the scanner
+@example(" -7. ")
+@example("\u00b2")  # a superscript two is a digit to isdigit, not to \d
+def test_from_decimal_reads_what_the_decimal_regex_read(text):
+    match = _DECIMAL_RE.match(text.strip())
+    if match is None:
+        with pytest.raises(UsageError, match="malformed decimal literal"):
+            FixedReal.from_decimal(text, 64)
+        return
+    sign, whole, frac = match[1], match[2], match[3] or ""
+    value = Fraction(int(whole + frac), 10 ** len(frac))
+    assert FixedReal.from_decimal(text, 64) == FixedReal.from_fraction(
+        -value if sign == "-" else value, 64)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+_MODULUS = sys.hash_info.modulus
+
+
+class TestRational:
+    """The rational against the Fraction of the same value."""
+
+    @settings(max_examples=300)
+    @given(_FRACTIONS, st.one_of(_FRACTIONS, st.integers(-(10**30), 10**30)))
+    @example(Fraction(3, 4), 0)
+    @example(Fraction(0), Fraction(0))
+    def test_arithmetic_with_int_or_rational_on_either_side(self, a, b):
+        other = b if isinstance(b, int) else Rational(b)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for (x, y), (fx, fy) in (((Rational(a), other), (a, b)), ((other, Rational(a)), (b, a))):
+                try:
+                    expected = op(fx, fy)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                got = op(x, y)
+                assert type(got) is Rational
+                assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    @settings(max_examples=300)
+    @given(_FRACTIONS, st.one_of(_FRACTIONS, st.integers(-(10**30), 10**30)))
+    @example(Fraction(1, 3), Fraction(1, 3))
+    @example(Fraction(-2), -2)
+    def test_comparisons_and_equality(self, a, b):
+        other = b if isinstance(b, int) else Rational(b)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+            assert op(Rational(a), other) == op(a, b)
+            assert op(other, Rational(a)) == op(b, a)
+        assert Rational(a) == a and a == Rational(a)  # against the Fraction itself
+
+    @settings(max_examples=300)
+    @given(_FRACTIONS, st.integers(-8, 8))
+    @example(Fraction(0), -1)
+    @example(Fraction(-2, 3), -3)
+    def test_powers(self, a, n):
+        try:
+            expected = a**n
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                Rational(a) ** n
+            return
+        got = Rational(a) ** n
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    @settings(max_examples=300)
+    @given(_FRACTIONS)
+    @example(Fraction(-1))  # hash(-1) is -2
+    @example(Fraction(1, _MODULUS))  # no inverse modulo the hash prime
+    @example(Fraction(-3, 2 * _MODULUS))
+    def test_hash_and_text(self, a):
+        assert hash(Rational(a)) == hash(a)
+        assert {a: "fraction"}[Rational(a)] == "fraction"
+        assert {Rational(a): "rational"}[a] == "rational"
+        assert _rational_text(Rational(a)) == str(Rational(a)) == str(a)
+
+    def test_built_from_ints_literals_floats_and_fractions(self):
+        assert Rational(6, -4) == Fraction(-3, 2)
+        assert Rational(" -1_5e-1 ") == Fraction(-3, 2)
+        assert Rational(0.1) == Fraction(0.1)
+        assert Rational(Fraction(7, 3), 2) == Fraction(7, 6)
+        with pytest.raises(ZeroDivisionError):
+            Rational(1, 0)
+        with pytest.raises(ValueError):
+            Rational("1 / 2")
 
 
 class TestIsqrt:

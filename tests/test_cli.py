@@ -6,10 +6,11 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
-from fractions import _RATIONAL_FORMAT, Fraction
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from radpi.cli import (
     _X0_REPLACES,
     _cmd_compute,
     _fraction_arg,
+    _json,
     _method_request,
     _parse_table,
     build_parser,
@@ -418,14 +420,39 @@ def test_rational_flags_past_4300_digits(argv, expected_code, capsys, int_str_di
     assert lifted[0] == expected_code
 
 
-# A rational flag is Fraction(text) while its numerator and denominator, as
-# written with the exponent applied, have at most 19726 digits (all of which fit
-# in MAX_WORKING_BITS bits), and over the cost bound past that. Within a
-# text's length of the bound either outcome is right.
+# Python 3.11's Fraction grammar, held here so that every Python checks the
+# flags against the same one: 3.10's has no underscores, and 3.12's lets
+# spaces stand around "/". (3.11's own copy reads `d*` for the first `\d*` of
+# its decimal part; Fraction then refuses a "d" there, as this copy does.)
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+     |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def _fraction_of(match: re.Match) -> Fraction:
+    """What Python 3.11's Fraction(text) makes of a match of its grammar."""
+    decimal = (match["decimal"] or "").replace("_", "")
+    value = Fraction(int(match["num"] or 0) * 10 ** len(decimal) + int(decimal or 0),
+                     int(match["denom"] or 1) * 10 ** len(decimal))
+    value *= Fraction(10) ** int(match["exp"] or 0)
+    return -value if match["sign"] == "-" else value
+
+
+# A rational flag is the Fraction of its text in 3.11's grammar while its
+# numerator and denominator, as written with the exponent applied, have at
+# most 19726 digits (all of which fit in MAX_WORKING_BITS bits), and over the
+# cost bound past that. Within a text's length of the bound either outcome is
+# right.
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.from_regex(_RATIONAL_FORMAT), st.text("0123456789_./eE+- x", max_size=10),
                  st.tuples(st.sampled_from(["1", "-0.3", "7.25", "0"]), st.integers(-10**9, 10**9))
                  .map(lambda drawn: f"{drawn[0]}e{drawn[1]}")))
+@example("1_000")  # 3.10's Fraction refuses it
+@example("1 / 2")  # 3.12's Fraction reads it
+@example(" -\u0661_\u0662.5E+0_1 ")
+@example("1.d")
 def test_rational_flag_is_fraction_of_its_text(text):
     match = _RATIONAL_FORMAT.match(text)
     exp = abs(int(match["exp"])) if match is not None and match["exp"] else 0
@@ -434,7 +461,9 @@ def test_rational_flag_is_fraction_of_its_text(text):
             _fraction_arg(text)
         return
     try:
-        expected = Fraction(text)
+        if match is None:
+            raise ValueError(text)
+        expected = _fraction_of(match)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(argparse.ArgumentTypeError, match="not a rational number"):
             _fraction_arg(text)
@@ -443,6 +472,16 @@ def test_rational_flag_is_fraction_of_its_text(text):
         assert _fraction_arg(text) == expected
     except PrecisionError:
         assert exp + len(text) > 19726
+
+
+# One grammar on every Python: before it was pinned, `--m 1_000` exited 64 on
+# 3.10 and `--x0 "1 / 2"` exited 0 on 3.12
+@pytest.mark.parametrize("argv, expected_code", [
+    (["compute", "--method", "method1", "--m", "1_000", "--s", "3", "--k", "3"], 0),
+    (["arccos", "--x0", "1 / 2"], 64),
+])
+def test_rational_flags_read_one_grammar(argv, expected_code, capsys):
+    assert run(capsys, *argv)[0] == expected_code
 
 
 def test_every_flag_a_method_names_is_declared():
@@ -713,6 +752,25 @@ def test_identity_fails_at_its_bound(patched, line, residual, at_bound, capsys, 
     assert verdicts[line].endswith(f"  [{residual[at_bound]}]")
 
 
+# The JSON writer against json.dumps, on nested dicts and lists (empty ones
+# too) of ints, bools, None and strings with quotes, backslashes, control
+# characters, non-ASCII characters, astral ones and lone surrogates.
+_JSON_TEXT = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\ud800", "\U0001d11e"]), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200)
+@given(_JSON_VALUES)
+@example({"meta": {}, "rows": []})
+@example([{}, [[]], {"a": {"b": []}}])
+def test_json_writer_is_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_empty_report_renders_header_only_csv():
     from radpi.analysis import ConvergenceReport
     from radpi.cli import render_report
@@ -813,13 +871,11 @@ def test_help_and_usage_bytes_are_pinned(entry, capsys, monkeypatch):
     assert (code, captured.out, captured.err) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
-# Run in a fresh interpreter: the modules that `import argparse, fractions`
-# already loads are the floor. A text request must add none of the listed
-# ones; a usage error none but those that argparse's help width reads
-# through shutil.get_terminal_size.
+# Run in a fresh `python -S`, whose modules are the floor. A text request must
+# add none of the listed ones; a usage error none but those that argparse's
+# help width reads through shutil.get_terminal_size.
 _FOOTPRINT_PROBE = """
 import sys
-import argparse, fractions
 floor = set(sys.modules)
 heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json",
          "shutil", "bz2", "lzma", "zlib", "fnmatch")
@@ -841,19 +897,23 @@ def test_text_request_imports_no_heavy_stdlib_modules():
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
-# A fresh `python -S` whose floor is `import fractions`, which radpi cannot
-# shed: well-formed text, csv and json requests parse from the flag table and
-# load none of argparse, gettext or locale; two usage errors after them still
+# A fresh `python -S`, whose modules are the floor: well-formed text, csv and
+# json requests of the six subcommands parse from the flag table and load
+# none of these: fractions and the modules that it imports, json, and
+# argparse with its gettext and locale. Two usage errors after them still
 # print argparse's pinned bytes.
+_SHED = ("fractions", "decimal", "numbers", "re", "enum", "json", "argparse", "gettext", "locale")
+_REQUESTS = [["compute", "--method", "viete", "--k", "8"],
+             ["table", "--method", "viete", "--k-range", "1:3"], ["arccos", "--x0", "0.5"],
+             ["audit", "--k", "3"], ["reproduce"], ["verify"]]
 _TABLE_PROBE = """
 import sys
-import fractions
 floor = set(sys.modules)
 from radpi.cli import run_command
-for fmt in ("text", "csv", "json"):
-    assert run_command(["compute", "--method", "viete", "--k", "8", "--format", fmt]) == 0
-loaded = sorted(name for name in ("argparse", "gettext", "locale")
-                if name in sys.modules and name not in floor)
+for argv in REQUESTS:
+    for fmt in ("text", "csv", "json"):
+        assert run_command([*argv, "--format", fmt]) == 0, (argv, fmt)
+loaded = sorted(name for name in SHED if name in sys.modules and name not in floor)
 codes = [run_command(argv) for argv in ARGVS]
 print(loaded, codes)
 """
@@ -864,7 +924,8 @@ _USAGE_ERRORS = [entry for entry in CLI_USAGE if entry["columns"] == 80 and entr
 def test_well_formed_requests_never_import_argparse():
     argvs = [entry["argv"] for entry in _USAGE_ERRORS]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _TABLE_PROBE.replace("ARGVS", repr(argvs))],
+        [sys.executable, "-S", "-c", _TABLE_PROBE.replace("ARGVS", repr(argvs))
+         .replace("REQUESTS", repr(_REQUESTS)).replace("SHED", repr(_SHED))],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
         capture_output=True, text=True, timeout=60, check=True,
     )

@@ -40,7 +40,8 @@ def test_constructor_takes_fields_by_position_or_name():
 
 
 def test_repr_names_every_field():
-    assert repr(Seed(2, 3, -1)) == "Seed(m=Fraction(2, 1), s=Fraction(3, 1), sign=-1)"
+    assert repr(Seed(2, 3, -1)) == ("Seed(m=Rational(numerator=2, denominator=1), "
+                                    "s=Rational(numerator=3, denominator=1), sign=-1)")
 
 
 def test_copy_and_pickle_rebuild_through_the_constructor():
