@@ -348,8 +348,8 @@ def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
     # the audit reads only its reference's scale, so no guard is ever read
     if args.guard_bits is not None:
         raise UsageError("audit does not read --guard-bits")
-    reference = PrecisionContext(plan("audit", None, seed=seed, k=args.k, bits=args.bits,
-                                      audited_bits=args.audited_bits).measure_bits)
+    # the reference at 4x the audited bits or finer; the audit plans and admits itself there
+    reference = PrecisionContext(max(args.bits, 4 * args.audited_bits))
     rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
     meta = {
         "method": "cancellation_audit",

@@ -71,19 +71,24 @@ def exact_ratio_lookup(seed: Seed) -> Rational | None:
     return _EXACT_RATIOS.get((seed.x0_squared, seed.sign))
 
 
+def _self_consistent(seed: Seed, mode: str) -> bool:
+    """Whether the ratio in ``mode`` takes a self-consistent arccos (mode self, or
+    auto off the catalog): the plan prices it and ``_resolve_ratio`` runs it by this rule."""
+    return mode == "self" or (mode == "auto" and exact_ratio_lookup(seed) is None)
+
+
 def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
     """The angle ratio in the requested mode (auto, exact, or self); a
     self-consistent ratio is computed at ``work`` bits."""
     if mode not in ("auto", "exact", "self"):
         raise DomainError(f"unknown ratio mode {mode!r}")
-    rational = None if mode == "self" else exact_ratio_lookup(seed)
-    if rational is not None:
-        return AngleRatio("exact", rational=rational)
-    if mode == "exact":
+    if _self_consistent(seed, mode):
+        theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
+        return AngleRatio("self_consistent", fixed=pi_fixed(work) * 2 / theta0)
+    rational = exact_ratio_lookup(seed)
+    if rational is None:
         raise CatalogMissError(f"no exact angle ratio cataloged for seed ({seed.describe()})")
-    theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
-    two_pi = pi_fixed(work) * 2
-    return AngleRatio("self_consistent", fixed=two_pi / theta0)
+    return AngleRatio("exact", rational=rational)
 
 
 class Plan(Record):
@@ -103,15 +108,15 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
 
     depth    k, and a ratio's seed and ratio_mode (auto): k steps at the scale
              plus 2k + 64, or plus an explicit guard (2 bits a step over 64);
-             the run, its ratio and their sum are refused in that order
+             the run, a ``_self_consistent`` ratio's arccos and their sum are
+             refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    ratio    seed, ratio_mode (auto): a self-consistent ratio's arccos, or none
     arccos   x0_bits (0): B/2 + 24 steps at the working bits, or at an x0's
              own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
-    audit    seed, k, audited_bits: both variants at the audited bits measured
-             at the context's scale (ctx None: the larger of bits and 4x them)
+    audit    seed, k, audited_bits: both variants at the audited bits and the
+             auto ratio 64 bits past the reference, measured at the context's scale
     table    a known method, params, sweep: the rows' sum, refused after each row
     """
     if route == "table":
@@ -125,11 +130,6 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
             bit_steps += row.bit_steps
             admit_cost(bit_steps)
         return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
-    if route == "ratio":
-        mode = params.get("ratio_mode", "auto")
-        if mode == "self" or (mode == "auto" and exact_ratio_lookup(params["seed"]) is None):
-            return plan("arccos", ctx)
-        return Plan(ctx.scale_bits, 0, 0, 0)
     if route == "arccos":
         steps, work = ctx.scale_bits // 2 + 24, ctx.working_bits
         admit_cost(work * steps, work)
@@ -157,16 +157,15 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         return Plan(ctx.scale_bits, terms, work * terms, 4 * ctx.working_bits)
     if route == "audit":
         audited, k = params["audited_bits"], params["k"]
-        if ctx is None:
-            ctx = PrecisionContext(max(params["bits"], 4 * audited))
         if audited < 24:
             raise DomainError("audited_bits must be >= 24")
         if ctx.scale_bits < 4 * audited:
             raise DomainError("reference precision must be >= 4x audited_bits")
         scale = ctx.scale_bits
         # the naive and the stable run, and the ratio 64 bits past the reference
-        bit_steps = 2 * (audited + scale) * k + plan(
-            "ratio", PrecisionContext(scale + 64), seed=params["seed"]).bit_steps
+        bit_steps = 2 * (audited + scale) * k
+        if _self_consistent(params["seed"], "auto"):
+            bit_steps += plan("arccos", PrecisionContext(scale + 64)).bit_steps
         admit_cost(bit_steps, scale)
         return Plan(scale + 64, k, bit_steps, scale)
     if route == "depth":
@@ -191,9 +190,8 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         raise UsageError(f"unknown plan route {route!r}")
     admit_cost(work * steps, work)
     bit_steps = work * steps
-    if seed is not None:
-        bit_steps += plan("ratio", PrecisionContext(work), seed=seed,
-                          ratio_mode=params.get("ratio_mode", "auto")).bit_steps
+    if seed is not None and _self_consistent(seed, params.get("ratio_mode", "auto")):
+        bit_steps += plan("arccos", PrecisionContext(work)).bit_steps
         admit_cost(bit_steps)
     return Plan(work, steps, bit_steps, 4 * work)
 

@@ -9,15 +9,17 @@ drivers consume (tracking the doubled sine directly keeps one unit of
 relative precision per step instead of losing k bits to rescaling).
 
 The scale factors come from the one chain ``scale_factors``, which the engine,
-``nested_literal`` and the identity suite all read. At m = 2 every factor is
-exactly 2 and costs no root, so an engine step there takes two square roots
-(half angle and radicand); elsewhere f costs a third until it rounds to 2.
+``nested_literal`` and the identity suite all read; the radicands g come from
+the one plus chain ``_plus_chain``, which the engine and ``nested_literal`` read.
+At m = 2 every factor is exactly 2 and costs no root, so an engine step there
+takes two square roots (half angle and radicand); elsewhere f costs a third
+until it rounds to 2.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import count
+from itertools import accumulate, count, islice
 
 from ._record import Record, set_field
 from .arith import FixedReal, PrecisionContext, Rational, _rational_text
@@ -227,6 +229,13 @@ def radicand_step(g_prev: FixedReal, f_k: FixedReal) -> FixedReal:
     return rad.sqrt()
 
 
+def _plus_chain(seed: Seed, factors: dict[int, FixedReal]) -> Iterator[FixedReal]:
+    """g_0 = sign * sqrt(s), then g_j = sqrt(f(j+1) + g_{j-1}) for each f(j+1) of
+    ``factors`` (keyed from 2), lazily and at their scale."""
+    root = FixedReal.from_fraction(seed.s, factors[2].scale_bits).sqrt()
+    return accumulate(factors.values(), radicand_step, initial=-root if seed.sign < 0 else root)
+
+
 def _doubled_sines(x: FixedReal, variant: str) -> Iterator[tuple[FixedReal, FixedReal]]:
     """(cos(theta0 / 2**j), 2**j * sin(theta0 / 2**j)) for j = 1, 2, ... from
     x = cos(theta0), at x's scale.
@@ -257,15 +266,11 @@ def run_at_scale(
     """
     if variant not in ("stable", "naive"):
         raise UsageError(f"unknown variant {variant!r}")
-    x = seed.value(scale_bits)
-    c = seed.sine0(scale_bits)
-    g = FixedReal.from_fraction(seed.s, scale_bits).sqrt()
-    if seed.sign < 0:
-        g = -g
+    x, c = seed.value(scale_bits), seed.sine0(scale_bits)
     f = scale_factors(seed.m, k + 2, scale_bits)
-    states = [RecursionState(0, x, c, c, g, f[2])]
-    for j, (x, scaled) in zip(range(1, k + 1), _doubled_sines(x, variant)):
-        g = radicand_step(g, f[j + 1])
+    chain = _plus_chain(seed, f)
+    states = [RecursionState(0, x, c, c, next(chain), f[2])]
+    for j, (x, scaled), g in zip(range(1, k + 1), _doubled_sines(x, variant), chain):
         states.append(RecursionState(j, x, scaled.times_pow2(-j), scaled, g, f[j + 2]))
     return states
 
@@ -273,9 +278,9 @@ def run_at_scale(
 def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     """sin(theta0 / 2**k) evaluated as the literal nested radical.
 
-    Builds the plus chain innermost-out with the scale factors from
-    ``scale_factors``, applies the single outermost minus, and divides
-    by the outer scale factor:
+    Builds the plus chain innermost-out (``_plus_chain``, which the engine
+    reads too), applies the single outermost minus, and divides by the outer
+    scale factor:
 
         c_k = sqrt(f(k+1) - g_{k-1}) / f(k+2),  g_j = sqrt(f(j+1) + g_{j-1})
 
@@ -286,11 +291,7 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     from .drivers import plan  # drivers imports this module
     work = plan("depth", ctx, k=k).work
     f_vals = scale_factors(seed.m, k + 2, work)
-    g = FixedReal.from_fraction(seed.s, work).sqrt()
-    if seed.sign < 0:
-        g = -g
-    for j in range(1, k):
-        g = radicand_step(g, f_vals[j + 1])
+    *_, g = islice(_plus_chain(seed, f_vals), k)  # g_{k-1}
     rad = f_vals[k + 1] - g
     if rad.mantissa < 0:
         # chain noise is O(k) units at the working scale; anything larger is real

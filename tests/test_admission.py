@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import radpi.analysis
+import radpi.cli
 import radpi.drivers
 from radpi import (
+    CatalogMissError,
     DomainError,
     FixedReal,
     PrecisionContext,
@@ -178,6 +180,43 @@ def test_audit_is_refused_before_any_work(no_work, k_max, audited_bits):
         cancellation_audit(Seed(2, 2, 1), k_max, audited_bits, reference)
 
 
+@pytest.mark.parametrize("mode", ["auto", "exact", "self", "sideways"])
+@pytest.mark.parametrize("seed", [Seed(2, 2, 1), Seed(5, 16, 1)], ids=["(2, 2, +)", "(5, 16, +)"])
+def test_the_depth_plan_prices_an_arccos_exactly_when_the_ratio_runs_one(seed, mode,
+                                                                        monkeypatch):
+    ctx, k = PrecisionContext(128), 6
+    depth = plan("depth", ctx, seed=seed, k=k, ratio_mode=mode)
+    planned = depth.bit_steps - depth.work * k
+    assert planned in (0, plan("arccos", PrecisionContext(depth.work)).bit_steps)
+    runs = []
+    real = radpi.drivers.arccos_by_recursion
+    monkeypatch.setattr(radpi.drivers, "arccos_by_recursion",
+                        lambda *args: runs.append(args) or real(*args))
+    try:
+        radpi.drivers._resolve_ratio(seed, mode, depth.work)
+    except (DomainError, CatalogMissError):
+        pass
+    assert bool(planned) == bool(runs)
+    assert bool(runs) == (mode == "self" or (mode, seed) == ("auto", Seed(5, 16, 1)))
+
+
+def test_an_audit_request_makes_one_audit_plan(monkeypatch, capsys):
+    routes = []
+    real = radpi.drivers.plan
+
+    def counting(route, ctx, **params):
+        routes.append(route)
+        return real(route, ctx, **params)
+
+    for module in (radpi.drivers, radpi.analysis, radpi.cli):
+        monkeypatch.setattr(module, "plan", counting)
+    for seed in (["--m", "2", "--s", "2"], ["--m", "5", "--s", "16"]):
+        routes.clear()
+        assert run_command(["audit", "--k", "5", *seed]) == 0
+        assert routes.count("audit") == 1, routes
+    capsys.readouterr()
+
+
 def test_taylor_terms_are_refused_before_the_sum():
     with pytest.raises(PrecisionError, match="cost bound"):
         taylor_seed_exact(5, 3, 10**9)
@@ -279,9 +318,9 @@ def _plan(route, ctx, bits, p):
         return plan("depth", ctx, k=p["k"])
     if route.startswith("method2"):
         return plan("method2", ctx, m=Fraction(p["m"]), d=Fraction(p["d"]))
-    if route == "audit":  # as the command line asks, from its bits
-        return plan("audit", None, seed=_seed(p), k=p["k"], audited_bits=p["audited_bits"],
-                    bits=bits)
+    if route == "audit":  # at the reference that the command line builds from its bits
+        return plan("audit", PrecisionContext(max(bits, 4 * p["audited_bits"])), seed=_seed(p),
+                    k=p["k"], audited_bits=p["audited_bits"])
     if route == "reproduce":
         return plan("depth", ctx, k=25)
     if route == "verify":  # the identities' depth-20 runs and depth-30 doubled sines

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radpi.arith
+import radpi.drivers
 from radpi import (
     CatalogMissError,
     DomainError,
@@ -412,6 +414,42 @@ def test_drivers_return_numbers_without_formatting_params(name, ctx128, monkeypa
     approx = _EVERY_DRIVER[name](ctx128)
     assert approx.value.scale_bits == 128
     assert approx.target in ("pi", "one")
+
+
+# each exact-ratio route, and two routes whose ratio needs pi
+_PI_FREE = {
+    "method1 exact (2, 3, +)": lambda ctx: pi_method1(Seed(2, 3, 1), 8, ctx, "exact"),
+    "method1 auto (2, 2, -)": lambda ctx: pi_method1(Seed(2, 2, -1), 8, ctx),
+    "method1 auto (1, 0, +)": lambda ctx: pi_method1(Seed(1, 0, 1), 8, ctx),
+    "combined (2, 1)": lambda ctx: pi_combined(2, 1, 8, ctx),
+    "method2 (2, 1)": lambda ctx: pi_method2(2, 1, ctx),
+    "viete": lambda ctx: viete_product(8, ctx),
+}
+_READS_PI = {
+    "method1 self (2, 2, +)": lambda ctx: pi_method1(Seed(2, 2, 1), 8, ctx, "self"),
+    "method2 (5, 1)": lambda ctx: pi_method2(5, 1, ctx),
+}
+
+
+@pytest.mark.parametrize("name", [*_PI_FREE, *_READS_PI])
+def test_exact_ratio_results_read_no_stored_pi(name, ctx128, monkeypatch):
+    # with both ways to a stored pi broken, an exact-ratio route returns its
+    # value unchanged, and a route whose ratio needs pi fails (the patch bites)
+    call = _PI_FREE.get(name) or _READS_PI[name]
+    before = call(ctx128)
+
+    def refuse(*args):
+        raise AssertionError("read a stored pi")
+
+    monkeypatch.setattr(radpi.arith, "_pi_mantissa", refuse)
+    monkeypatch.setattr(radpi.drivers, "pi_fixed", refuse)
+    if name in _READS_PI:
+        with pytest.raises(AssertionError, match="read a stored pi"):
+            call(ctx128)
+        return
+    after = call(ctx128)
+    assert after.ratio_kind == before.ratio_kind == "exact"
+    assert after == before
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
