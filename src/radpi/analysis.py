@@ -14,10 +14,11 @@ from collections.abc import Sequence
 from itertools import islice
 
 from ._record import Record
-from .arith import (FixedReal, PrecisionContext, Rational, _rational_text,
-                    decimal_digits_for_bits, pi_fixed)
+from .arith import (_LOG10_2_DEN, _LOG10_2_NUM, FixedReal, PrecisionContext, Rational,
+                    _rational_text, decimal_digits_for_bits, pi_fixed)
 from .drivers import (
     Approximant,
+    Plan,
     _TABLE_METHODS,
     _resolve_ratio,
     exact_ratio_lookup,
@@ -76,7 +77,7 @@ def correct_decimal_digits(err: FixedReal) -> int | None:
     cap = 1 << err.scale_bits
     if m <= cap:
         # largest d >= 0 with m * 10**d <= cap; bit-length estimate, then settle
-        d = max(0, ((cap.bit_length() - m.bit_length() - 1) * 30103) // 100000 - 1)
+        d = max(0, (cap.bit_length() - m.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN - 1)
         while m * 10 ** (d + 1) <= cap:
             d += 1
         return d
@@ -133,11 +134,21 @@ def convergence_table(
     or its rows together are over the cost bound. error_ratio is previous
     abs_error over current abs_error; the first row's ratio is empty.
     """
+    table, approximants, reference = _table_rows(method, params, sweep, ctx)
+    return _report(sweep, [a.value for a in approximants], reference, ctx, table.work,
+                   method, params)
+
+
+def _table_rows(
+    method: str, params: dict, sweep: Sequence[int], ctx: PrecisionContext
+) -> tuple[Plan, list[Approximant], FixedReal | None]:
+    """A sweep's plan("table"), its rows' approximants from the method's
+    driver, and their reference at the plan's measure scale (None without a
+    row): a table's rows, or compute's one."""
     table = plan("table", ctx, method=method, params=params, sweep=sweep)
     approximants = [_TABLE_METHODS[method][1](params, index, ctx) for index in sweep]
     reference = _target_value(approximants[0].target, table.measure_bits) if approximants else None
-    return _report(sweep, [a.value for a in approximants], reference, ctx, table.work,
-                   method, params)
+    return table, approximants, reference
 
 
 def _param_text(params: dict) -> dict[str, str]:
@@ -200,22 +211,16 @@ def cancellation_audit(
 
 
 class CatalogEntry(Record):
-    """One classical formula: coefficient times an all-twos nested radical."""
+    """One classical formula: its printed coefficient factor * 2**(n + shift)
+    times an all-twos nested radical of n square roots."""
 
-    __slots__ = ("name", "seed", "coefficient")
-    name: str  # rendered coefficient, e.g. "2^n"
+    __slots__ = ("name", "seed", "factor", "shift")
+    name: str  # the formula as printed, e.g. "2^n * sqrt(2 - ...)"
     seed: Seed
-    coefficient: "CoefficientRule"
-
-
-class CoefficientRule(Record):
-    """Printed coefficient c * 2**(n + shift) at n nested square roots."""
-
-    __slots__ = ("factor", "shift")
     factor: Rational
     shift: int
 
-    def at(self, n: int) -> Rational:
+    def coefficient(self, n: int) -> Rational:
         return self.factor * Rational(2) ** (n + self.shift)
 
 
@@ -225,13 +230,13 @@ _CATALOG_TOLERANCE = Rational(1, 10**12)
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("2^n * sqrt(2 - sqrt(2 + ... + sqrt(2 + sqrt(2))))",
-                 Seed(2, 2, 1), CoefficientRule(Rational(1), 0)),
+                 Seed(2, 2, 1), Rational(1), 0),
     CatalogEntry("3*2^(n-1) * sqrt(2 - sqrt(2 + ... + sqrt(2 + sqrt(3))))",
-                 Seed(2, 3, 1), CoefficientRule(Rational(3), -1)),
+                 Seed(2, 3, 1), Rational(3), -1),
     CatalogEntry("(3/5)*2^(n-1) * sqrt(2 - sqrt(2 + ... + sqrt(2 - sqrt(3))))",
-                 Seed(2, 3, -1), CoefficientRule(Rational(3, 5), -1)),
+                 Seed(2, 3, -1), Rational(3, 5), -1),
     CatalogEntry("(4/3)*2^(n-2) * sqrt(2 - sqrt(2 + ... + sqrt(2 - sqrt(2))))",
-                 Seed(2, 2, -1), CoefficientRule(Rational(4, 3), -2)),
+                 Seed(2, 2, -1), Rational(4, 3), -2),
 )
 
 
@@ -276,32 +281,30 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
     """
     catalog = plan("depth", ctx, k=_CATALOG_DEPTH)
     work, scale = catalog.work, catalog.measure_bits
-    pi_ref = pi_fixed(scale)
     tol_fixed = FixedReal.from_fraction(_CATALOG_TOLERANCE, scale)
     results = []
     for entry in CATALOG:
         ratio = exact_ratio_lookup(entry.seed)
         if ratio is None:
             raise CatalogFailure(f"{entry.name}: seed unexpectedly uncataloged")
-        factor = entry.coefficient.factor
         for k in range(1, _CATALOG_DEPTH + 1):
             f_log2 = f_power_form(k + 2, entry.seed.m).exact_log2()
             if f_log2 is None:
                 raise CatalogFailure(f"{entry.name}: scale factor not exact at k={k}")
             # R * 2**(k-1) / 2**f_log2 = factor * 2**(k+1+shift) exactly when
             # R = factor * 2**d, checked cross-multiplied on integers
-            d = entry.coefficient.shift + 2 + f_log2
-            if (ratio.numerator * factor.denominator << max(-d, 0)
-                    != factor.numerator * ratio.denominator << max(d, 0)):
+            d = entry.shift + 2 + f_log2
+            if (ratio.numerator * entry.factor.denominator << max(-d, 0)
+                    != entry.factor.numerator * ratio.denominator << max(d, 0)):
                 prefactor = ratio * Rational(2) ** (k - 1 - f_log2)
                 raise CatalogFailure(
                     f"{entry.name}: prefactor {prefactor} != printed "
-                    f"{entry.coefficient.at(k + 1)} at n={k + 1}"
+                    f"{entry.coefficient(k + 1)} at n={k + 1}"
                 )
         shape_k = 8
         printed = _printed_all_twos_radical(
             entry.seed.s, entry.seed.sign, shape_k + 1, work
-        ).mul_fraction(entry.coefficient.at(shape_k + 1))
+        ).mul_fraction(entry.coefficient(shape_k + 1))
         via_literal = nested_literal(entry.seed, shape_k, ctx).rescale(work).mul_fraction(
             ratio * Rational(2) ** (shape_k - 1)
         )

@@ -73,11 +73,12 @@ def _rational_text(value: int | Rational) -> str:
     return text if value.denominator == 1 else f"{text}/{_digits(value.denominator, 0)}"
 
 
-def _rational_literal(text: str, max_digits: int | None = None) -> tuple[int, int]:
+def _rational_literal(text: str) -> tuple[int, int]:
     """(numerator, denominator), converted a chunk at a time, of text in Python
     3.11's ``Fraction`` grammar on every Python (a digit: ``str.isdecimal``, what
-    ``re`` reads as ``\\d``); else ValueError. With max_digits, one of more digits
-    as written, its exponent applied, is over the cost bound before it is built."""
+    ``re`` reads as ``\\d``); else ValueError. One of more digits as written, its
+    exponent applied, than always fit in MAX_WORKING_BITS bits is over the cost
+    bound before it is built."""
     body = text.strip()
     sign, body = -1 if body[:1] == "-" else 1, body[1:] if body[:1] in "+-" else body
     parts = body.split("_")  # each underscore stands between two digits
@@ -91,9 +92,10 @@ def _rational_literal(text: str, max_digits: int | None = None) -> tuple[int, in
         raise ValueError(f"invalid literal for a rational: {text!r}")
     digits, shift = whole + decimal, int(exp or 0) - len(decimal)  # digits * 10**shift / denom
     size = max(len(digits.lstrip("0")) + max(shift, 0), len(denom.lstrip("0")), 1 - shift)
-    if max_digits is not None and size > max_digits:
+    bound = decimal_digits_for_bits(MAX_WORKING_BITS)  # 19726
+    if size > bound:
         raise PrecisionError(f"request over the cost bound: a rational of {size} digits "
-                             f"(at most {max_digits})")
+                             f"(at most {bound})")
     return sign * _int(digits) * 10 ** max(shift, 0), _int(denom or "1") * 10 ** max(-shift, 0)
 
 

@@ -29,22 +29,14 @@ from .analysis import (
     ReportRow,
     _param_text,
     _report,
-    _target_value,
+    _table_rows,
     cancellation_audit,
     convergence_table,
     reproduce_catalog,
     verify_identities,
 )
-from .arith import (
-    MAX_WORKING_BITS,
-    FixedReal,
-    PrecisionContext,
-    Rational,
-    _rational_literal,
-    arccos_oracle,
-    decimal_digits_for_bits,
-)
-from .drivers import _TABLE_METHODS, arccos_by_recursion, plan, taylor_seed_exact
+from .arith import FixedReal, PrecisionContext, Rational, arccos_oracle, decimal_digits_for_bits
+from .drivers import arccos_by_recursion, plan, taylor_seed_exact
 from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
@@ -76,14 +68,10 @@ _METHODS = {
 }
 
 
-# the most digits of a rational flag's numerator or denominator: all fit in MAX_WORKING_BITS bits
-_MAX_DIGITS = decimal_digits_for_bits(MAX_WORKING_BITS)
-
-
 def _fraction_arg(text: str) -> Rational:
-    """A rational flag: a ``_rational_literal`` of at most _MAX_DIGITS digits."""
+    """A rational flag: a ``Rational`` of its text."""
     try:
-        return Rational(*_rational_literal(text, _MAX_DIGITS))
+        return Rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         import argparse
 
@@ -292,11 +280,9 @@ def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRep
         raise UsageError("method2 requires an integer --m")
     index = getattr(args, reads[0]).numerator  # an int, or method2's integer --m
     name, params = _method_request(args)
-    row = plan("table", ctx, method=name, params=params, sweep=[index])
-    approx = _TABLE_METHODS[name][1](params, index, ctx)
+    row, (approx,), reference = _table_rows(name, params, [index], ctx)
     if approx.diagnostic:
         print(approx.diagnostic, file=sys.stderr)
-    reference = _target_value(approx.target, row.measure_bits)
     params |= {reads[0]: index, "bits": ctx.scale_bits, "guard_bits": row.work - ctx.scale_bits}
     if method == "method2":
         params["s"] = index**2 - params["d"] ** 2

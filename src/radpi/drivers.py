@@ -185,7 +185,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         # m - sqrt(s) ~= d**2/(2m): budget twice the cancelled bits plus slack
         cancelled = (m.numerator * d.denominator) // (m.denominator * d.numerator) + 2
         work, steps = ctx.working_bits + 64 + 4 * cancelled.bit_length(), 1
-        seed = Seed(m, m**2 - d**2)
+        seed = Seed.from_m_d(m, d)
     else:
         raise UsageError(f"unknown plan route {route!r}")
     admit_cost(work * steps, work)
@@ -232,16 +232,16 @@ def pi_method2(m, d, ctx: PrecisionContext, variant: str = "corrected") -> Appro
         raise DomainError(f"unknown method2 variant {variant!r}")
     m, d = Rational(m), Rational(d)
     work = plan("method2", ctx, m=m, d=d).work
-    s = m**2 - d**2
-    ratio = _resolve_ratio(Seed(m, s), "auto", work)
-    sqrt_s = FixedReal.from_fraction(s, work).sqrt()
+    seed = Seed.from_m_d(m, d)
+    ratio = _resolve_ratio(seed, "auto", work)
+    sqrt_s = FixedReal.from_fraction(seed.s, work).sqrt()
     m_fixed = FixedReal.from_fraction(m, work)
     if variant == "corrected":
         value = ratio.apply(((m_fixed - sqrt_s) / (m_fixed * 2)).sqrt())
         diagnostic = None
     else:
         scaled = ratio.apply((m_fixed - sqrt_s).sqrt())
-        value = scaled / FixedReal.from_fraction(m * s, work).sqrt()
+        value = scaled / FixedReal.from_fraction(m * seed.s, work).sqrt()
         diagnostic = MISPRINT_DIAGNOSTIC
     return Approximant(
         value=value.rescale(ctx.scale_bits),
@@ -353,8 +353,8 @@ def taylor_seed_exact(m, d, terms: int) -> Rational:
 
 
 # Each table method's row at a sweep index (k, or m for method2) from the
-# table's params, as a pair: its plan, and its driver call. plan("table"),
-# analysis.convergence_table and the CLI's compute all read this one table.
+# table's params, as a pair: its plan, and its driver call. plan("table") and
+# analysis._table_rows (a table's rows, or compute's one) read this one table.
 _TABLE_METHODS = {
     "method1": (
         lambda p, k, ctx: plan("depth", ctx, seed=p["seed"], k=k,

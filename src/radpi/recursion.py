@@ -49,9 +49,6 @@ class PowerForm(Record):
         set_field(self, "e", e)
         set_field(self, "m", m)
 
-    def _values(self) -> tuple:  # equality and hashing without the generic field walk
-        return (self.a, self.b, self.e, self.m)
-
     def times_two(self) -> "PowerForm":
         return PowerForm(self.a + (1 << self.e), self.b, self.e, self.m)
 

@@ -23,7 +23,7 @@ from radpi import (
     reproduce_catalog,
     verify_identities,
 )
-from radpi.analysis import CATALOG, CatalogEntry, CoefficientRule
+from radpi.analysis import CATALOG, CatalogEntry
 from radpi.arith import Rational
 from radpi.errors import CatalogFailure
 
@@ -167,7 +167,7 @@ class TestReproduceCatalog:
     ])
     def test_prefactor_is_checked_exactly(self, factor, shift, failure, ctx128, monkeypatch):
         first = CATALOG[0]
-        entry = CatalogEntry(first.name, first.seed, CoefficientRule(factor, shift))
+        entry = CatalogEntry(first.name, first.seed, factor, shift)
         monkeypatch.setattr(radpi.analysis, "CATALOG", (entry, *CATALOG[1:]))
         if failure is None:
             assert all(r.prefactor_exact for r in reproduce_catalog(ctx128).results)

@@ -246,6 +246,17 @@ class TestRational:
         with pytest.raises(ValueError):
             Rational("1 / 2")
 
+    # every literal has the rational flags' bound: the digits of 10**n are n + 1
+    def test_literal_past_19726_digits_is_over_the_cost_bound(self):
+        from radpi import PrecisionError
+
+        with pytest.raises(PrecisionError, match=r"^request over the cost bound: a rational of "
+                                                 r"19728 digits \(at most 19726\)$"):
+            Rational("1e-19727")
+
+    def test_literal_of_19726_digits_builds(self):
+        assert Rational("1e-19725") == Fraction(1, 10**19725)
+
 
 class TestIsqrt:
     @pytest.mark.parametrize(

@@ -159,6 +159,23 @@ class TestExitCodes:
     def test_audit_guard_bits_is_64(self, capsys, argv, message):
         assert run(capsys, "audit", *argv) == (64, "", f"radpi: usage error: {message}\n")
 
+    # a malformed sweep is a usage error; a combined seed with d = m is a
+    # domain error, in compute and in its table alike
+    @pytest.mark.parametrize("argv, code, message", [
+        (["table", "--method", "viete", "--k-range", "5"], 64,
+         "usage error: --k-range must be LO:HI"),
+        (["table", "--method", "viete", "--k-range", "a:b"], 64,
+         "usage error: --k-range must be LO:HI with integers"),
+        (["table", "--method", "method2", "--m-range", "10,x"], 64,
+         "usage error: --m-range must be comma-separated integers"),
+        (["compute", "--method", "combined", "--m", "2", "--d", "2", "--k", "3"], 2,
+         "error: combined method requires d < m"),
+        (["table", "--method", "combined", "--m", "2", "--d", "2", "--k-range", "3:3"], 2,
+         "error: combined method requires d < m"),
+    ])
+    def test_malformed_sweep_or_combined_seed(self, capsys, argv, code, message):
+        assert run(capsys, *argv) == (code, "", f"radpi: {message}\n")
+
     @pytest.mark.parametrize("variant", ["corrected", "as-printed"])
     def test_table_method1_rejects_method2_variants(self, capsys, variant):
         code, out, err = run(

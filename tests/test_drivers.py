@@ -258,6 +258,10 @@ class TestArccosByRecursion:
         got = arccos_by_recursion(FixedReal.from_int(-1, 128), ctx128)
         assert abs((got - pi_oracle(ctx128)).mantissa) < 1 << 16
 
+    def test_below_minus_one_rejected(self):
+        with pytest.raises(DomainError, match="^arccos argument below -1$"):
+            arccos_by_recursion(FixedReal(-(1 << 64) - 1, 64), PrecisionContext(64))
+
     def test_near_one_rejected(self, ctx128):
         x = FixedReal((1 << 128) - 1, 128)
         with pytest.raises(DomainError):

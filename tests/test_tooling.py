@@ -120,6 +120,21 @@ def test_package_imports_only_the_stdlib_and_itself(path):
     assert foreign == []
 
 
+def test_no_function_assigns_a_local_it_never_reads():
+    # a name that a function (or a closure in it) stores but never loads is
+    # dead work; "_" is the one name stored to be dropped
+    unread = set()
+    for path in sorted((ROOT / "src" / "radpi").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            unread |= {f"{path.name}:{node.lineno} {node.id}" for node in names
+                       if isinstance(node.ctx, ast.Store) and node.id not in read | {"_"}}
+    assert sorted(unread) == []
+
+
 def test_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
