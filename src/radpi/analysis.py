@@ -380,8 +380,10 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     seeds = [entry.seed for entry in CATALOG]
     results = []
 
-    scale_ok = all(f_power_form(k + 1, m).squared() == f_power_form(k, m).times_two()
-                   for m in (2, 3, 5, 10) for k in range(2, 65))
+    # each m's forms f(2), ..., f(65) built once; neighbours compared for k in [2, 64]
+    scale_ok = all(nxt.squared() == form.times_two()
+                   for forms in ([f_power_form(k, m) for k in range(2, 66)] for m in (2, 3, 5, 10))
+                   for form, nxt in zip(forms, forms[1:]))
     results.append(
         IdentityResult(
             "scale identity f(k+1)^2 = 2 f(k) (exact exponents, k in [2,64], m in {2,3,5,10})",

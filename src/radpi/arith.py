@@ -90,12 +90,13 @@ def _rational_literal(text: str) -> tuple[int, int]:
             and (not e or (exp[1:] if exp[:1] in "+-" else exp).isdecimal())
             and (not slash or not dot and not e and denom.isdecimal())):
         raise ValueError(f"invalid literal for a rational: {text!r}")
-    digits, shift = whole + decimal, int(exp or 0) - len(decimal)  # digits * 10**shift / denom
+    shift = _int(exp.lstrip("+-")) * (-1 if exp[:1] == "-" else 1) - len(decimal)
+    digits = whole + decimal  # the value is digits * 10**shift / denom
     size = max(len(digits.lstrip("0")) + max(shift, 0), len(denom.lstrip("0")), 1 - shift)
     bound = decimal_digits_for_bits(MAX_WORKING_BITS)  # 19726
     if size > bound:
-        raise PrecisionError(f"request over the cost bound: a rational of {size} digits "
-                             f"(at most {bound})")
+        raise PrecisionError("request over the cost bound: a rational of "
+                             f"{_digits(size, 0)} digits (at most {bound})")
     return sign * _int(digits) * 10 ** max(shift, 0), _int(denom or "1") * 10 ** max(-shift, 0)
 
 
@@ -301,6 +302,13 @@ class FixedReal(Record):
         return FixedReal(isqrt(self.mantissa << self.scale_bits), self.scale_bits)
 
     # -- comparisons -------------------------------------------------------
+
+    def __eq__(self, other):  # Record's, field by field without its tuples
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mantissa == other.mantissa and self.scale_bits == other.scale_bits
+
+    __hash__ = Record.__hash__
 
     def __lt__(self, other: "FixedReal") -> bool:
         self._coscale(other)

@@ -49,6 +49,13 @@ class PowerForm(Record):
         set_field(self, "e", e)
         set_field(self, "m", m)
 
+    def __eq__(self, other):  # Record's, field by field without its tuples
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.e == other.e and self.m == other.m
+
+    __hash__ = Record.__hash__
+
     def times_two(self) -> "PowerForm":
         return PowerForm(self.a + (1 << self.e), self.b, self.e, self.m)
 
@@ -101,12 +108,12 @@ def scale_factors(m, k_max: int, scale_bits: int) -> dict[int, FixedReal]:
     """
     if k_max < 2:
         raise DomainError(f"scale function undefined for k={k_max} < 2")
-    two = FixedReal.from_int(2, scale_bits)
+    two = 2 << scale_bits
     f_val = FixedReal.from_fraction(_positive(m), scale_bits)
     factors = {2: f_val}
     for k in range(3, k_max + 1):
-        if f_val != two:
-            f_val = (two * f_val).sqrt()
+        if f_val.mantissa != two:
+            f_val = FixedReal(f_val.mantissa << 1, scale_bits).sqrt()  # 2f by an exact shift
         factors[k] = f_val
     return factors
 
@@ -191,21 +198,19 @@ class RecursionState(Record):
     f: FixedReal
 
 
-def _clamped_unit(x: FixedReal) -> FixedReal:
-    one = 1 << x.scale_bits
-    if abs(x.mantissa) > one + _UNIT_SLACK:
+def _clamped_unit(x: FixedReal) -> int:
+    """x's mantissa, clamped to [-1, 1] when within the rounding slack of it."""
+    one, m = 1 << x.scale_bits, x.mantissa
+    if abs(m) > one + _UNIT_SLACK:
         raise DomainError("cosine iterate outside [-1, 1] beyond rounding slack")
-    if x.mantissa > one:
-        return FixedReal(one, x.scale_bits)
-    if x.mantissa < -one:
-        return FixedReal(-one, x.scale_bits)
-    return x
+    return one if m > one else -one if m < -one else m
 
 
+# 1 +- x >= 0 on the clamped mantissa, so halving it by a shift truncates as a division would.
 def half_angle_step(x_prev: FixedReal) -> FixedReal:
     """cos(y) from cos(2y): sqrt((1 + x_prev) / 2)."""
-    x = _clamped_unit(x_prev)
-    return ((FixedReal.one(x.scale_bits) + x) / 2).sqrt()
+    bits = x_prev.scale_bits
+    return FixedReal(((1 << bits) + _clamped_unit(x_prev)) >> 1, bits).sqrt()
 
 
 def sine_step_naive(x_prev: FixedReal) -> FixedReal:
@@ -214,8 +219,8 @@ def sine_step_naive(x_prev: FixedReal) -> FixedReal:
     Cancels catastrophically as x_prev approaches 1; kept deliberately so the
     cancellation audit can measure the loss.
     """
-    x = _clamped_unit(x_prev)
-    return ((FixedReal.one(x.scale_bits) - x) / 2).sqrt()
+    bits = x_prev.scale_bits
+    return FixedReal(((1 << bits) - _clamped_unit(x_prev)) >> 1, bits).sqrt()
 
 
 def radicand_step(g_prev: FixedReal, f_k: FixedReal) -> FixedReal:

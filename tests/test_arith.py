@@ -257,6 +257,21 @@ class TestRational:
     def test_literal_of_19726_digits_builds(self):
         assert Rational("1e-19725") == Fraction(1, 10**19725)
 
+    # the exponent reads a chunk at a time, and a size past the bound prints a
+    # chunk at a time, at Python's 4300-digit int/str limit
+    def test_exponent_past_4300_digits(self, int_str_digits):
+        from radpi import PrecisionError
+
+        int_str_digits(4300)
+        assert Rational("1e-" + "0" * 5000 + "1") == Fraction(1, 10)
+        assert Rational("-2.5E+" + "0_0" * 2500 + "2") == -250
+        with pytest.raises(PrecisionError, match=r"^request over the cost bound: a rational of "
+                                                 rf"1{'0' * 5000} digits \(at most 19726\)$"):
+            Rational("1e-" + "9" * 5000)
+        with pytest.raises(PrecisionError, match=r"^request over the cost bound: a rational of "
+                                                 r"100000000 digits \(at most 19726\)$"):
+            Rational("1e-99999999")
+
 
 class TestIsqrt:
     @pytest.mark.parametrize(

@@ -550,6 +550,17 @@ def test_rational_flag_is_refused_past_19726_digits(text, digits, int_str_digits
             _fraction_arg(text)
 
 
+# an --x0 exponent past Python's 4300-digit int/str limit reads a chunk at a
+# time: 1e-<5000 nines> is over the cost bound (exit 3), not malformed (64)
+def test_rational_flag_exponent_past_4300_digits(capsys, int_str_digits):
+    int_str_digits(4300)
+    assert run(capsys, "arccos", "--x0", "1e-" + "9" * 5000) == (
+        3, "", f"radpi: error: request over the cost bound: a rational of 1{'0' * 5000} digits "
+               "(at most 19726)\n")
+    assert run(capsys, "arccos", "--x0", "1e-" + "0" * 5000 + "1") == run(
+        capsys, "arccos", "--x0", "0.1")
+
+
 def test_an_output_past_4300_digits_prints(capsys, int_str_digits):
     # 14300 bits print 4302 fraction digits, past the 4300 digits that Python
     # 3.11 converts between int and str by default
@@ -840,7 +851,9 @@ def test_readme_cli_examples_run(comment, argv, capsys):
 
 
 # Every MATRIX argv in every format, plus the self-consistent audit, a
-# cataloged method2 seed, the as-printed MISPRINT diagnostic, and `verify` and
+# cataloged method2 seed, the as-printed MISPRINT diagnostic, `verify` at 256
+# bits (recorded while each engine step still built its radicand from
+# FixedReal temporaries), and `verify` and
 # `reproduce` at 512 and 1024 bits in every format: exit code, stdout and
 # stderr as the CLI printed them before its row, ratio and driver paths were
 # merged into analysis/drivers, and before the scale factors came from one

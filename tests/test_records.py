@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from radpi import AngleRatio, FixedReal, PrecisionContext, Seed
+from radpi import AngleRatio, FixedReal, PowerForm, PrecisionContext, Seed
+from radpi._record import Record
 
 
 def test_equality_and_hash_are_field_wise():
@@ -16,6 +17,26 @@ def test_equality_and_hash_are_field_wise():
     assert FixedReal(5, 64) != (5, 64)
     assert Seed(2, 2) == Seed(Fraction(2), Fraction(2), 1)
     assert PrecisionContext(128) != PrecisionContext(128, 64)
+
+
+# FixedReal and PowerForm compare field by field without Record's tuples, and
+# keep its hash
+@pytest.mark.parametrize("value, equal, unequal", [
+    (FixedReal(5, 64), FixedReal(5, 64), [FixedReal(5, 65), FixedReal(-5, 64), (5, 64), 5]),
+    (PowerForm(2, 4, 2, 3), PowerForm(1, 2, 1, Fraction(3)),
+     [PowerForm(1, 2, 1, 5), PowerForm(3, 2, 1, 3), PowerForm(1, 4, 1, 3), PowerForm(1, 2, 0, 3),
+      (1, 2, 1, 3), FixedReal(5, 64)]),
+])
+def test_fixed_real_and_power_form_equal_only_their_class_with_equal_fields(value, equal, unequal):
+    class Sub(type(value)):
+        __slots__ = ()
+
+    assert value == equal and not value != equal
+    assert hash(value) == hash(equal) == hash(Record._values(equal))
+    assert len({value, equal}) == 1
+    assert value != Sub(*Record._values(value))
+    for other in unequal:
+        assert value != other and other != value and not value == other
 
 
 def test_fields_cannot_be_assigned_or_deleted():

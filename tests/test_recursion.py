@@ -77,6 +77,58 @@ class TestStepMaps:
             radicand_step(FixedReal.from_int(-3, BITS), FixedReal.from_int(2, BITS))
 
 
+def _clamped(x: FixedReal) -> FixedReal:
+    one = FixedReal.one(x.scale_bits)
+    return one if x > one else -one if x < -one else x
+
+
+def _factors_by_products(m, k_max: int, bits: int) -> dict[int, FixedReal]:
+    two = FixedReal.from_int(2, bits)
+    f = FixedReal.from_fraction(Fraction(m), bits)
+    factors = {2: f}
+    for k in range(3, k_max + 1):
+        if f != two:
+            f = (two * f).sqrt()
+        factors[k] = f
+    return factors
+
+
+class TestStepsOnTheMantissa:
+    """Each step builds its radicand on the mantissa; it gives the bytes of the
+    FixedReal expressions ((one +- x) / 2).sqrt() and (two * f).sqrt()."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 1001])
+    @pytest.mark.parametrize("units", [-1, 0, 1, 16])  # past |x| = 1; 16 is the clamp's slack
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_at_plus_and_minus_one(self, bits, units, sign):
+        one = FixedReal.one(bits)
+        x = FixedReal(sign * ((1 << bits) + units), bits)
+        assert half_angle_step(x) == ((one + _clamped(x)) / 2).sqrt()
+        assert sine_step_naive(x) == ((one - _clamped(x)) / 2).sqrt()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_unit_past_the_slack_raises(self, sign):
+        x = FixedReal(sign * ((1 << BITS) + 16 + 1), BITS)
+        with pytest.raises(DomainError):
+            half_angle_step(x)
+        with pytest.raises(DomainError):
+            sine_step_naive(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(64, 700).flatmap(
+        lambda bits: st.tuples(st.just(bits), st.integers(-(1 << bits) - 16, (1 << bits) + 16))))
+    def test_anywhere_in_the_slack(self, drawn):
+        bits, mantissa = drawn
+        one, x = FixedReal.one(bits), FixedReal(mantissa, bits)
+        assert half_angle_step(x) == ((one + _clamped(x)) / 2).sqrt()
+        assert sine_step_naive(x) == ((one - _clamped(x)) / 2).sqrt()
+
+    @pytest.mark.parametrize("bits", [64, 160, 1024])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10**6])
+    def test_scale_factors(self, m, bits):
+        assert scale_factors(m, 64, bits) == _factors_by_products(m, 64, bits)
+
+
 class TestPowerForm:
     @pytest.mark.parametrize(
         "k,p,q",
