@@ -313,17 +313,9 @@ class FixedReal(Record):
         self._coscale(other)
         return self.mantissa < other.mantissa
 
-    def __le__(self, other: "FixedReal") -> bool:
-        self._coscale(other)
-        return self.mantissa <= other.mantissa
-
     def __gt__(self, other: "FixedReal") -> bool:
         self._coscale(other)
         return self.mantissa > other.mantissa
-
-    def __ge__(self, other: "FixedReal") -> bool:
-        self._coscale(other)
-        return self.mantissa >= other.mantissa
 
     def __repr__(self) -> str:
         shown = min(self.scale_bits, 12)

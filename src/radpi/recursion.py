@@ -67,11 +67,6 @@ class PowerForm(Record):
             return None
         return None if n & ((1 << self.e) - 1) else n >> self.e
 
-    def exact_value(self) -> Rational | None:
-        """Exact rational value when one exists (m a power of two, or q = 0)."""
-        n = self.exact_log2()
-        return None if n is None else Rational(2) ** n
-
 
 def _positive(m):
     """m as an int or a Rational, rejected unless positive, as ``Seed`` rejects it."""

@@ -90,7 +90,7 @@ def test_criterion_04_scale_function_identity():
             if f_power_form(k + 1, m).squared() != f_power_form(k, m).times_two():
                 ok = False
     for k in range(2, 65):
-        if f_power_form(k, 2).exact_value() != 2:
+        if f_power_form(k, 2).exact_log2() != 1:
             ok = False
     check(4, "f(k+1)^2 = 2 f(k) exactly for k in [2,64], m in {2,3,5,10}; f(k) = 2 at m = 2", ok)
 

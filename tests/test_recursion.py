@@ -144,7 +144,7 @@ class TestPowerForm:
 
     def test_value_is_exactly_two_for_m_two(self):
         for k in range(2, 65):
-            assert f_power_form(k, 2).exact_value() == 2
+            assert f_power_form(k, 2).exact_log2() == 1
 
     def test_scale_identity_exact(self):
         for m in (2, 3, 5, 10, Fraction(7, 3)):
@@ -152,15 +152,15 @@ class TestPowerForm:
                 assert f_power_form(k + 1, m).squared() == f_power_form(k, m).times_two()
 
 
-def _exact_value_by_fractions(p: Fraction, q: Fraction, m: Fraction) -> Fraction | None:
+def _exact_log2_by_fractions(p: Fraction, q: Fraction, m: Fraction) -> int | None:
     """The exact-value rule on Fraction exponents: m a power of two, or q = 0."""
     num, den = m.numerator, m.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         exp2 = p + q * (num.bit_length() - den.bit_length())
         if exp2.denominator == 1:
-            return Fraction(2) ** int(exp2)
+            return int(exp2)
     if q == 0 and p.denominator == 1:
-        return Fraction(2) ** int(p)
+        return int(p)
     return None
 
 
@@ -177,13 +177,13 @@ class TestPowerFormParity:
                                           (form.times_two(), (p + 1, q))):
                 got_p, got_q = Fraction(got.a, 1 << got.e), Fraction(got.b, 1 << got.e)
                 assert (got_p, got_q) == (want_p, want_q), (k, m)
-                assert got.exact_value() == _exact_value_by_fractions(want_p, want_q, Fraction(m))
+                assert got.exact_log2() == _exact_log2_by_fractions(want_p, want_q, Fraction(m))
 
     def test_fields_are_kept_in_lowest_terms(self):
         assert PowerForm(12, 4, 3, 3) == PowerForm(3, 1, 1, 3)
         assert (PowerForm(12, 0, 2, 3).a, PowerForm(12, 0, 2, 3).e) == (3, 0)
-        assert PowerForm(12, 0, 2, 3).exact_value() == 8  # q = 0: 2**3
-        assert PowerForm(1, 0, 1, 3).exact_value() is None  # p = 1/2
+        assert PowerForm(12, 0, 2, 3).exact_log2() == 3  # q = 0: 2**3
+        assert PowerForm(1, 0, 1, 3).exact_log2() is None  # p = 1/2
 
     @pytest.mark.parametrize("m", [0, -2, Fraction(-1, 3), "0"])
     def test_m_not_positive_rejected_like_a_seed(self, m):
@@ -232,7 +232,7 @@ class TestScaleFactors:
             if k in exact:
                 assert value == FixedReal.from_fraction(Fraction(exact[k]), 160)
                 continue
-            assert f_power_form(k, m).exact_value() is None
+            assert f_power_form(k, m).exact_log2() is None
             want = FixedReal.from_decimal(mpmath.nstr(_f_mpmath(k, m), 60, strip_zeros=False), 160)
             assert abs((value - want).mantissa) < 1 << 8
 
@@ -328,8 +328,8 @@ class TestRunRecursion:
             bound = 1 << (st_.k + 6)
             assert abs((st_.x * st_.x + st_.c * st_.c - one).mantissa) < bound
             assert abs((st_.x * st_.f - st_.g).mantissa) < bound
-            assert FixedReal(-(1 << work) - 16, work) <= st_.x
-            assert st_.c.mantissa >= 0 and st_.c <= one + FixedReal(16, work)
+            assert -(1 << work) - 16 <= st_.x.mantissa
+            assert 0 <= st_.c.mantissa <= one.mantissa + 16
 
     def test_scaled_sine_matches_c(self, ctx128):
         states = run_at_scale(Seed(2, 3, -1), 15, plan("depth", ctx128, k=15).work)

@@ -60,8 +60,8 @@ def test_tracer_sees_every_engine_step_under_its_caller():
     callers = [(spans[i][0], n) for i, n in sorted(steps.items())]
     assert [name for name, _ in callers] == ["drivers.arccos", "recursion.run_at_scale",
                                             "recursion.run_at_scale"]
-    # Huygens' extrapolation converges in about B/4 + 3 steps, under the B/2 + 24 cap
-    assert 128 // 4 <= callers[0][1] <= 128 // 4 + 8
+    # Romberg's second column converges in about B/6 + 3 steps, under the B/2 + 24 cap
+    assert 128 // 6 <= callers[0][1] <= 128 // 6 + 8
     assert [n for _, n in callers[1:]] == [17, 9]
 
 
