@@ -121,7 +121,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              the run, a ``_self_consistent`` ratio's arccos and their sum are
              refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    arccos   x0_bits (0): a cap of B/2 + 24 steps (the run stops near B/6 + 3)
+    arccos   x0_bits (0): a cap of B/2 + 24 steps (the run stops near B/10 + 3)
              at the working bits, or at an x0's own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
@@ -293,25 +293,27 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     """arccos(x0) as the limit of the doubled sines T_j = 2**j * sin(theta0/2**j).
 
     Needs no stored value of pi. T_j, Archimedes' polygon perimeter, sits
-    below theta0 by theta0**3 / (6 * 4**j); Huygens' extrapolation
-    H_j = (4 * T_j - T_(j-1)) / 3 cancels that term, leaving
-    theta0**5 / (30 * 16**j), and Romberg's next column
-    K_j = (16 * H_j - H_(j-1)) / 15 cancels that too, leaving
-    theta0 - K_j = 4 * theta0**7 / (315 * 64**j) + O(256**-j), that is about
-    (K_j - K_(j-1)) / 63. So iterate the stable recursion at the working
-    bits G + scale_bits of its plan until successive K_j agree to
-    2**(-scale_bits - 8), about scale_bits/6 + 3 steps under the plan's cap
-    of scale_bits/2 + 24, then round K_j to the output scale. Result matches
-    the series arccos well within 2**(-scale_bits + 16).
+    below theta0 by theta0**3 / (6 * 4**j) + O(16**-j). Romberg's table
+    R_(j,0) = T_j, R_(j,c) = (4**c * R_(j,c-1) - R_(j-1,c-1)) / (4**c - 1)
+    cancels one more term per column: column 1 is Huygens' extrapolation,
+    column 2 leaves theta0 - R_(j,2) = 4 * theta0**7 / (315 * 64**j), and
+    column 4 leaves theta0 - R_(j,4) = 4096 * theta0**11 / (155925 * 1024**j)
+    + O(4096**-j), that is about (R_(j,4) - R_(j-1,4)) / 1023. So iterate the
+    stable recursion at the working bits G + scale_bits of its plan until
+    successive R_(j,4) agree to 2**(-scale_bits - 8), about scale_bits/10 + 3
+    steps under the plan's cap of scale_bits/2 + 24, then round R_(j,4) to the
+    output scale. Result matches the series arccos well within
+    2**(-scale_bits + 16).
 
     x0 enters exact and each step rounds about one unit (one root, one
-    division by a cosine near 1): a few j units in T_j after j steps,
-    (4 * j + j) / 3 = 5j/3 in H_j with its floor division, and
-    (16 * 5j/3 + 5j/3) / 15 + 1, about 2j, in K_j: far below the
-    2**(G - 8) tolerance. A rounded x0 would cost more: d(arccos)/dx =
-    -1/sin(theta0) magnifies its error by up to 2**(s/2) at an s-bit x0 next
-    to -1. So an x0 at the working bits or finer runs, and is admitted, at
-    its own scale plus one, where the first step's (1 + x0)/2 is exact too.
+    division by a cosine near 1): a few j units in T_j after j steps. Column
+    c scales the error of the column before by (4**c + 1) / (4**c - 1) and
+    its floor division adds one unit, so R_(j,4) is off by under twice T_j's
+    error plus 5 units: far below the 2**(G - 8) tolerance. A rounded x0
+    would cost more: d(arccos)/dx = -1/sin(theta0) magnifies its error by up
+    to 2**(s/2) at an s-bit x0 next to -1. So an x0 at the working bits or
+    finer runs, and is admitted, at its own scale plus one, where the first
+    step's (1 + x0)/2 is exact too.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits
@@ -326,15 +328,13 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     work = run.work
     tol = 1 << (work - out_bits - 8)
     sines = _doubled_sines(x0.rescale(work), "stable")
-    t_prev, h_prev, k_prev = next(sines)[1].mantissa, None, None
+    row = [next(sines)[1].mantissa]  # Romberg's row j: R_(j,0) = T_j to R_(j,4)
     for _, scaled in islice(sines, run.steps - 1):
-        h = (4 * scaled.mantissa - t_prev) // 3  # T_j > 0, so the floors truncate
-        if h_prev is not None:
-            k = (16 * h - h_prev) // 15
-            if k_prev is not None and abs(k - k_prev) < tol:
-                return FixedReal(k, work).rescale(out_bits)
-            k_prev = k
-        t_prev, h_prev = scaled.mantissa, h
+        prev, row = row, [scaled.mantissa]
+        for c, above in enumerate(prev[:4], 1):  # T_j > 0, so the floors truncate
+            row.append((4**c * row[-1] - above) // (4**c - 1))
+        if len(prev) == 5 and abs(row[4] - prev[4]) < tol:
+            return FixedReal(row[4], work).rescale(out_bits)
     raise ConvergenceError(
         f"arccos recursion did not converge within {run.steps} steps "
         f"at {work} working bits"

@@ -311,7 +311,7 @@ class TestArccosByRecursion:
     @pytest.mark.parametrize("bits", [64, 96, 128, 200, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("guard", [None, 32, 33, 100])
     def test_extrapolated_stop_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
-        # Romberg's K_j stops within 2**-(B + 8) of theta0: at -1, one ulp above
+        # Romberg's R_(j,4) stops within 2**-(B + 8) of theta0: at -1, one ulp above
         # it (where the unextrapolated loop at 1024 bits fell one unit under),
         # the largest accepted x0, and an x0 finer than the working bits
         ctx = PrecisionContext(bits, guard)
@@ -334,10 +334,10 @@ class TestArccosByRecursion:
         assert arccos_by_recursion(x, PrecisionContext(bits)) == want
 
     @pytest.mark.parametrize("bits", [128, 1024, 2048])
-    def test_extrapolated_stop_takes_about_a_sixth_of_the_bits_in_steps(self, bits,
+    def test_extrapolated_stop_takes_about_a_tenth_of_the_bits_in_steps(self, bits,
                                                                         monkeypatch):
-        # about B/6 + 3 half-angle steps, under the plan's unchanged B/2 + 24 cap;
-        # a small angle stops a few sooner, since K_j - K_(j-1) ~ theta0**7 / 64**j
+        # about B/10 + 3 half-angle steps, under the plan's unchanged B/2 + 24 cap;
+        # a small angle stops a few sooner, since R_(j,4) - R_(j-1,4) ~ theta0**11 / 1024**j
         steps = []
         step = radpi.recursion.half_angle_step
         monkeypatch.setattr(radpi.recursion, "half_angle_step",
@@ -345,7 +345,7 @@ class TestArccosByRecursion:
         for text in ("-1", "0.3", "0.999"):
             steps.clear()
             arccos_by_recursion(FixedReal.from_decimal(text, bits), PrecisionContext(bits))
-            assert bits // 6 - 8 <= len(steps) <= bits // 6 + 8, (text, len(steps))
+            assert bits // 10 - 8 <= len(steps) <= bits // 10 + 8, (text, len(steps))
         assert radpi.drivers.plan("arccos", PrecisionContext(bits)).steps == bits // 2 + 24
 
     @settings(max_examples=25, deadline=None)

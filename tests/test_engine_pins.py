@@ -2,7 +2,9 @@
 raw engine state, of the literal nested radical and of the scale factors, as
 the engine produced them before its doubled-sine loops were merged into one
 (the scale factors only where they are rational, since the other values
-depend on how the roots are chained).
+depend on how the roots are chained). The arccos pins at 2048 and 4096 bits,
+where the extrapolated stop runs longest, were taken from the loop that
+stopped on Romberg's second column, before it stopped on the fourth.
 
 Each entry of tests/data/engine_pins.json names its inputs and the hex
 mantissas they gave; the test recomputes them. Running this file as a script
@@ -60,6 +62,9 @@ def _cases() -> list[dict]:
     for m, ks in _SCALE_EXACT:
         cases.append({"kind": "scale_factors", "m": m, "k_max": 40, "scale_bits": 160,
                       "exact_k": list(ks)})
+    for bits in (2048, 4096):  # where the extrapolated stop runs longest
+        for x0 in ("-1", "-0.999", "0", "0.3", "0.999"):
+            cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": None})
     return cases
 
 
