@@ -4,7 +4,9 @@ the engine produced them before its doubled-sine loops were merged into one
 (the scale factors only where they are rational, since the other values
 depend on how the roots are chained). The arccos pins at 2048 and 4096 bits,
 where the extrapolated stop runs longest, were taken from the loop that
-stopped on Romberg's second column, before it stopped on the fourth.
+stopped on Romberg's second column, before it stopped on the fourth; those at
+guard 32, where the tolerance is tightest, and at the ends of the domain from
+the loop that stopped on the fourth column, before it stopped on the sixth.
 
 Each entry of tests/data/engine_pins.json names its inputs and the hex
 mantissas they gave; the test recomputes them. Running this file as a script
@@ -36,6 +38,13 @@ _CATALOG_SEEDS = ((2, 2, 1), (2, 3, 1), (2, 3, -1), (2, 2, -1))
 # m and the k at which f(k) = 2**p * m**q is rational (every k for m = 2)
 _SCALE_EXACT = (("2", tuple(range(2, 41))), ("4", (2,)), ("1/2", (2, 3)), ("8", (2, 3)),
                 ("32", (2, 3, 4)), ("1/8", (2, 3, 4)))
+# the ends of the arccos domain at B bits, as mantissas: the largest accepted
+# x0 = 1 - 2**(-B/2), and -1 + 2**-B and -1 + 2**(-B/2) next to -1
+_ARCCOS_EDGES = {
+    "1-2^(-B/2)": lambda bits: (1 << bits) - (1 << (bits - bits // 2)),
+    "-1+2^-B": lambda bits: -(1 << bits) + 1,
+    "-1+2^(-B/2)": lambda bits: -(1 << bits) + (1 << (bits - bits // 2)),
+}
 
 
 def _hex(value: FixedReal) -> str:
@@ -65,13 +74,22 @@ def _cases() -> list[dict]:
     for bits in (2048, 4096):  # where the extrapolated stop runs longest
         for x0 in ("-1", "-0.999", "0", "0.3", "0.999"):
             cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": None})
+    for bits in (2048, 4096):  # where the tolerance, 2**(G - 8) units, is tightest
+        for x0 in ("-1", "-0.999", "0", "0.3", "0.999"):
+            cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": 32})
+    for bits in (1024, 2048, 4096):
+        for x0 in _ARCCOS_EDGES:
+            for guard in (None, 32):
+                cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": guard})
     return cases
 
 
 def _compute(case: dict):
     kind = case["kind"]
     if kind == "arccos":
-        x0 = FixedReal.from_decimal(case["x0"], case["bits"])
+        edge = _ARCCOS_EDGES.get(case["x0"])
+        x0 = (FixedReal(edge(case["bits"]), case["bits"]) if edge
+              else FixedReal.from_decimal(case["x0"], case["bits"]))
         return _hex(arccos_by_recursion(x0, PrecisionContext(case["bits"], case["guard"])))
     if kind == "run_at_scale":
         states = run_at_scale(_seed(*case["seed"]), case["k"], case["scale_bits"],
