@@ -2,9 +2,10 @@
 
 A subclass lists its fields, in constructor order, as ``__slots__`` and the
 defaults of trailing fields in ``_defaults``. The base supplies the field-wise
-constructor, equality, hashing and repr of a frozen dataclass, without the
-import and class-decoration cost of ``dataclasses`` (which also loads
-``inspect``) on every start of the command-line tool.
+constructor and equality, and the immutability, of a frozen dataclass, without
+the import and class-decoration cost of ``dataclasses`` (which also loads
+``inspect``) on every start of the command-line tool. The base defines no hash,
+so only a record with its own (``Rational``) hashes.
 """
 
 # Writes a field past the raising __setattr__; for constructors only.
@@ -44,19 +45,8 @@ class Record:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not through setattr
-        return type(self), self._values()

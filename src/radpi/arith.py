@@ -135,9 +135,9 @@ class Rational(Record):
 
     as_integer_ratio = Record._values  # (numerator, denominator)
 
-    __add__, __radd__ = _operator(lambda an, ad, bn, bd: Rational(an * bd + bn * ad, ad * bd))
+    __add__ = _operator(lambda an, ad, bn, bd: Rational(an * bd + bn * ad, ad * bd))[0]
     __sub__, __rsub__ = _operator(lambda an, ad, bn, bd: Rational(an * bd - bn * ad, ad * bd))
-    __mul__, __rmul__ = _operator(lambda an, ad, bn, bd: Rational(an * bn, ad * bd))
+    __mul__ = _operator(lambda an, ad, bn, bd: Rational(an * bn, ad * bd))[0]
     __truediv__, __rtruediv__ = _operator(lambda an, ad, bn, bd: Rational(an * bd, ad * bn))
     __eq__ = _operator(lambda an, ad, bn, bd: an == bn and ad == bd)[0]
     __lt__ = _operator(lambda an, ad, bn, bd: an * bd < bn * ad)[0]
@@ -316,10 +316,6 @@ class FixedReal(Record):
     def __gt__(self, other: "FixedReal") -> bool:
         self._coscale(other)
         return self.mantissa > other.mantissa
-
-    def __repr__(self) -> str:
-        shown = min(self.scale_bits, 12)
-        return f"FixedReal({self.to_decimal(decimal_digits_for_bits(max(shown * 4, 16)))}@{self.scale_bits}b)"
 
 
 # The cost bound of every request, checked before any work starts: no engine

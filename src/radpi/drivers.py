@@ -121,7 +121,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              the run, a ``_self_consistent`` ratio's arccos and their sum are
              refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    arccos   x0_bits (0): a cap of B/2 + 24 steps (the run stops near B/10 + 3)
+    arccos   x0_bits (0): a cap of B/2 + 24 steps (the run stops near B/14 + 3)
              at the working bits, or at an x0's own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
@@ -295,25 +295,24 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     Needs no stored value of pi. T_j, Archimedes' polygon perimeter, sits
     below theta0 by theta0**3 / (6 * 4**j) + O(16**-j). Romberg's table
     R_(j,0) = T_j, R_(j,c) = (4**c * R_(j,c-1) - R_(j-1,c-1)) / (4**c - 1)
-    cancels one more term per column: column 1 is Huygens' extrapolation,
-    column 2 leaves theta0 - R_(j,2) = 4 * theta0**7 / (315 * 64**j), and
-    column 4 leaves theta0 - R_(j,4) = 4096 * theta0**11 / (155925 * 1024**j)
-    + O(4096**-j), that is about (R_(j,4) - R_(j-1,4)) / 1023. So iterate the
-    stable recursion at the working bits G + scale_bits of its plan until
-    successive R_(j,4) agree to 2**(-scale_bits - 8), about scale_bits/10 + 3
-    steps under the plan's cap of scale_bits/2 + 24, then round R_(j,4) to the
-    output scale. Result matches the series arccos well within
-    2**(-scale_bits + 16).
+    cancels one more term per column: column 1 is Huygens' extrapolation, and
+    column C leaves 4**(C*(C+1)/2) * theta0**(2C+3) / ((2C+3)! * 4**((C+1)*j)),
+    so theta0 - R_(j,6) = 2**31 * theta0**15 / (638512875 * 16384**j)
+    + O(65536**-j), about (R_(j,6) - R_(j-1,6)) / 16383. So iterate the stable
+    recursion at the working bits G + scale_bits of its plan until successive
+    R_(j,6) agree to 2**(-scale_bits - 8), about scale_bits/14 + 3 steps (8 at
+    least, to fill the row) under the plan's cap of scale_bits/2 + 24, then
+    round R_(j,6) to the output scale: within 2**(-scale_bits + 16) of arccos.
 
     x0 enters exact and each step rounds about one unit (one root, one
     division by a cosine near 1): a few j units in T_j after j steps. Column
-    c scales the error of the column before by (4**c + 1) / (4**c - 1) and
-    its floor division adds one unit, so R_(j,4) is off by under twice T_j's
-    error plus 5 units: far below the 2**(G - 8) tolerance. A rounded x0
-    would cost more: d(arccos)/dx = -1/sin(theta0) magnifies its error by up
-    to 2**(s/2) at an s-bit x0 next to -1. So an x0 at the working bits or
-    finer runs, and is admitted, at its own scale plus one, where the first
-    step's (1 + x0)/2 is exact too.
+    c scales the error of the column before by (4**c + 1) / (4**c - 1), 1.969
+    in product over c <= 6, and its floor division adds one unit, so R_(j,6)
+    is off by under twice T_j's error plus 7 units: far below the 2**(G - 8)
+    tolerance. A rounded x0 would cost more: d(arccos)/dx = -1/sin(theta0)
+    magnifies its error by up to 2**(s/2) at an s-bit x0 next to -1. So an
+    x0 at the working bits or finer runs, and is admitted, at its own scale
+    plus one, where the first step's (1 + x0)/2 is exact too.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits
@@ -328,13 +327,13 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     work = run.work
     tol = 1 << (work - out_bits - 8)
     sines = _doubled_sines(x0.rescale(work), "stable")
-    row = [next(sines)[1].mantissa]  # Romberg's row j: R_(j,0) = T_j to R_(j,4)
+    row = [next(sines)[1].mantissa]  # Romberg's row j: R_(j,0) = T_j to R_(j,6)
     for _, scaled in islice(sines, run.steps - 1):
         prev, row = row, [scaled.mantissa]
-        for c, above in enumerate(prev[:4], 1):  # T_j > 0, so the floors truncate
+        for c, above in enumerate(prev[:6], 1):  # T_j > 0, so the floors truncate
             row.append((4**c * row[-1] - above) // (4**c - 1))
-        if len(prev) == 5 and abs(row[4] - prev[4]) < tol:
-            return FixedReal(row[4], work).rescale(out_bits)
+        if len(prev) == 7 and abs(row[6] - prev[6]) < tol:
+            return FixedReal(row[6], work).rescale(out_bits)
     raise ConvergenceError(
         f"arccos recursion did not converge within {run.steps} steps "
         f"at {work} working bits"

@@ -191,7 +191,7 @@ class TestReproduceCatalog:
     ])
     def test_prefactor_is_checked_exactly(self, factor, shift, failure, ctx128, monkeypatch):
         first = CATALOG[0]
-        entry = CatalogEntry(first.name, first.seed, factor, shift)
+        entry = CatalogEntry(first.name, first.seed, Rational(factor), shift)
         monkeypatch.setattr(radpi.analysis, "CATALOG", (entry, *CATALOG[1:]))
         if failure is None:
             assert all(r.prefactor_exact for r in reproduce_catalog(ctx128).results)

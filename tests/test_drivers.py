@@ -311,7 +311,7 @@ class TestArccosByRecursion:
     @pytest.mark.parametrize("bits", [64, 96, 128, 200, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("guard", [None, 32, 33, 100])
     def test_extrapolated_stop_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
-        # Romberg's R_(j,4) stops within 2**-(B + 8) of theta0: at -1, one ulp above
+        # Romberg's R_(j,6) stops within 2**-(B + 8) of theta0: at -1, one ulp above
         # it (where the unextrapolated loop at 1024 bits fell one unit under),
         # the largest accepted x0, and an x0 finer than the working bits
         ctx = PrecisionContext(bits, guard)
@@ -334,10 +334,10 @@ class TestArccosByRecursion:
         assert arccos_by_recursion(x, PrecisionContext(bits)) == want
 
     @pytest.mark.parametrize("bits", [128, 1024, 2048])
-    def test_extrapolated_stop_takes_about_a_tenth_of_the_bits_in_steps(self, bits,
-                                                                        monkeypatch):
-        # about B/10 + 3 half-angle steps, under the plan's unchanged B/2 + 24 cap;
-        # a small angle stops a few sooner, since R_(j,4) - R_(j-1,4) ~ theta0**11 / 1024**j
+    def test_extrapolated_stop_takes_about_a_fourteenth_of_the_bits_in_steps(self, bits,
+                                                                             monkeypatch):
+        # about B/14 + 3 half-angle steps, under the plan's unchanged B/2 + 24 cap;
+        # a small angle stops a few sooner, since R_(j,6) - R_(j-1,6) ~ theta0**15 / 16384**j
         steps = []
         step = radpi.recursion.half_angle_step
         monkeypatch.setattr(radpi.recursion, "half_angle_step",
@@ -345,8 +345,34 @@ class TestArccosByRecursion:
         for text in ("-1", "0.3", "0.999"):
             steps.clear()
             arccos_by_recursion(FixedReal.from_decimal(text, bits), PrecisionContext(bits))
-            assert bits // 10 - 8 <= len(steps) <= bits // 10 + 8, (text, len(steps))
+            assert bits // 14 - 8 <= len(steps) <= bits // 14 + 8, (text, len(steps))
         assert radpi.drivers.plan("arccos", PrecisionContext(bits)).steps == bits // 2 + 24
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("guard", [None, 32])
+    def test_extrapolated_stop_is_the_first_row_within_the_tolerance(self, bits, guard,
+                                                                      monkeypatch):
+        # the stop is the first row j whose R_(j,6) is within 2**(G - 8) units of
+        # R_(j-1,6), and the result is that R_(j,6): the table is rebuilt here, by the
+        # docstring's rule, from the doubled sines the loop read. The result alone
+        # cannot show the tolerance, since a looser one still rounds to the same bits
+        seen = []
+        sines = radpi.drivers._doubled_sines
+        monkeypatch.setattr(radpi.drivers, "_doubled_sines", lambda x, variant: (
+            seen.append(scaled.mantissa) or (x_j, scaled) for x_j, scaled in sines(x, variant)))
+        ctx = PrecisionContext(bits, guard)
+        tol = 1 << (ctx.working_bits - bits - 8)
+        for text in ("-1", "0.3", "0.999"):
+            seen.clear()
+            got = arccos_by_recursion(FixedReal.from_decimal(text, bits), ctx)
+            rows = [seen[:1]]
+            for t in seen[1:]:
+                rows.append([t])
+                for c, above in enumerate(rows[-2][:6], 1):
+                    rows[-1].append((4**c * rows[-1][-1] - above) // (4**c - 1))
+            changes = [abs(row[6] - prev[6]) for prev, row in zip(rows, rows[1:]) if len(prev) == 7]
+            assert changes[-1] < tol and all(change >= tol for change in changes[:-1]), text
+            assert got == FixedReal(rows[-1][6], ctx.working_bits).rescale(bits)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 127)))

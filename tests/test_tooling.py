@@ -17,15 +17,15 @@ from radpi.arith import FixedReal
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tracing_namespace() -> dict:
+def _namespace(path: Path) -> dict:
     # exec the source rather than import it, so nothing is written next to it
-    path = ROOT / "perfbench" / "tracing.py"
-    namespace: dict = {"__name__": "perfbench_tracing"}
+    namespace: dict = {"__name__": path.stem, "__file__": str(path)}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
     return namespace
 
 
-TRACING = _tracing_namespace()
+TRACING = _namespace(ROOT / "perfbench" / "tracing.py")
+MUTANTS = _namespace(ROOT / "scripts" / "mutants.py")
 
 
 @pytest.mark.parametrize(
@@ -60,14 +60,14 @@ def test_tracer_sees_every_engine_step_under_its_caller():
     callers = [(spans[i][0], n) for i, n in sorted(steps.items())]
     assert [name for name, _ in callers] == ["drivers.arccos", "recursion.run_at_scale",
                                             "recursion.run_at_scale"]
-    # Romberg's fourth column converges in about B/10 + 3 steps, under the B/2 + 24 cap
-    assert 128 // 10 <= callers[0][1] <= 128 // 10 + 8
+    # Romberg's sixth column converges in about B/14 + 3 steps, under the B/2 + 24 cap
+    assert 128 // 14 <= callers[0][1] <= 128 // 14 + 8
     assert [n for _, n in callers[1:]] == [17, 9]
 
 
 def test_only_rational_defines_its_own_equality():
-    # every other record compares and hashes field by field in Record; Rational
-    # keeps Fraction's ==, across types, and Fraction's hash
+    # every other record compares field by field in Record, and none hashes;
+    # Rational keeps Fraction's ==, across types, and Fraction's hash
     from radpi._record import Record
 
     records, stack = [], [Record]
@@ -79,6 +79,15 @@ def test_only_rational_defines_its_own_equality():
                  and {"__eq__", "__hash__"} & cls.__dict__.keys())
     assert {"FixedReal", "PowerForm", "Seed"} <= {cls.__name__ for cls in records}
     assert own == ["Rational"]
+
+
+@pytest.mark.parametrize("site", MUTANTS["SITES"], ids=lambda site: site.name)
+def test_every_mutant_site_occurs_once_in_its_function(site):
+    # scripts/mutants.py errors on a site that a refactor moved; catch that here
+    source = (ROOT / "src" / "radpi" / site.module).read_text(encoding="utf-8")
+    mutated = MUTANTS["mutate"](source, site)  # LookupError unless it occurs once
+    assert mutated != ast.unparse(ast.parse(source))
+    assert all((ROOT / test).is_file() for test in site.tests)
 
 
 def test_every_public_name_resolves():
@@ -183,6 +192,80 @@ def test_every_definition_is_reached_from_the_package():
                 for where, line in references.get(node.name, []))
     ]
     assert unreached == []
+
+
+# Every dunder a class in the package defines, with a line that uses it: such a
+# method is called by syntax or by Python, not by name, so the rule above cannot
+# trace it. A dunder with no such line is test-only code; delete it instead.
+_DUNDERS = {
+    "_record.Record.__init__": ("src/radpi/drivers.py",
+                                "return Plan(work, steps, bit_steps, 4 * work)"),
+    "_record.Record.__eq__": ("src/radpi/analysis.py",
+                              "scale_ok = all(nxt.squared() == form.times_two()"),
+    # the two guards: rescale hands back the record itself, safe since no field changes
+    "_record.Record.__setattr__": ("src/radpi/arith.py", "return self"),
+    "_record.Record.__delattr__": ("src/radpi/arith.py", "return self"),
+    "arith.Rational.__init__": ("src/radpi/drivers.py",
+                                'm, d = Rational(params["m"]), Rational(params["d"])'),
+    "arith.Rational.__add__": ("src/radpi/drivers.py", "total += coeff * power"),
+    "arith.Rational.__sub__": ("src/radpi/recursion.py", "s = m**2 - d**2"),
+    "arith.Rational.__rsub__": ("src/radpi/recursion.py",
+                                "return FixedReal.from_fraction(1 - self.x0_squared, "
+                                "scale_bits).sqrt()"),
+    "arith.Rational.__mul__": ("src/radpi/analysis.py",
+                               "return self.factor * Rational(2) ** (n + self.shift)"),
+    "arith.Rational.__truediv__": ("src/radpi/recursion.py", "return self.s / self.m**2"),
+    "arith.Rational.__rtruediv__": ("src/radpi/analysis.py",
+                                    "return pi_fixed(scale_bits).mul_fraction("
+                                    "2 / exact_ratio_lookup(seed))"),
+    "arith.Rational.__eq__": ("src/radpi/recursion.py", "if s == m**2 and sign > 0:"),
+    "arith.Rational.__lt__": ("src/radpi/recursion.py", "if s < 0:"),
+    "arith.Rational.__le__": ("src/radpi/recursion.py", "if m <= 0:"),
+    "arith.Rational.__gt__": ("src/radpi/recursion.py", "if s > m**2:"),
+    "arith.Rational.__ge__": ("src/radpi/drivers.py", "if u >= 1:"),
+    "arith.Rational.__neg__": ("src/radpi/drivers.py", "power *= -u"),
+    "arith.Rational.__pow__": ("src/radpi/recursion.py", "s = m**2 - d**2"),
+    "arith.Rational.__hash__": ("src/radpi/drivers.py",
+                                "return _EXACT_RATIOS.get((seed.x0_squared, seed.sign))"),
+    "arith.Rational.__str__": ("src/radpi/analysis.py", '"tolerance": str(_CATALOG_TOLERANCE),'),
+    "arith.FixedReal.__init__": ("src/radpi/recursion.py",
+                                 "return FixedReal(((1 << bits) + _clamped_unit(x_prev)) >> 1, "
+                                 "bits).sqrt()"),
+    "arith.FixedReal.__add__": ("src/radpi/analysis.py", "t = (two + t).sqrt()"),
+    "arith.FixedReal.__sub__": ("src/radpi/analysis.py", "gap = abs(f - two).mantissa"),
+    "arith.FixedReal.__neg__": ("src/radpi/recursion.py", "return -root if self.sign < 0 else root"),
+    "arith.FixedReal.__abs__": ("src/radpi/analysis.py", "gap = abs(f - two).mantissa"),
+    "arith.FixedReal.__mul__": ("src/radpi/drivers.py",
+                                "return value * self.fixed.rescale(value.scale_bits)"),
+    # no line of the package multiplies an int by a FixedReal; the benchmark's tracer binds it
+    "arith.FixedReal.__rmul__": ("perfbench/tracing.py", '("arith.mul", "__rmul__"),'),
+    "arith.FixedReal.__truediv__": ("src/radpi/recursion.py", "scaled = scaled / x"),
+    "arith.FixedReal.__lt__": ("src/radpi/analysis.py", "if not err < tol_fixed:"),
+    "arith.FixedReal.__gt__": ("src/radpi/arith.py", "while abs(t) > small:"),
+    "arith.PrecisionContext.__init__": ("src/radpi/cli.py",
+                                        "ctx = PrecisionContext(args.bits, args.guard_bits)"),
+    "recursion.PowerForm.__init__": ("src/radpi/recursion.py",
+                                     "return PowerForm((1 << e) - 1, 1, e, _positive(m))"),
+    "recursion.Seed.__init__": ("src/radpi/cli.py", "return Seed(args.m, args.s, sign)"),
+}
+
+
+def test_every_dunder_is_listed_with_a_line_that_uses_it():
+    defined = []
+    for path in sorted((ROOT / "src" / "radpi").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                names = ([node.name] if isinstance(node, ast.FunctionDef) else
+                         [n.id for target in targets for n in ast.walk(target)
+                          if isinstance(n, ast.Name)])
+                defined += [f"{path.stem}.{cls.name}.{name}" for name in names
+                            if name.startswith("__") and name.endswith("__")
+                            and name != "__slots__"]
+    assert sorted(defined) == sorted(_DUNDERS)
+    unused = [name for name, (path, line) in _DUNDERS.items() if line not in
+              {text.strip() for text in (ROOT / path).read_text(encoding="utf-8").splitlines()}]
+    assert unused == []
 
 
 def test_no_runtime_dependencies():
