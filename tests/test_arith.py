@@ -341,11 +341,18 @@ class TestFixedSqrt:
             FixedReal.from_int(-1, 64).sqrt()
 
     @given(st.integers(min_value=0, max_value=(4 << 96) - 1))
+    @example(236_594_672_971_837_288_714_222_960_640)  # the residual reaches 4 units
+    @example((4 << 96) - 1)
     def test_square_residual_bound(self, mantissa):
         x = FixedReal(mantissa, 96)
         r = x.sqrt()
-        residual = abs((r * r - x).mantissa)
-        assert residual < 1 << 2  # 2^(-B+2) for values in [0, 4)
+        # floor root: d = m*2^B - r^2 lies in [0, 2r], and 2r < 2^(B+2) for values in [0, 4)
+        d = (mantissa << 96) - r.mantissa**2
+        assert 0 <= d <= 2 * r.mantissa
+        # the floored product then falls short of x by ceil(d / 2^B) units: at most 2^(-B+2)
+        residual = (x - r * r).mantissa
+        assert residual == -(-d >> 96)
+        assert 0 <= residual <= 1 << 2
 
     @given(
         st.integers(min_value=0, max_value=(4 << 96) - 1),
