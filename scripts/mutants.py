@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation smoke over the self-consistent arccos's bounds and edges.
+"""Mutation smoke over the bounds and edges of the self-consistent arccos,
+admission, the rounding slacks, the identity checks and the references.
 
 Each site names one expression in a function of src/radpi, the expression a
 mutant writes there instead, and the test files that must each fail under
@@ -57,6 +58,37 @@ SITES = (
     Site("plan-widens-x0-only-past-the-working-bits", "drivers.py", "plan",
          "params.get('x0_bits', 0) >= work", "params.get('x0_bits', 0) > work",
          ("tests/test_drivers.py", "tests/test_admission.py")),
+    Site("admission-refuses-exactly-the-bound-in-working-bits", "arith.py", "admit_cost",
+         "work > MAX_WORKING_BITS", "work >= MAX_WORKING_BITS", ("tests/test_admission.py",)),
+    Site("admission-refuses-exactly-the-bound-in-bit-steps", "arith.py", "admit_cost",
+         "bit_steps > MAX_BIT_STEPS", "bit_steps >= MAX_BIT_STEPS", ("tests/test_admission.py",)),
+    Site("plan-depth-budget-one-step-deeper", "drivers.py", "plan",
+         "(ctx.guard_bits - 64) // 2", "(ctx.guard_bits - 62) // 2",
+         ("tests/test_admission.py", "tests/test_arith.py", "tests/test_recursion.py")),
+    Site("plan-depth-budget-refuses-its-own-depth", "drivers.py", "plan",
+         "allowed < k", "allowed <= k", ("tests/test_arith.py",)),
+    Site("plan-arccos-cap-one-step-short", "drivers.py", "plan",
+         "ctx.scale_bits // 2 + 24", "ctx.scale_bits // 2 + 23",
+         ("tests/test_admission.py", "tests/test_drivers.py")),
+    Site("plan-method2-half-the-cancelled-bits", "drivers.py", "plan",
+         "4 * cancelled.bit_length()", "2 * cancelled.bit_length()",
+         ("tests/test_admission.py", "tests/test_cli.py")),
+    Site("step-clamp-without-its-slack", "recursion.py", "_clamped_unit",
+         "one + _UNIT_SLACK", "one", ("tests/test_recursion.py",)),
+    Site("literal-radicand-slack-without-its-64", "recursion.py", "nested_literal",
+         "64 + 4 * k", "4 * k", ("tests/test_recursion.py",)),
+    Site("identity-passes-a-residual-at-its-bound", "analysis.py", "_within",
+         "residual < bound", "residual <= bound", ("tests/test_cli.py",)),
+    Site("verify-f-tends-to-2-strictly", "analysis.py", "verify_identities",
+         "gap * b <= a * f.mantissa + (0 if m == 2 else b << 8)",
+         "gap * b < a * f.mantissa + (0 if m == 2 else b << 8)",
+         ("tests/test_analysis.py", "tests/test_cli.py")),
+    Site("pi-reference-one-guard-bit-short", "arith.py", "_pi_mantissa",
+         "bits + 32", "bits + 31", ("tests/test_arith.py", "tests/test_drivers.py")),
+    Site("pi-reference-without-its-two-spare-terms", "arith.py", "_pi_mantissa",
+         "w // 47 + 2", "w // 47", ("tests/test_arith.py",)),
+    Site("rational-literal-refuses-exactly-the-bound", "arith.py", "_rational_literal",
+         "size > bound", "size >= bound", ("tests/test_arith.py", "tests/test_cli.py")),
 )
 
 

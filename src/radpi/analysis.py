@@ -91,13 +91,8 @@ def _target_value(target: str, scale: int) -> FixedReal:
     if target == "pi":
         return pi_fixed(scale)
     if target == "one":
-        return FixedReal.one(scale)
+        return FixedReal.from_fraction(1, scale)
     raise DomainError(f"no reference value for target {target!r}")
-
-
-def abs_error(approx: Approximant, scale: int) -> FixedReal:
-    """|value - target| at the measurement scale (the rescale up is exact)."""
-    return abs(approx.value.rescale(scale) - _target_value(approx.target, scale))
 
 
 def _measure_row(
@@ -111,7 +106,7 @@ def _measure_row(
     """
     digits = decimal_digits_for_bits(value.scale_bits)
     shown = value.to_decimal(digits)
-    err = abs(FixedReal.from_decimal(shown, reference.scale_bits) - reference)
+    err = abs(FixedReal.from_fraction(Rational(shown), reference.scale_bits) - reference)
     ratio = None
     if prev_err is not None and err.mantissa > 0 and prev_err.mantissa > 0:
         ratio = (prev_err / err).to_decimal(_RATIO_DIGITS)
@@ -261,7 +256,7 @@ def _printed_all_twos_radical(s: Rational, inner_sign: int, n: int, scale: int) 
     t = FixedReal.from_fraction(s, scale).sqrt()
     if inner_sign < 0:
         t = -t
-    two = FixedReal.from_int(2, scale)
+    two = FixedReal.from_fraction(2, scale)
     for _ in range(n - 2):
         t = (two + t).sqrt()
     return (two - t).sqrt()
@@ -309,7 +304,8 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
         # both routes agree to ~2^(-B + 2k) absolute; structural mismatches are O(1)
         if shape_gap.mantissa > (1 << (work - ctx.scale_bits + 2 * shape_k + 16)):
             raise CatalogFailure(f"{entry.name}: literal radical shape mismatch")
-        err = abs_error(pi_method1(entry.seed, _CATALOG_DEPTH, ctx, "exact"), scale)
+        approx = pi_method1(entry.seed, _CATALOG_DEPTH, ctx, "exact")
+        err = abs(approx.value.rescale(scale) - pi_fixed(scale))  # the rescale up is exact
         if not err < tol_fixed:
             raise CatalogFailure(
                 f"{entry.name}: depth-{_CATALOG_DEPTH} approximant off by {err.to_decimal(18)}"
@@ -388,11 +384,12 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
+    # the depth-20 runs and the depth-30 doubled sines, both admitted before either runs
     depth = 20
-    work = plan("depth", ctx, k=depth).work
+    work, mono_work = plan("depth", ctx, k=depth).work, plan("depth", ctx, k=30).work
     runs = [(seed, run_at_scale(seed, depth, work)) for seed in seeds]
     states = [st for _, run in runs for st in run]
-    one = FixedReal.one(work)
+    one = FixedReal.from_fraction(1, work)
     pyth_ok, pyth_worst = _within(
         (abs((st.x * st.x + st.c * st.c - one).mantissa), 1 << (st.k + 6)) for st in states
     )
@@ -440,7 +437,6 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
 
     # each seed's doubled sines for k <= 30 at the depth-30 scale, then its
     # theta0 from the exact ratio, not from the recursion under test
-    mono_work = plan("depth", ctx, k=30).work
     chains = [
         [*(s for _, s in islice(_doubled_sines(seed.value(mono_work), "stable"), 30)),
          _theta0(seed, mono_work)]
@@ -457,7 +453,7 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
     # |f(k) - 2| = 2(e^u - 1) with u = ln(m/2)/2^(k-2), bounded by u*f(k), and
     # exactly 0 at m = 2 (where u = 0); compared exactly on integers, in units
     # of 2**-work with u = a/b the float's exact ratio: 2**work overflows a float
-    two = FixedReal.from_int(2, work)
+    two = FixedReal.from_fraction(2, work)
     f_ok = True
     for m in (2, 3, 5, 10):
         for k, f in scale_factors(m, 40, work).items():

@@ -200,30 +200,9 @@ class FixedReal(Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int, scale_bits: int) -> "FixedReal":
-        return cls(n << scale_bits, scale_bits)
-
-    @classmethod
     def from_fraction(cls, fr: int | Rational, scale_bits: int) -> "FixedReal":
+        """An int or a Rational at this scale, truncated toward zero."""
         return cls(_tdiv(fr.numerator << scale_bits, fr.denominator), scale_bits)
-
-    @classmethod
-    def from_decimal(cls, text: str, scale_bits: int) -> "FixedReal":
-        """Parse ``[+-]digits[.digits]``; no exponent form. Truncates toward zero."""
-        body = text.strip()
-        int_part, _, frac_part = (body[1:] if body[:1] in "+-" else body).partition(".")
-        if not int_part.isdecimal() or not (int_part + frac_part).isdecimal():
-            raise UsageError(f"malformed decimal literal: {text!r}")
-        mant = _tdiv(_int(int_part + frac_part) << scale_bits, 10 ** len(frac_part))
-        return cls(-mant if body[:1] == "-" else mant, scale_bits)
-
-    @classmethod
-    def zero(cls, scale_bits: int) -> "FixedReal":
-        return cls(0, scale_bits)
-
-    @classmethod
-    def one(cls, scale_bits: int) -> "FixedReal":
-        return cls(1 << scale_bits, scale_bits)
 
     # -- conversions -------------------------------------------------------
 
@@ -420,7 +399,7 @@ def _arctan_fixed(t: FixedReal) -> FixedReal:
     below 2**-8 the alternating series gains 16 bits per term.
     """
     bits = t.scale_bits
-    one = FixedReal.one(bits)
+    one = FixedReal.from_fraction(1, bits)
     small = FixedReal(1 << (bits - 8), bits)
     halvings = 0
     while abs(t) > small:
@@ -449,13 +428,13 @@ def arccos_oracle(x: FixedReal, ctx: PrecisionContext) -> FixedReal:
     if abs(x.mantissa) > one_in:
         raise DomainError("arccos argument outside [-1, 1]")
     if x.mantissa == one_in:
-        return FixedReal.zero(out_bits)
+        return FixedReal(0, out_bits)
     if x.mantissa == -one_in:
         return pi_fixed(out_bits)
 
     work = max(out_bits, x.scale_bits) + 64
     xw = x.rescale(work)
-    one = FixedReal.one(work)
+    one = FixedReal.from_fraction(1, work)
     half_pi = pi_fixed(work) / 2
     if abs(xw.mantissa) * 2 <= one.mantissa:
         # arccos(x) = pi/2 - arctan(x / sqrt(1 - x^2)); argument stays <= 0.578

@@ -69,13 +69,15 @@ _METHODS = {
 
 
 def _fraction_arg(text: str) -> Rational:
-    """A rational flag: a ``Rational`` of its text."""
+    """A rational flag: a ``Rational`` of its text, which an error cuts to 20
+    characters and its length."""
     try:
         return Rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         import argparse
 
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"not a rational number: {shown}") from exc
 
 
 def _method_flags(methods: list[str]) -> dict:
@@ -173,12 +175,6 @@ def _parse_table(argv: list[str]) -> SimpleNamespace | None:
         return None
     return SimpleNamespace(subcommand=argv[0],
                            **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
-
-
-def _parse(argv: list[str] | None) -> SimpleNamespace:
-    """Parse from the flag table, and with argparse when the table declines."""
-    argv = sys.argv[1:] if argv is None else argv
-    return _parse_table(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
 def _seed_from_args(args: SimpleNamespace, default: Seed | None = None) -> Seed:
@@ -475,8 +471,9 @@ def _run(args: SimpleNamespace) -> tuple[str, int]:
 
 def run_command(argv: list[str] | None = None) -> int:
     """Dispatch one command line; returns the process exit code."""
-    try:
-        args = _parse(argv)  # argparse re-raises a radpi error from a flag's type
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # argparse, where the flag table declines, re-raises a radpi error from a flag's type
+        args = _parse_table(argv) or build_parser().parse_args(argv, SimpleNamespace())
         text, exit_code = _run(args)
     except SystemExit as exc:  # argparse: 64 on an error, 0 after --help
         return int(exc.code or 0)

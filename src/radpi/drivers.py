@@ -217,6 +217,8 @@ def pi_method1(
 
     Convergence is quartic per step: the error is about pi * (theta0/2**k)**2 / 6.
     """
+    if variant not in ("stable", "naive"):  # run_at_scale's check, before the ratio runs
+        raise UsageError(f"unknown variant {variant!r}")
     work = plan("depth", ctx, seed=seed, k=k, ratio_mode=ratio_mode).work
     ratio = _resolve_ratio(seed, ratio_mode, work)
     states = run_at_scale(seed, k, work, variant)
@@ -347,8 +349,8 @@ def viete_product(k: int, ctx: PrecisionContext) -> Approximant:
     running product so it cross-checks the recursion-based route.
     """
     work = plan("depth", ctx, k=k).work
-    x = FixedReal.zero(work)
-    value = FixedReal.from_int(2, work)
+    x = FixedReal(0, work)
+    value = FixedReal.from_fraction(2, work)
     for _ in range(k):
         x = half_angle_step(x)
         value = value / x

@@ -294,6 +294,6 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
         # chain noise is O(k) units at the working scale; anything larger is real
         if rad.mantissa < -(64 + 4 * k):
             raise DomainError("outer radicand negative beyond rounding slack")
-        rad = FixedReal.zero(work)
+        rad = FixedReal(0, work)
     c = rad.sqrt() / f_vals[k + 2]
     return c.rescale(ctx.scale_bits)

@@ -49,8 +49,8 @@ def measure_errors(values, target, scale):
 
 def ratios_in(errors, lo: str, hi: str) -> bool:
     scale = errors[0].scale_bits
-    lo_f = FixedReal.from_decimal(lo, scale)
-    hi_f = FixedReal.from_decimal(hi, scale)
+    lo_f = FixedReal.from_fraction(Fraction(lo), scale)
+    hi_f = FixedReal.from_fraction(Fraction(hi), scale)
     return all(lo_f < (a / b) < hi_f for a, b in zip(errors, errors[1:]))
 
 
@@ -124,8 +124,8 @@ def test_criterion_07_as_printed_divergence(capsys):
     v3 = pi_method2(1000, 1, ctx, "as_printed").value.rescale(scale)
     v4 = pi_method2(10000, 1, ctx, "as_printed").value.rescale(scale)
     ratio = v3 / v4
-    in_band = FixedReal.from_int(9, scale) < ratio < FixedReal.from_int(11, scale)
-    small = v4 < FixedReal.from_decimal("0.2", scale)
+    in_band = FixedReal.from_fraction(9, scale) < ratio < FixedReal.from_fraction(11, scale)
+    small = v4 < FixedReal.from_fraction(Fraction("0.2"), scale)
     code = run_command(["compute", "--method", "method2", "--variant", "as-printed",
                         "--m", "10000", "--d", "1"])
     captured = capsys.readouterr()
@@ -149,7 +149,7 @@ def test_criterion_08_combined_method_rates():
 def test_criterion_09_unity_formulas():
     ctx = PrecisionContext(128)
     scale = 4 * (128 + 2 * 21 + 64)
-    one = FixedReal.one(scale)
+    one = FixedReal.from_fraction(1, scale)
     u20 = unity_formula(Seed(1, 0, 1), 20, ctx).value
     near_one = abs(u20.rescale(scale) - one) < tiny(12, scale)
     values = [unity_formula(Seed(5, 16, 1), k, ctx).value for k in range(10, 22)]
@@ -160,9 +160,9 @@ def test_criterion_09_unity_formulas():
 
 def test_criterion_10_self_consistent_arccos():
     ctx = PrecisionContext(256)
-    x = FixedReal.from_decimal("0.8", 256)
+    x = FixedReal.from_fraction(Fraction("0.8"), 256)
     gap_point8 = abs(arccos_by_recursion(x, ctx) - arccos_oracle(x, ctx))
-    gap_pi = abs(arccos_by_recursion(FixedReal.from_int(-1, 256), ctx) - pi_oracle(ctx))
+    gap_pi = abs(arccos_by_recursion(FixedReal.from_fraction(-1, 256), ctx) - pi_oracle(ctx))
     check(10, "arccos via recursion matches series arccos at 0.8 and pi at -1 to 50+ digits",
           gap_point8 < tiny(50, 256) and gap_pi < tiny(50, 256))
 

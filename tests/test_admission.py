@@ -29,6 +29,7 @@ from radpi import (
     pi_method1,
     taylor_seed_exact,
     unity_formula,
+    verify_identities,
     viete_product,
 )
 from radpi.arith import MAX_BIT_STEPS, MAX_WORKING_BITS
@@ -113,7 +114,7 @@ def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
 def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
     # the run widens to the x0's scale plus one, and that run is admitted
     with pytest.raises(PrecisionError, match=r"^request over the cost bound: 65537 working bits"):
-        arccos_by_recursion(FixedReal.zero(MAX_WORKING_BITS), PrecisionContext(128))
+        arccos_by_recursion(FixedReal(0, MAX_WORKING_BITS), PrecisionContext(128))
 
 
 def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
@@ -171,6 +172,23 @@ def test_table_is_refused_before_its_first_row(no_work):
 def test_a_driver_admits_its_depth_run_and_its_arccos_as_one_cost(no_work, driver):
     with pytest.raises(PrecisionError, match=r"536904866 working bits x half-angle steps"):
         driver(Seed.from_x0(Fraction(3, 10)), 1000, PrecisionContext(29666))
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed, ctx: pi_method1(seed, 5, ctx, "self", "heroic"),
+    lambda seed, ctx: convergence_table("method1", {"seed": seed, "variant": "heroic"},
+                                        [5, 6], ctx),
+], ids=["pi_method1", "table"])
+def test_an_unknown_method1_variant_is_refused_before_any_work(no_work, call):
+    # the self-consistent ratio would run an arccos before the engine reads the variant
+    with pytest.raises(UsageError, match="^unknown variant 'heroic'$"):
+        call(Seed.from_x0(Fraction(3, 10)), PrecisionContext(8192))
+
+
+def test_verify_admits_its_depth_30_steps_before_any_work(no_work):
+    # a guard of 104 bits allows depth 20 and not depth 30: nothing may run
+    with pytest.raises(PrecisionError, match="^depth 30 exceeds precision budget"):
+        verify_identities(PrecisionContext(128, 104))
 
 
 @pytest.mark.parametrize("k_max, audited_bits", [(10**8, 53), (40, 10**9)])

@@ -148,6 +148,12 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert f"argument --x0: not a rational number: '{x0}'" in err
 
+    def test_a_long_malformed_rational_is_cut_in_its_error_line(self, capsys):
+        code, out, err = run(capsys, "arccos", "--x0", "0/0_" + "0" * 5000)
+        assert (code, out) == (64, "")
+        assert err.splitlines()[-1] == ("radpi arccos: error: argument --x0: not a rational "
+                                        "number: '0/0_0000000000000000'... (5004 characters)")
+
     # a compute row's index is the m it was built at, as in a table's --m-range
     @pytest.mark.parametrize("m", ["5/2", "2.5"])
     def test_method2_non_integer_m_is_64(self, capsys, m):

@@ -170,7 +170,7 @@ class TestPiMethod2:
         v3 = pi_method2(1000, 1, ctx128, "as_printed").value
         v4 = pi_method2(10000, 1, ctx128, "as_printed").value
         ratio = v3.rescale(256) / v4.rescale(256)
-        assert FixedReal.from_int(9, 256) < ratio < FixedReal.from_int(11, 256)
+        assert FixedReal.from_fraction(9, 256) < ratio < FixedReal.from_fraction(11, 256)
 
     def test_corrected_error_shrinks_per_decade(self, ctx128):
         scale = 512
@@ -180,7 +180,7 @@ class TestPiMethod2:
             for m in (100, 1000)
         ]
         ratio = errs[0] / errs[1]
-        assert FixedReal.from_int(90, scale) < ratio < FixedReal.from_int(110, scale)
+        assert FixedReal.from_fraction(90, scale) < ratio < FixedReal.from_fraction(110, scale)
 
     def test_domain(self, ctx128):
         with pytest.raises(DomainError):
@@ -220,7 +220,8 @@ class TestPiCombined:
         ]
         for hi, lo in zip(errs, errs[1:]):
             ratio = hi / lo
-            assert FixedReal.from_decimal("3.8", scale) < ratio < FixedReal.from_decimal("4.2", scale)
+            low, high = (FixedReal.from_fraction(Fraction(t), scale) for t in ("3.8", "4.2"))
+            assert low < ratio < high
 
     def test_doubling_m_quarters_error(self, ctx128):
         scale = 512
@@ -231,7 +232,8 @@ class TestPiCombined:
         ]
         for hi, lo in zip(errs, errs[1:]):
             ratio = hi / lo
-            assert FixedReal.from_decimal("3.5", scale) < ratio < FixedReal.from_decimal("4.5", scale)
+            low, high = (FixedReal.from_fraction(Fraction(t), scale) for t in ("3.5", "4.5"))
+            assert low < ratio < high
 
 
 class TestUnityFormula:
@@ -242,7 +244,7 @@ class TestUnityFormula:
 
     def test_deep_value_near_one(self, ctx128):
         got = unity_formula(Seed(1, 0, 1), 20, ctx128).value
-        gap = abs((got - FixedReal.one(128)).mantissa)
+        gap = abs((got - FixedReal.from_fraction(1, 128)).mantissa)
         assert gap < (1 << 128) // 10**12
 
     def test_target_recorded(self, ctx128):
@@ -251,16 +253,16 @@ class TestUnityFormula:
 
 class TestArccosByRecursion:
     def test_zero(self, ctx128):
-        got = arccos_by_recursion(FixedReal.zero(128), ctx128)
+        got = arccos_by_recursion(FixedReal(0, 128), ctx128)
         want = pi_oracle(ctx128) / 2
         assert abs((got - want).mantissa) < 1 << 16
 
     def test_point_eight(self, ctx128):
-        got = arccos_by_recursion(FixedReal.from_decimal("0.8", 128), ctx128)
+        got = arccos_by_recursion(FixedReal.from_fraction(Fraction("0.8"), 128), ctx128)
         assert got.to_decimal(36)[:34] == ARCCOS_08[:34]
 
     def test_negative_one_gives_pi(self, ctx128):
-        got = arccos_by_recursion(FixedReal.from_int(-1, 128), ctx128)
+        got = arccos_by_recursion(FixedReal.from_fraction(-1, 128), ctx128)
         assert abs((got - pi_oracle(ctx128)).mantissa) < 1 << 16
 
     def test_below_minus_one_rejected(self):
@@ -274,7 +276,7 @@ class TestArccosByRecursion:
 
     def test_matches_series_oracle_random_points(self, ctx128):
         for text in ("0.125", "0.47", "-0.31", "-0.875", "0.96"):
-            x = FixedReal.from_decimal(text, 128)
+            x = FixedReal.from_fraction(Fraction(text), 128)
             rec = arccos_by_recursion(x, ctx128)
             ser = arccos_oracle(x, ctx128)
             assert abs((rec - ser).mantissa) < 1 << 16
@@ -344,7 +346,8 @@ class TestArccosByRecursion:
                             lambda x: steps.append(x) or step(x))
         for text in ("-1", "0.3", "0.999"):
             steps.clear()
-            arccos_by_recursion(FixedReal.from_decimal(text, bits), PrecisionContext(bits))
+            x0 = FixedReal.from_fraction(Fraction(text), bits)
+            arccos_by_recursion(x0, PrecisionContext(bits))
             assert bits // 14 - 8 <= len(steps) <= bits // 14 + 8, (text, len(steps))
         assert radpi.drivers.plan("arccos", PrecisionContext(bits)).steps == bits // 2 + 24
 
@@ -364,7 +367,7 @@ class TestArccosByRecursion:
         tol = 1 << (ctx.working_bits - bits - 8)
         for text in ("-1", "0.3", "0.999"):
             seen.clear()
-            got = arccos_by_recursion(FixedReal.from_decimal(text, bits), ctx)
+            got = arccos_by_recursion(FixedReal.from_fraction(Fraction(text), bits), ctx)
             rows = [seen[:1]]
             for t in seen[1:]:
                 rows.append([t])
@@ -455,7 +458,7 @@ def test_deep_high_precision_run():
 def test_unity_at_obtuse_seed(ctx128):
     # theta0 = arccos(-0.8) ~ 2.498; |U - 1| ~ theta0^2 / (6 * 4^15) ~ 9.7e-10
     got = unity_formula(Seed(5, 16, -1), 15, ctx128).value
-    gap = abs((got - FixedReal.one(128)).mantissa)
+    gap = abs((got - FixedReal.from_fraction(1, 128)).mantissa)
     assert gap < (1 << 128) // 10**8
     assert gap > (1 << 128) // 10**11
 
@@ -536,7 +539,7 @@ def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):
     ctx = PrecisionContext(bits, guard)
     ref_ctx = PrecisionContext(4 * bits)
     for text in ("-1", "-0.93", "-0.3", "0", "0.25", "0.8", "0.999"):
-        x0 = FixedReal.from_decimal(text, bits)
+        x0 = FixedReal.from_fraction(Fraction(text), bits)
         got = arccos_by_recursion(x0, ctx)
         ref = arccos_oracle(x0.rescale(4 * bits), ref_ctx)
         assert abs(got.rescale(4 * bits) - ref).mantissa < 1 << (3 * bits), text

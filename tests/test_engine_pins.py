@@ -89,7 +89,7 @@ def _compute(case: dict):
     if kind == "arccos":
         edge = _ARCCOS_EDGES.get(case["x0"])
         x0 = (FixedReal(edge(case["bits"]), case["bits"]) if edge
-              else FixedReal.from_decimal(case["x0"], case["bits"]))
+              else FixedReal.from_fraction(Fraction(case["x0"]), case["bits"]))
         return _hex(arccos_by_recursion(x0, PrecisionContext(case["bits"], case["guard"])))
     if kind == "run_at_scale":
         states = run_at_scale(_seed(*case["seed"]), case["k"], case["scale_bits"],

@@ -6,12 +6,14 @@ cosines of the dyadic fractions of pi that the cataloged seeds generate).
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radpi.recursion
 from radpi import (
     DomainError,
     FixedReal,
@@ -46,44 +48,44 @@ def close_to(x: FixedReal, decimal: str, digits: int = 30) -> bool:
 
 class TestStepMaps:
     def test_half_angle_fixed_points(self):
-        one = FixedReal.one(BITS)
+        one = FixedReal.from_fraction(1, BITS)
         assert half_angle_step(one) == one
         assert half_angle_step(-one).mantissa == 0
-        assert close_to(half_angle_step(FixedReal.zero(BITS)), SQRT_HALF)
+        assert close_to(half_angle_step(FixedReal(0, BITS)), SQRT_HALF)
 
     def test_half_angle_clamps_within_slack_only(self):
         just_over = FixedReal((1 << BITS) + 3, BITS)
-        assert half_angle_step(just_over) == FixedReal.one(BITS)
+        assert half_angle_step(just_over) == FixedReal.from_fraction(1, BITS)
         with pytest.raises(DomainError):
             half_angle_step(FixedReal((1 << BITS) + (1 << 8), BITS))
 
     def test_sine_naive_values(self):
-        one = FixedReal.one(BITS)
+        one = FixedReal.from_fraction(1, BITS)
         assert sine_step_naive(one).mantissa == 0
-        assert close_to(sine_step_naive(FixedReal.zero(BITS)), SQRT_HALF)
+        assert close_to(sine_step_naive(FixedReal(0, BITS)), SQRT_HALF)
         # sin(pi/6) = 1/2 exactly: the radicand 1/4 is dyadic, so no rounding
-        got = sine_step_naive(FixedReal.from_decimal("0.5", BITS))
-        assert got == FixedReal.from_decimal("0.5", BITS)
+        got = sine_step_naive(FixedReal.from_fraction(Fraction("0.5"), BITS))
+        assert got == FixedReal.from_fraction(Fraction("0.5"), BITS)
 
     def test_radicand_step(self):
-        g1 = radicand_step(FixedReal.from_int(2, BITS).sqrt(), FixedReal.from_int(2, BITS))
-        assert close_to(g1, SQRT_2_PLUS_SQRT2)
-        assert radicand_step(FixedReal.zero(BITS), FixedReal.from_int(4, BITS)) == FixedReal.from_int(2, BITS)
-        g1_neg = radicand_step(-FixedReal.from_int(3, BITS).sqrt(), FixedReal.from_int(2, BITS))
+        two = FixedReal.from_fraction(2, BITS)
+        assert close_to(radicand_step(two.sqrt(), two), SQRT_2_PLUS_SQRT2)
+        assert radicand_step(FixedReal(0, BITS), FixedReal.from_fraction(4, BITS)) == two
+        g1_neg = radicand_step(-FixedReal.from_fraction(3, BITS).sqrt(), two)
         assert close_to(g1_neg, SQRT_2_MINUS_SQRT3)
 
     def test_radicand_step_negative(self):
         with pytest.raises(DomainError):
-            radicand_step(FixedReal.from_int(-3, BITS), FixedReal.from_int(2, BITS))
+            radicand_step(FixedReal.from_fraction(-3, BITS), FixedReal.from_fraction(2, BITS))
 
 
 def _clamped(x: FixedReal) -> FixedReal:
-    one = FixedReal.one(x.scale_bits)
+    one = FixedReal.from_fraction(1, x.scale_bits)
     return one if x > one else -one if x < -one else x
 
 
 def _factors_by_products(m, k_max: int, bits: int) -> dict[int, FixedReal]:
-    two = FixedReal.from_int(2, bits)
+    two = FixedReal.from_fraction(2, bits)
     f = FixedReal.from_fraction(Fraction(m), bits)
     factors = {2: f}
     for k in range(3, k_max + 1):
@@ -101,7 +103,7 @@ class TestStepsOnTheMantissa:
     @pytest.mark.parametrize("units", [-1, 0, 1, 16])  # past |x| = 1; 16 is the clamp's slack
     @pytest.mark.parametrize("sign", [1, -1])
     def test_at_plus_and_minus_one(self, bits, units, sign):
-        one = FixedReal.one(bits)
+        one = FixedReal.from_fraction(1, bits)
         x = FixedReal(sign * ((1 << bits) + units), bits)
         assert half_angle_step(x) == ((one + _clamped(x)) / 2).sqrt()
         assert sine_step_naive(x) == ((one - _clamped(x)) / 2).sqrt()
@@ -119,7 +121,7 @@ class TestStepsOnTheMantissa:
         lambda bits: st.tuples(st.just(bits), st.integers(-(1 << bits) - 16, (1 << bits) + 16))))
     def test_anywhere_in_the_slack(self, drawn):
         bits, mantissa = drawn
-        one, x = FixedReal.one(bits), FixedReal(mantissa, bits)
+        one, x = FixedReal.from_fraction(1, bits), FixedReal(mantissa, bits)
         assert half_angle_step(x) == ((one + _clamped(x)) / 2).sqrt()
         assert sine_step_naive(x) == ((one - _clamped(x)) / 2).sqrt()
 
@@ -204,7 +206,7 @@ def _f_mpmath(k, m):
 class TestScaleFactors:
     def test_k3_is_sqrt_2m(self):
         got = scale_factors(3, 3, 192)[3]
-        want = FixedReal.from_int(6, 192).sqrt()
+        want = FixedReal.from_fraction(6, 192).sqrt()
         assert abs((got - want).mantissa) < 1 << 8
 
     def test_against_mpmath(self):
@@ -221,7 +223,7 @@ class TestScaleFactors:
             scale_factors(3, 1, 96)
 
     def test_exactly_two_for_m_two(self):
-        two = FixedReal.from_int(2, 160)
+        two = FixedReal.from_fraction(2, 160)
         assert all(v == two for v in scale_factors(2, 64, 160).values())
 
     @pytest.mark.parametrize("m,exact", [(4, {2: 4}), (Fraction(1, 2), {2: Fraction(1, 2), 3: 1})])
@@ -233,7 +235,8 @@ class TestScaleFactors:
                 assert value == FixedReal.from_fraction(Fraction(exact[k]), 160)
                 continue
             assert f_power_form(k, m).exact_log2() is None
-            want = FixedReal.from_decimal(mpmath.nstr(_f_mpmath(k, m), 60, strip_zeros=False), 160)
+            text = mpmath.nstr(_f_mpmath(k, m), 60, strip_zeros=False)
+            want = FixedReal.from_fraction(Fraction(text), 160)
             assert abs((value - want).mantissa) < 1 << 8
 
     def test_one_square_root_per_k(self, monkeypatch):
@@ -255,7 +258,7 @@ class TestScaleFactors:
 
     def test_rational_factor_after_an_irrational_root_is_exact(self):
         # f(3) = sqrt(2 * 18) = 6: one root of 36, not sqrt(2) * sqrt(18)
-        assert scale_factors(18, 3, 160)[3] == FixedReal.from_int(6, 160)
+        assert scale_factors(18, 3, 160)[3] == FixedReal.from_fraction(6, 160)
 
 
 class TestSeed:
@@ -270,7 +273,7 @@ class TestSeed:
 
     def test_allows_negative_one(self):
         seed = Seed(2, 4, -1)
-        assert seed.value(BITS) == -FixedReal.one(BITS)
+        assert seed.value(BITS) == -FixedReal.from_fraction(1, BITS)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -323,7 +326,7 @@ class TestRunRecursion:
     def test_state_invariants(self, seed, ctx128):
         states = run_at_scale(seed, 20, plan("depth", ctx128, k=20).work)
         work = states[0].x.scale_bits
-        one = FixedReal.one(work)
+        one = FixedReal.from_fraction(1, work)
         for st_ in states:
             bound = 1 << (st_.k + 6)
             assert abs((st_.x * st_.x + st_.c * st_.c - one).mantissa) < bound
@@ -392,6 +395,24 @@ class TestNestedLiteral:
             rec = run_at_scale(seed, k, plan("depth", ctx128, k=k).work)[k].c.rescale(128)
             assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_outer_radicand_slack_is_64_plus_4k_units(self, k, ctx128, monkeypatch):
+        # no seed tried leaves g_(k-1) over f(k+1), so the chain's last link is
+        # set that many units over it: up to 64 + 4k is noise, one more is real
+        real_chain = radpi.recursion._plus_chain
+
+        def chain_over(units):
+            def chain(seed, f):
+                *links, _ = islice(real_chain(seed, f), k)
+                yield from [*links, FixedReal(f[k + 1].mantissa + units, f[k + 1].scale_bits)]
+            return chain
+
+        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(64 + 4 * k))
+        assert nested_literal(Seed(2, 2, 1), k, ctx128) == FixedReal(0, 128)
+        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(65 + 4 * k))
+        with pytest.raises(DomainError, match="beyond rounding slack"):
+            nested_literal(Seed(2, 2, 1), k, ctx128)
+
 
 def test_run_at_scale_rejects_unknown_variant():
     from radpi.errors import UsageError
@@ -420,6 +441,6 @@ def test_pythagorean_property(m, s_frac, sign, k):
     ctx = PrecisionContext(96)
     states = run_at_scale(seed, k, plan("depth", ctx, k=k).work)
     work = states[0].x.scale_bits
-    one = FixedReal.one(work)
+    one = FixedReal.from_fraction(1, work)
     for st_ in states:
         assert abs((st_.x * st_.x + st_.c * st_.c - one).mantissa) < 1 << (st_.k + 6)

@@ -46,7 +46,8 @@ def test_tracer_sees_every_engine_step_under_its_caller():
     tracer = TRACING["Tracer"]()
     tracer.install()
     try:
-        radpi.arccos_by_recursion(FixedReal.from_decimal("0.3", 128), radpi.PrecisionContext(128))
+        x0 = FixedReal.from_fraction(radpi.arith.Rational(3, 10), 128)
+        radpi.arccos_by_recursion(x0, radpi.PrecisionContext(128))
         radpi.recursion.run_at_scale(radpi.Seed(2, 3, -1), 17, 96, "stable")
         radpi.recursion.run_at_scale(radpi.Seed(5, 16, 1), 9, 96, "naive")
     finally:
