@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation smoke over the bounds and edges of the self-consistent arccos,
-admission, the rounding slacks, the identity checks and the references.
+"""Mutation smoke over the bounds and edges of the self-consistent arccos and
+its count, admission, the rounding slacks, the identity checks, the
+references, the pi-free exact ratio and the flag table.
 
 Each site names one expression in a function of src/radpi, the expression a
 mutant writes there instead, and the test files that must each fail under
@@ -37,26 +38,29 @@ class Site(NamedTuple):
 
 
 SITES = (
-    Site("arccos-returns-column-5", "drivers.py", "arccos_by_recursion",
-         "FixedReal(row[6], work)", "FixedReal(row[5], work)",
+    Site("arccos-returns-column-9", "drivers.py", "arccos_by_recursion",
+         "FixedReal(row[10], run.work)", "FixedReal(row[9], run.work)",
          ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_analysis.py",
           "tests/test_cli.py")),
-    Site("arccos-stops-on-column-5-of-the-row-before", "drivers.py", "arccos_by_recursion",
-         "abs(row[6] - prev[6])", "abs(row[6] - prev[5])",
-         ("tests/test_drivers.py",)),
     Site("arccos-column-divided-by-4**c", "drivers.py", "arccos_by_recursion",
          "(4 ** c * row[-1] - above) // (4 ** c - 1)", "(4 ** c * row[-1] - above) // 4 ** c",
          ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_acceptance.py",
           "tests/test_analysis.py", "tests/test_cli.py")),
-    Site("arccos-tolerance-without-its-8-bits", "drivers.py", "arccos_by_recursion",
-         "1 << (work - out_bits - 8)", "1 << (work - out_bits)",
-         ("tests/test_drivers.py",)),
     Site("arccos-rejects-the-largest-x0-near-1", "drivers.py", "arccos_by_recursion",
          "x0.mantissa > one_in - (1 << max(0, x0.scale_bits - out_bits // 2))",
          "x0.mantissa >= one_in - (1 << max(0, x0.scale_bits - out_bits // 2))",
          ("tests/test_drivers.py", "tests/test_engine_pins.py")),
+    Site("arccos-runs-one-step-short-of-its-plan", "drivers.py", "arccos_by_recursion",
+         "run.steps", "run.steps - 1", ("tests/test_engine_pins.py",)),
+    Site("plan-arccos-count-one-step-short", "drivers.py", "plan",
+         "max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44))",
+         "max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44)) - 1",
+         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_admission.py",
+          "tests/test_tooling.py")),
+    Site("plan-arccos-lam-taken-as-0", "drivers.py", "plan",
+         "23 * lam", "23 * 0", ("tests/test_drivers.py", "tests/test_admission.py")),
     Site("plan-widens-x0-only-past-the-working-bits", "drivers.py", "plan",
-         "params.get('x0_bits', 0) >= work", "params.get('x0_bits', 0) > work",
+         "x0.scale_bits >= work", "x0.scale_bits > work",
          ("tests/test_drivers.py", "tests/test_admission.py")),
     Site("admission-refuses-exactly-the-bound-in-working-bits", "arith.py", "admit_cost",
          "work > MAX_WORKING_BITS", "work >= MAX_WORKING_BITS", ("tests/test_admission.py",)),
@@ -67,12 +71,15 @@ SITES = (
          ("tests/test_admission.py", "tests/test_arith.py", "tests/test_recursion.py")),
     Site("plan-depth-budget-refuses-its-own-depth", "drivers.py", "plan",
          "allowed < k", "allowed <= k", ("tests/test_arith.py",)),
-    Site("plan-arccos-cap-one-step-short", "drivers.py", "plan",
-         "ctx.scale_bits // 2 + 24", "ctx.scale_bits // 2 + 23",
-         ("tests/test_admission.py", "tests/test_drivers.py")),
     Site("plan-method2-half-the-cancelled-bits", "drivers.py", "plan",
          "4 * cancelled.bit_length()", "2 * cancelled.bit_length()",
          ("tests/test_admission.py", "tests/test_cli.py")),
+    Site("exact-ratio-reads-a-stored-pi", "drivers.py", "apply",
+         "value.mul_fraction(self.rational)",
+         "value.mul_fraction(self.rational) + pi_fixed(value.scale_bits) * 0",
+         ("tests/test_drivers.py",)),
+    Site("flag-table-keeps-a-value-outside-its-choices", "cli.py", "_parse_table",
+         "value not in keywords.get('choices', [value])", "False", ("tests/test_cli.py",)),
     Site("step-clamp-without-its-slack", "recursion.py", "_clamped_unit",
          "one + _UNIT_SLACK", "one", ("tests/test_recursion.py",)),
     Site("literal-radicand-slack-without-its-64", "recursion.py", "nested_literal",

@@ -35,9 +35,10 @@ from .analysis import (
     reproduce_catalog,
     verify_identities,
 )
-from .arith import FixedReal, PrecisionContext, Rational, arccos_oracle, decimal_digits_for_bits
+from .arith import (FixedReal, PrecisionContext, Rational, _rational_text, arccos_oracle,
+                    decimal_digits_for_bits)
 from .drivers import arccos_by_recursion, plan, taylor_seed_exact
-from .errors import ConvergenceError, PrecisionError, RadpiError, UsageError
+from .errors import PrecisionError, RadpiError, UsageError
 from .recursion import Seed
 
 _EXIT_DOMAIN = 2
@@ -387,12 +388,14 @@ def _json(value, indent: str = "\n") -> str:
             text = "".join(chr(u) if u < 128 else f"\\u{u:04x}" for u in units)
         return f'"{text}"'
     if value is None or isinstance(value, int):  # bools are ints: True prints true
-        return "null" if value is None else str(value).lower()
+        return "null" if value is None else _rational_text(value) if type(value) is int \
+            else str(value).lower()
     raise TypeError(f"{type(value).__name__} is not rendered as JSON")
 
 
 def _cells(rows: list[dict]) -> list[list[str]]:
-    return [["" if v is None else str(v) for v in row.values()] for row in rows]
+    return [["" if v is None else _rational_text(v) if type(v) is int else str(v)
+             for v in row.values()] for row in rows]
 
 
 def _columns(headers: tuple[str, ...], table: list[list[str]]) -> list[str]:
@@ -480,7 +483,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"radpi: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (PrecisionError, ConvergenceError) as exc:
+    except PrecisionError as exc:
         print(f"radpi: error: {exc}", file=sys.stderr)
         return _EXIT_PRECISION
     except RadpiError as exc:  # domain errors, catalog misses and failures

@@ -15,7 +15,7 @@ from itertools import islice
 
 from ._record import Record
 from .arith import FixedReal, PrecisionContext, Rational, admit_cost, pi_fixed
-from .errors import CatalogMissError, ConvergenceError, DomainError, PrecisionError, UsageError
+from .errors import CatalogMissError, DomainError, PrecisionError, UsageError
 from .recursion import Seed, _doubled_sines, half_angle_step, run_at_scale
 
 # Exact 2*pi/arccos(x0) for starting terms whose angle is a rational multiple
@@ -102,8 +102,8 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
 
 
 class Plan(Record):
-    """An admitted request: its working bits, its steps (an arccos's depth cap,
-    a series' terms), its whole cost in working bits x steps, and its reference scale."""
+    """An admitted request: its working bits, its steps (the steps an arccos
+    runs, a series' terms), its whole cost in working bits x steps, and its reference scale."""
 
     __slots__ = ("work", "steps", "bit_steps", "measure_bits")
     work: int
@@ -121,8 +121,9 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              the run, a ``_self_consistent`` ratio's arccos and their sum are
              refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    arccos   x0_bits (0): a cap of B/2 + 24 steps (the run stops near B/14 + 3)
-             at the working bits, or at an x0's own scale plus one when it is that fine
+    arccos   x0 (None): the run's max(12, ceil((B + 90 + 23*lam/2) / 22)) steps, lam >=
+             log2((1 - x0)/2) (0 before x0 is built), at the working bits, or at an
+             x0's own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
     audit    seed, k, audited_bits: both variants at the audited bits and the
@@ -141,10 +142,13 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
             admit_cost(bit_steps)
         return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
     if route == "arccos":
-        steps, work = ctx.scale_bits // 2 + 24, ctx.working_bits
+        work, x0 = ctx.working_bits, params.get("x0")
+        lam = 0 if x0 is None else min(  # >= log2((1 - x0)/2), from bit lengths
+            0, ((1 << x0.scale_bits) - x0.mantissa).bit_length() - x0.scale_bits - 1)
+        steps = max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44))
         admit_cost(work * steps, work)
-        if params.get("x0_bits", 0) >= work:
-            work = params["x0_bits"] + 1
+        if x0 is not None and x0.scale_bits >= work:
+            work = x0.scale_bits + 1
             admit_cost(work * steps, work)
         return Plan(work, steps, work * steps, 4 * work)
     if route == "taylor":
@@ -299,22 +303,23 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     R_(j,0) = T_j, R_(j,c) = (4**c * R_(j,c-1) - R_(j-1,c-1)) / (4**c - 1)
     cancels one more term per column: column 1 is Huygens' extrapolation, and
     column C leaves 4**(C*(C+1)/2) * theta0**(2C+3) / ((2C+3)! * 4**((C+1)*j)),
-    so theta0 - R_(j,6) = 2**31 * theta0**15 / (638512875 * 16384**j)
-    + O(65536**-j), about (R_(j,6) - R_(j-1,6)) / 16383. So iterate the stable
-    recursion at the working bits G + scale_bits of its plan until successive
-    R_(j,6) agree to 2**(-scale_bits - 8), about scale_bits/14 + 3 steps (8 at
-    least, to fill the row) under the plan's cap of scale_bits/2 + 24, then
-    round R_(j,6) to the output scale: within 2**(-scale_bits + 16) of arccos.
+    so 0 <= theta0 - R_(j,10) <= 2**110 * theta0**23 / (23! * 4**(11*j)): the
+    O(4**(-12*j)) tail, the sine series' later terms, alternates and decreases.
+    That is at most 2**-(B + 16) at B = scale_bits once 22*j >= B + 52 +
+    23*log2(theta0), 52 = 16 + 110 - floor(log2 23!). With theta0 <= pi *
+    2**(lam/2), lam >= log2((1 - x0)/2), and 23*log2(pi) < 38, run exactly the
+    plan's j = max(12, ceil((B + 90 + 23*lam/2) / 22)) steps (B/22 + 5 at -1,
+    12 to fill the row) at its working bits G + B, and round R_(j,10) to the
+    output scale: within 2**(-scale_bits + 16) of arccos.
 
     x0 enters exact and each step rounds about one unit (one root, one
     division by a cosine near 1): a few j units in T_j after j steps. Column
-    c scales the error of the column before by (4**c + 1) / (4**c - 1), 1.969
-    in product over c <= 6, and its floor division adds one unit, so R_(j,6)
-    is off by under twice T_j's error plus 7 units: far below the 2**(G - 8)
-    tolerance. A rounded x0 would cost more: d(arccos)/dx = -1/sin(theta0)
-    magnifies its error by up to 2**(s/2) at an s-bit x0 next to -1. So an
-    x0 at the working bits or finer runs, and is admitted, at its own scale
-    plus one, where the first step's (1 + x0)/2 is exact too.
+    c scales the error of the column before by (4**c + 1) / (4**c - 1), 1.97
+    in product over c <= 10, and its floor division adds one unit, so R_(j,10)
+    is off by under twice T_j's error plus 11 units. A rounded x0 would cost
+    more: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
+    at an s-bit x0 next to -1. So an x0 at the working bits or finer runs, and
+    is admitted, at its own scale plus one: the first (1 + x0)/2 is exact too.
     """
     out_bits = ctx.scale_bits
     one_in = 1 << x0.scale_bits
@@ -325,21 +330,13 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "arccos argument too close to 1 for the requested precision "
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
-    run = plan("arccos", ctx, x0_bits=x0.scale_bits)
-    work = run.work
-    tol = 1 << (work - out_bits - 8)
-    sines = _doubled_sines(x0.rescale(work), "stable")
-    row = [next(sines)[1].mantissa]  # Romberg's row j: R_(j,0) = T_j to R_(j,6)
-    for _, scaled in islice(sines, run.steps - 1):
+    run = plan("arccos", ctx, x0=x0)
+    row = []  # Romberg's row j: R_(j,0) = T_j to R_(j,10)
+    for _, scaled in islice(_doubled_sines(x0.rescale(run.work), "stable"), run.steps):
         prev, row = row, [scaled.mantissa]
-        for c, above in enumerate(prev[:6], 1):  # T_j > 0, so the floors truncate
+        for c, above in enumerate(prev[:10], 1):  # T_j > 0, so the floors truncate
             row.append((4**c * row[-1] - above) // (4**c - 1))
-        if len(prev) == 7 and abs(row[6] - prev[6]) < tol:
-            return FixedReal(row[6], work).rescale(out_bits)
-    raise ConvergenceError(
-        f"arccos recursion did not converge within {run.steps} steps "
-        f"at {work} working bits"
-    )
+    return FixedReal(row[10], run.work).rescale(out_bits)
 
 
 def viete_product(k: int, ctx: PrecisionContext) -> Approximant:

@@ -18,7 +18,7 @@ class PrecisionError(RadpiError):
 
 
 class ConvergenceError(RadpiError):
-    """An iteration hit its budget before reaching its convergence tolerance."""
+    """Raised by no radpi routine (the arccos runs a planned count); kept for callers."""
 
 
 class CatalogMissError(RadpiError):

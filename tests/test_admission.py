@@ -103,12 +103,21 @@ def arccos_bits(ctx):
 
 def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
     # the default run is at the context's working bits, as an explicit guard's is
-    assert arccos_bits(PrecisionContext(16384)) == (8216, 16384 + 64)
-    # an explicit guard sets the working bits at the same depth cap
-    guard = MAX_BIT_STEPS // 8216 - 16384
-    assert arccos_bits(PrecisionContext(16384, guard)) == (8216, 16384 + guard)
-    with pytest.raises(PrecisionError, match="cost bound"):
+    assert arccos_bits(PrecisionContext(16384)) == (749, 16384 + 64)
+    # an explicit guard sets the working bits at the same count
+    guard = MAX_WORKING_BITS - 16384
+    assert arccos_bits(PrecisionContext(16384, guard)) == (749, MAX_WORKING_BITS)
+    with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
         arccos_bits(PrecisionContext(16384, guard + 1))
+
+
+def test_the_largest_admitted_arccos_is_bound_by_its_working_bits():
+    # ceil((B + 90)/22) steps at B + 64 bits stay under 2**29 bit-steps up to
+    # the working-bits bound, so that bound is the one that refuses
+    steps, work = arccos_bits(PrecisionContext(MAX_WORKING_BITS - 64))
+    assert (steps, work) == (2981, MAX_WORKING_BITS) and steps * work < MAX_BIT_STEPS
+    with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
+        arccos_bits(PrecisionContext(MAX_WORKING_BITS - 63))
 
 
 def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
@@ -156,22 +165,23 @@ def no_work(monkeypatch):
 def test_table_is_refused_before_its_first_row(no_work):
     with pytest.raises(PrecisionError, match="cost bound"):
         convergence_table("viete", {}, range(1, 10**8), PrecisionContext(128))
-    # five self-consistent rows at 16000 bits: each arccos alone is admitted,
-    # and the first four together (520191832 bit-steps) are too
-    with pytest.raises(PrecisionError, match="cost bound"):
-        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 6),
+    # 44 self-consistent rows at 16000 bits: each arccos alone is admitted,
+    # and the first 43 rows together (527565408 bit-steps) are too
+    with pytest.raises(PrecisionError, match="540259720 working bits x half-angle steps"):
+        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 45),
                           PrecisionContext(16000))
 
 
-# 1000 steps at 31730 working bits, and the self-consistent arccos at those
-# bits: each part is inside the bound, and their sum is not
+# 6000 steps at 61113 working bits (366678000 bit-steps), and the self-consistent
+# arccos past those bits (2782 steps at 61177 bits, 170194414): each part is
+# inside the bound, and their sum is not
 @pytest.mark.parametrize("driver", [
     lambda seed, k, ctx: pi_method1(seed, k, ctx, "self"),
     unity_formula,
 ], ids=["method1", "unity"])
 def test_a_driver_admits_its_depth_run_and_its_arccos_as_one_cost(no_work, driver):
-    with pytest.raises(PrecisionError, match=r"536904866 working bits x half-angle steps"):
-        driver(Seed.from_x0(Fraction(3, 10)), 1000, PrecisionContext(29666))
+    with pytest.raises(PrecisionError, match=r"536872414 working bits x half-angle steps"):
+        driver(Seed.from_x0(Fraction(3, 10)), 6000, PrecisionContext(49049))
 
 
 @pytest.mark.parametrize("call", [
@@ -251,10 +261,10 @@ REFUSED = [
     ["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "1000000000"],
     ["verify", "--bits", "100000000"],
     ["reproduce", "--bits", "100000000"],
-    ["compute", "--method", "unity", "--x0", "0.3", "--k", "1000", "--bits", "29666"],
-    ["compute", "--method", "method1", "--x0", "0.3", "--k", "1000", "--bits", "29666"],
-    ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "1000",
-     "--bits", "29666"],
+    ["compute", "--method", "unity", "--x0", "0.3", "--k", "6000", "--bits", "49049"],
+    ["compute", "--method", "method1", "--x0", "0.3", "--k", "6000", "--bits", "49049"],
+    ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "6000",
+     "--bits", "49049"],
     # rationals past MAX_WORKING_BITS bits, refused before their power of ten is built
     ["arccos", "--x0", "1e-1000000"],
     ["arccos", "--x0", "1e-99999999"],
@@ -277,17 +287,17 @@ def test_request_over_the_cost_bound_exits_3_at_once(argv):
 
 
 # Grids around the bound. With an arccos at x0 = 0.3 or for m = 50, d = 1, a
-# depth run is admitted up to 32645 bits at k = 1 and up to 29665 bits at
-# k = 1000; method2 with d = 1 up to 32559 bits at m = 50 and up to 32543
-# bits at m = 1000.
-_DEPTH_GRID = [(bits, k) for bits in (29665, 29666, 32645, 32646) for k in (1, 1000)]
+# depth run is admitted up to 65406 bits at k = 1, where the arccos's working
+# bits bind, and up to 49048 bits at k = 6000, where the sum binds; method2
+# with d = 1 up to 65320 bits at m = 50 and up to 65304 bits at m = 1000.
+_DEPTH_GRID = [(bits, k) for bits in (49048, 49049, 65406, 65407) for k in (1, 6000)]
 _STRADDLES = {
     "method1 --x0": (["--method", "method1", "--x0", "0.3"], "--k", _DEPTH_GRID),
     "unity": (["--method", "unity", "--x0", "0.3"], "--k", _DEPTH_GRID),
     "combined uncataloged": (["--method", "combined", "--m", "50", "--d", "1"], "--k",
                              _DEPTH_GRID),
     "method2": (["--method", "method2", "--d", "1"], "--m",
-                [(bits, m) for bits in (32543, 32544, 32559, 32560) for m in (50, 1000)]),
+                [(bits, m) for bits in (65304, 65305, 65320, 65321) for m in (50, 1000)]),
 }
 
 _OUTCOMES = {3: "radpi: error: request over the cost bound: ",
@@ -344,7 +354,10 @@ def _plan(route, ctx, bits, p):
     if route == "verify":  # the identities' depth-20 runs and depth-30 doubled sines
         shallow, deep = plan("depth", ctx, k=20), plan("depth", ctx, k=30)
         return Plan(shallow.work, deep.steps, shallow.bit_steps + deep.bit_steps, deep.work)
-    return plan(route, ctx, **p)  # arccos, taylor
+    if route == "arccos":  # an x0 as its decimal text at a scale, or none
+        x0 = p.get("x0")
+        return plan(route, ctx, x0=x0 and FixedReal.from_fraction(Fraction(x0[0]), x0[1]))
+    return plan(route, ctx, **p)  # taylor
 
 
 # each table method's params and sweep index in a cell

@@ -439,7 +439,8 @@ class TestRenderShapes:
 
 
 # --x0, --m, --s and --d past the 4300 digits that Python 3.11 converts between
-# int and str by default parse, and print in the params, as with no limit
+# int and str by default parse, and print in the params (and method2's m as its
+# row index), as with no limit
 @pytest.mark.parametrize("argv, expected_code", [
     (["arccos", "--x0", "0." + "3" * 4400, "--bits", "128"], 0),
     (["arccos", "--x0", "-0." + "3" * 4400, "--bits", "128", "--format", "json"], 0),
@@ -447,7 +448,9 @@ class TestRenderShapes:
       "--format", "csv"], 0),
     (["compute", "--method", "unity", "--m", "2", "--s", "3/1" + "0" * 4400, "--k", "3"], 0),
     (["audit", "--k", "3", "--m", "1" + "0" * 4400, "--s", "3"], 0),
-    (["compute", "--method", "method2", "--m", "1" + "0" * 4400, "--d", "1"], 3),
+    (["compute", "--method", "method2", "--m", "1" + "0" * 4400, "--d", "1"], 0),
+    (["compute", "--method", "method2", "--m", "1" + "0" * 4400, "--d", "1", "--format",
+      "json"], 0),
     (["compute", "--method", "taylor", "--m", "1" + "0" * 4400, "--d", "1", "--terms", "2"], 3),
 ])
 def test_rational_flags_past_4300_digits(argv, expected_code, capsys, int_str_digits):

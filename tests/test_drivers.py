@@ -312,10 +312,11 @@ class TestArccosByRecursion:
 
     @pytest.mark.parametrize("bits", [64, 96, 128, 200, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("guard", [None, 32, 33, 100])
-    def test_extrapolated_stop_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
-        # Romberg's R_(j,6) stops within 2**-(B + 8) of theta0: at -1, one ulp above
-        # it (where the unextrapolated loop at 1024 bits fell one unit under),
-        # the largest accepted x0, and an x0 finer than the working bits
+    def test_planned_count_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
+        # Romberg's R_(j,10) after the planned j steps is within 2**-(B + 16) of
+        # theta0: at -1, one ulp above it (where the unextrapolated loop at 1024
+        # bits fell one unit under), the largest accepted x0, and an x0 finer
+        # than the working bits
         ctx = PrecisionContext(bits, guard)
         one, fine = 1 << bits, ctx.working_bits + 20
         for x in (FixedReal(-one, bits), FixedReal(-one + 1, bits),
@@ -329,53 +330,51 @@ class TestArccosByRecursion:
     @given(st.sampled_from([64, 128, 256, 1024]).flatmap(
         lambda bits: st.tuples(st.just(bits), st.integers(
             min_value=-(1 << bits), max_value=(1 << bits) - (1 << (bits - bits // 2))))))
-    def test_extrapolated_stop_gives_the_truncated_oracle_over_the_domain(self, drawn):
+    def test_planned_count_gives_the_truncated_oracle_over_the_domain(self, drawn):
         bits, mantissa = drawn
         x = FixedReal(mantissa, bits)
         want = arccos_oracle(x, PrecisionContext(4 * bits)).rescale(bits)
         assert arccos_by_recursion(x, PrecisionContext(bits)) == want
 
-    @pytest.mark.parametrize("bits", [128, 1024, 2048])
-    def test_extrapolated_stop_takes_about_a_fourteenth_of_the_bits_in_steps(self, bits,
-                                                                             monkeypatch):
-        # about B/14 + 3 half-angle steps, under the plan's unchanged B/2 + 24 cap;
-        # a small angle stops a few sooner, since R_(j,6) - R_(j-1,6) ~ theta0**15 / 16384**j
-        steps = []
-        step = radpi.recursion.half_angle_step
-        monkeypatch.setattr(radpi.recursion, "half_angle_step",
-                            lambda x: steps.append(x) or step(x))
-        for text in ("-1", "0.3", "0.999"):
-            steps.clear()
-            x0 = FixedReal.from_fraction(Fraction(text), bits)
-            arccos_by_recursion(x0, PrecisionContext(bits))
-            assert bits // 14 - 8 <= len(steps) <= bits // 14 + 8, (text, len(steps))
-        assert radpi.drivers.plan("arccos", PrecisionContext(bits)).steps == bits // 2 + 24
+    @pytest.mark.parametrize("bits", [128, 1024, 2048, 4096])
+    def test_the_count_is_the_least_that_meets_the_column_10_bound(self, bits):
+        # at x0 = -1, theta0 = pi, the largest angle: in exact arithmetic the
+        # planned row's R_(j,10) is within 2**-(B + 16) of pi, from below, and
+        # the row before misses that bound. At 128 bits the count is the floor
+        # of 12 steps, one past the first full row, and ceil((B + 90)/22) is under it
+        j = radpi.drivers.plan("arccos", PrecisionContext(bits),
+                               x0=FixedReal.from_fraction(-1, bits)).steps
+        assert (j == 12) == (bits == 128) and j == max(12, -(-(bits + 90) // 22))
+        with mpmath.workprec(bits + 128):
+            row, gaps = [], []
+            for i in range(1, j + 1):
+                prev, row = row, [mpmath.ldexp(mpmath.sin(mpmath.ldexp(mpmath.pi, -i)), i)]
+                for c, above in enumerate(prev[:10], 1):
+                    row.append((4**c * row[-1] - above) / (4**c - 1))
+                gaps.append(mpmath.pi - row[-1])
+            bound = mpmath.ldexp(1, -(bits + 16))
+            assert 0 <= gaps[-1] <= bound
+            assert (gaps[-2] > bound) == (bits > 128), gaps[-2] / bound
 
-    @pytest.mark.parametrize("bits", [128, 1024])
-    @pytest.mark.parametrize("guard", [None, 32])
-    def test_extrapolated_stop_is_the_first_row_within_the_tolerance(self, bits, guard,
-                                                                      monkeypatch):
-        # the stop is the first row j whose R_(j,6) is within 2**(G - 8) units of
-        # R_(j-1,6), and the result is that R_(j,6): the table is rebuilt here, by the
-        # docstring's rule, from the doubled sines the loop read. The result alone
-        # cannot show the tolerance, since a looser one still rounds to the same bits
-        seen = []
-        sines = radpi.drivers._doubled_sines
-        monkeypatch.setattr(radpi.drivers, "_doubled_sines", lambda x, variant: (
-            seen.append(scaled.mantissa) or (x_j, scaled) for x_j, scaled in sines(x, variant)))
-        ctx = PrecisionContext(bits, guard)
-        tol = 1 << (ctx.working_bits - bits - 8)
-        for text in ("-1", "0.3", "0.999"):
-            seen.clear()
-            got = arccos_by_recursion(FixedReal.from_fraction(Fraction(text), bits), ctx)
-            rows = [seen[:1]]
-            for t in seen[1:]:
-                rows.append([t])
-                for c, above in enumerate(rows[-2][:6], 1):
-                    rows[-1].append((4**c * rows[-1][-1] - above) // (4**c - 1))
-            changes = [abs(row[6] - prev[6]) for prev, row in zip(rows, rows[1:]) if len(prev) == 7]
-            assert changes[-1] < tol and all(change >= tol for change in changes[:-1]), text
-            assert got == FixedReal(rows[-1][6], ctx.working_bits).rescale(bits)
+    @pytest.mark.parametrize("bits, x0, steps", [
+        (128, None, 12), (1024, None, 51), (4096, None, 191), (16384, None, 749),
+        (1024, "-1", 51), (1024, "0", 51), (1024, "0.3", 51), (1024, "0.9", 49),
+        (1024, "0.999", 46),
+        # arccos --m 1000000 --d 1 --bits 1024: theta0 ~ 1e-6, ~2**-20
+        (1024, (10**6, 1), 30),
+        # the largest accepted x0, 1 - 2**-512, runs the floor of 12
+        (1024, "1-2^-512", 12),
+    ])
+    def test_the_planned_count_shrinks_with_the_angle(self, bits, x0, steps):
+        # lam >= log2((1 - x0)/2) from bit lengths, 0 without an x0: the depth
+        # routes and the command line admit that count before x0 is built
+        if x0 == "1-2^-512":
+            x0 = FixedReal((1 << bits) - (1 << (bits - 512)), bits)
+        elif isinstance(x0, tuple):
+            x0 = Seed.from_m_d(*x0).value(bits)
+        elif x0 is not None:
+            x0 = FixedReal.from_fraction(Fraction(x0), bits)
+        assert radpi.drivers.plan("arccos", PrecisionContext(bits), x0=x0).steps == steps
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 127)))
@@ -533,7 +532,7 @@ def test_exact_ratio_results_read_no_stored_pi(name, ctx128, monkeypatch):
 @pytest.mark.parametrize("bits", [64, 128, 256])
 @pytest.mark.parametrize("guard", [32, 40, 64, 80, 120, 200, 240, 400])
 def test_arccos_explicit_guard_sets_the_working_bits(bits, guard):
-    # the working precision is bits + guard at the depth cap bits/2 + 24; the
+    # the working precision is bits + guard at the planned count; the
     # result stays under one ulp from the truncated oracle at every guard the
     # context accepts, and equals the default run at the default guard 64
     ctx = PrecisionContext(bits, guard)

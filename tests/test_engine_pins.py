@@ -7,6 +7,8 @@ where the extrapolated stop runs longest, were taken from the loop that
 stopped on Romberg's second column, before it stopped on the fourth; those at
 guard 32, where the tolerance is tightest, and at the ends of the domain from
 the loop that stopped on the fourth column, before it stopped on the sixth.
+The arccos now runs its plan's count of steps on the tenth column, and every
+pin replays.
 
 Each entry of tests/data/engine_pins.json names its inputs and the hex
 mantissas they gave; the test recomputes them. Running this file as a script
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import radpi.drivers
 from radpi import (
     FixedReal,
     PrecisionContext,
@@ -27,6 +30,7 @@ from radpi import (
     nested_literal,
     scale_factors,
 )
+from radpi.drivers import plan
 from radpi.recursion import run_at_scale
 
 PINS_PATH = Path(__file__).resolve().parent / "data" / "engine_pins.json"
@@ -71,10 +75,10 @@ def _cases() -> list[dict]:
     for m, ks in _SCALE_EXACT:
         cases.append({"kind": "scale_factors", "m": m, "k_max": 40, "scale_bits": 160,
                       "exact_k": list(ks)})
-    for bits in (2048, 4096):  # where the extrapolated stop runs longest
+    for bits in (2048, 4096):  # where the run is longest
         for x0 in ("-1", "-0.999", "0", "0.3", "0.999"):
             cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": None})
-    for bits in (2048, 4096):  # where the tolerance, 2**(G - 8) units, is tightest
+    for bits in (2048, 4096):  # at the least guard, where the rounding is closest
         for x0 in ("-1", "-0.999", "0", "0.3", "0.999"):
             cases.append({"kind": "arccos", "x0": x0, "bits": bits, "guard": 32})
     for bits in (1024, 2048, 4096):
@@ -84,13 +88,17 @@ def _cases() -> list[dict]:
     return cases
 
 
+def _arccos_input(case: dict) -> tuple[FixedReal, PrecisionContext]:
+    edge = _ARCCOS_EDGES.get(case["x0"])
+    x0 = (FixedReal(edge(case["bits"]), case["bits"]) if edge
+          else FixedReal.from_fraction(Fraction(case["x0"]), case["bits"]))
+    return x0, PrecisionContext(case["bits"], case["guard"])
+
+
 def _compute(case: dict):
     kind = case["kind"]
     if kind == "arccos":
-        edge = _ARCCOS_EDGES.get(case["x0"])
-        x0 = (FixedReal(edge(case["bits"]), case["bits"]) if edge
-              else FixedReal.from_fraction(Fraction(case["x0"]), case["bits"]))
-        return _hex(arccos_by_recursion(x0, PrecisionContext(case["bits"], case["guard"])))
+        return _hex(arccos_by_recursion(*_arccos_input(case)))
     if kind == "run_at_scale":
         states = run_at_scale(_seed(*case["seed"]), case["k"], case["scale_bits"],
                               case["variant"])
@@ -116,6 +124,20 @@ PINS = json.loads(PINS_PATH.read_text(encoding="utf-8")) if PINS_PATH.exists() e
 @pytest.mark.parametrize("case", PINS, ids=[_case_id(c) for c in PINS])
 def test_engine_bits_are_pinned(case):
     assert _compute(case) == case["mantissas"]
+
+
+def test_the_arccos_runs_its_planned_count_at_every_pinned_input(monkeypatch):
+    # the loop reads exactly plan("arccos", ctx, x0=x0).steps doubled sines
+    yields = []
+    sines = radpi.drivers._doubled_sines
+    monkeypatch.setattr(radpi.drivers, "_doubled_sines", lambda x, variant: (
+        yields.append(pair) or pair for pair in sines(x, variant)))
+    for case in PINS:
+        if case["kind"] == "arccos":
+            x0, ctx = _arccos_input(case)
+            yields.clear()
+            arccos_by_recursion(x0, ctx)
+            assert len(yields) == plan("arccos", ctx, x0=x0).steps, _case_id(case)
 
 
 def test_pins_cover_every_case():

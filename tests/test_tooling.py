@@ -61,8 +61,9 @@ def test_tracer_sees_every_engine_step_under_its_caller():
     callers = [(spans[i][0], n) for i, n in sorted(steps.items())]
     assert [name for name, _ in callers] == ["drivers.arccos", "recursion.run_at_scale",
                                             "recursion.run_at_scale"]
-    # Romberg's sixth column converges in about B/14 + 3 steps, under the B/2 + 24 cap
-    assert 128 // 14 <= callers[0][1] <= 128 // 14 + 8
+    # the arccos runs its plan's count: at 128 bits the floor of 12 steps
+    assert callers[0][1] == radpi.drivers.plan("arccos", radpi.PrecisionContext(128),
+                                               x0=x0).steps == 12
     assert [n for _, n in callers[1:]] == [17, 9]
 
 
