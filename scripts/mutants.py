@@ -82,8 +82,6 @@ SITES = (
          "value not in keywords.get('choices', [value])", "False", ("tests/test_cli.py",)),
     Site("step-clamp-without-its-slack", "recursion.py", "_clamped_unit",
          "one + _UNIT_SLACK", "one", ("tests/test_recursion.py",)),
-    Site("literal-radicand-slack-without-its-64", "recursion.py", "nested_literal",
-         "64 + 4 * k", "4 * k", ("tests/test_recursion.py",)),
     Site("identity-passes-a-residual-at-its-bound", "analysis.py", "_within",
          "residual < bound", "residual <= bound", ("tests/test_cli.py",)),
     Site("verify-f-tends-to-2-strictly", "analysis.py", "verify_identities",

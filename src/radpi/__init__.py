@@ -31,7 +31,6 @@ from .drivers import (
 from .errors import (
     CatalogFailure,
     CatalogMissError,
-    ConvergenceError,
     DomainError,
     PrecisionError,
     RadpiError,
@@ -55,7 +54,6 @@ __all__ = [
     "Approximant",
     "CatalogFailure",
     "CatalogMissError",
-    "ConvergenceError",
     "DomainError",
     "FixedReal",
     "IdentityReport",

@@ -288,10 +288,9 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
             d = entry.shift + 2 + f_log2
             if (ratio.numerator * entry.factor.denominator << max(-d, 0)
                     != entry.factor.numerator * ratio.denominator << max(d, 0)):
-                prefactor = ratio * Rational(2) ** (k - 1 - f_log2)
                 raise CatalogFailure(
-                    f"{entry.name}: prefactor {prefactor} != printed "
-                    f"{entry.coefficient(k + 1)} at n={k + 1}"
+                    f"{entry.name}: prefactor {ratio * Rational(2) ** (k - 1 - f_log2)} "
+                    f"!= printed {entry.coefficient(k + 1)} at n={k + 1}"
                 )
         shape_k = 8
         printed = _printed_all_twos_radical(

@@ -427,8 +427,6 @@ def arccos_oracle(x: FixedReal, ctx: PrecisionContext) -> FixedReal:
     one_in = 1 << x.scale_bits
     if abs(x.mantissa) > one_in:
         raise DomainError("arccos argument outside [-1, 1]")
-    if x.mantissa == one_in:
-        return FixedReal(0, out_bits)
     if x.mantissa == -one_in:
         return pi_fixed(out_bits)
 

@@ -11,7 +11,7 @@ declines (help, abbreviations, `--flag=value`, bad values and every other
 usage error), and its parser, declared from the same table, prints the text.
 
 Exit codes: 0 success, 1 a failing verify identity, 2 domain/catalog errors,
-3 precision/convergence errors and requests over the cost bound, 64 usage
+3 precision errors and requests over the cost bound, 64 usage
 errors, 70 internal errors (a defect, reported in one line without a
 traceback), 74 unwritable output path.
 """
@@ -400,9 +400,7 @@ def _cells(rows: list[dict]) -> list[list[str]]:
 
 def _columns(headers: tuple[str, ...], table: list[list[str]]) -> list[str]:
     """Left-aligned text columns under a header line."""
-    if not table:
-        return ["(no rows)"]
-    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(headers)]
+    widths = [max([len(h), *(len(row[i]) for row in table)]) for i, h in enumerate(headers)]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
             for row in [headers, *table]]
 

@@ -17,10 +17,6 @@ class PrecisionError(RadpiError):
     """The requested computation exceeds the configured precision budget."""
 
 
-class ConvergenceError(RadpiError):
-    """Raised by no radpi routine (the arccos runs a planned count); kept for callers."""
-
-
 class CatalogMissError(RadpiError):
     """No exact angle ratio is cataloged for the given starting term."""
 

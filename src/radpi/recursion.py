@@ -59,12 +59,9 @@ class PowerForm(Record):
         """The integer n with value 2**n, when m is a power of two or q = 0
         and n comes out whole; None otherwise."""
         num, den = self.m.numerator, self.m.denominator
-        if num & (num - 1) == 0 and den & (den - 1) == 0:
-            n = self.a + self.b * (num.bit_length() - den.bit_length())
-        elif self.b == 0:
-            n = self.a
-        else:
+        if self.b and (num & (num - 1) or den & (den - 1)):  # m**q is no power of two
             return None
+        n = self.a + self.b * (num.bit_length() - den.bit_length())
         return None if n & ((1 << self.e) - 1) else n >> self.e
 
 
@@ -219,11 +216,10 @@ def sine_step_naive(x_prev: FixedReal) -> FixedReal:
 
 def radicand_step(g_prev: FixedReal, f_k: FixedReal) -> FixedReal:
     """One link of the plus chain: sqrt(f_k + g_prev), its radicand formed on
-    the mantissa at f_k's scale, as ``half_angle_step`` forms its own."""
-    rad = f_k.mantissa + g_prev.mantissa
-    if rad < 0:
-        raise DomainError("negative radicand in plus chain")
-    return FixedReal(rad, f_k.scale_bits).sqrt()
+    the mantissa at f_k's scale, as ``half_angle_step`` forms its own. The
+    chain never forms a negative radicand (see ``nested_literal``); the root
+    refuses one passed in."""
+    return FixedReal(f_k.mantissa + g_prev.mantissa, f_k.scale_bits).sqrt()
 
 
 def _plus_chain(seed: Seed, factors: dict[int, FixedReal]) -> Iterator[FixedReal]:
@@ -284,16 +280,19 @@ def nested_literal(seed: Seed, k: int, ctx: PrecisionContext) -> FixedReal:
     with g_0 = sign * sqrt(s). The outer subtraction of two quantities that
     both tend to 2 is the cancellation the audit measures. Result is at the
     context's output scale.
+
+    The outer radicand is never negative, so it needs no clamp. Every root in
+    both chains is a floor root at W working bits, and F, G denote the
+    mantissas: F_2 = floor(m 2**W) and F_(j+1) = floor(sqrt(2 F_j 2**W)) (the
+    f chain's stop at exactly 2 keeps this), G_(j-1) = floor(sqrt((F_j +
+    G_(j-2)) 2**W)), and |G_0| = floor(sqrt(floor(s 2**W) 2**W)) <= F_2 since
+    s <= m**2. If F_j >= G_(j-2), then 2 F_j >= F_j + G_(j-2), and the floor
+    root is monotone, so F_(j+1) >= G_(j-1). By induction from F_2 >= G_0,
+    F_(k+1) - G_(k-1) >= 0 for every seed and every k; the bound is tight.
     """
     from .drivers import plan  # drivers imports this module
     work = plan("depth", ctx, k=k).work
     f_vals = scale_factors(seed.m, k + 2, work)
     *_, g = islice(_plus_chain(seed, f_vals), k)  # g_{k-1}
-    rad = f_vals[k + 1] - g
-    if rad.mantissa < 0:
-        # chain noise is O(k) units at the working scale; anything larger is real
-        if rad.mantissa < -(64 + 4 * k):
-            raise DomainError("outer radicand negative beyond rounding slack")
-        rad = FixedReal(0, work)
-    c = rad.sqrt() / f_vals[k + 2]
+    c = (f_vals[k + 1] - g).sqrt() / f_vals[k + 2]
     return c.rescale(ctx.scale_bits)

@@ -927,7 +927,9 @@ def test_readme_cli_examples_run(comment, argv, capsys):
 # combined with a rational m; recorded while each driver still wrote them.
 # Last, the audit at its default k = 40, under a negative seed, at x0 = -1,
 # with a rational m at 24 audited bits and at 80 audited bits, in every
-# format; recorded while the audit still read two full engine runs.
+# format; recorded while the audit still read two full engine runs. After it,
+# `arccos --x0 -1`, the one pinned request that reaches the reference's x = -1
+# endpoint; recorded while the reference still special-cased x = 1 as well.
 CLI_MATRIX = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 

@@ -396,9 +396,10 @@ class TestNestedLiteral:
             assert abs((lit - rec).mantissa) < 1 << (2 * k + 8)
 
     @pytest.mark.parametrize("k", [1, 5, 20])
-    def test_outer_radicand_slack_is_64_plus_4k_units(self, k, ctx128, monkeypatch):
-        # no seed tried leaves g_(k-1) over f(k+1), so the chain's last link is
-        # set that many units over it: up to 64 + 4k is noise, one more is real
+    def test_a_link_one_unit_over_f_is_refused_by_the_root(self, k, ctx128, monkeypatch):
+        # no seed leaves g_(k-1) over f(k+1) (the floor-root induction), so the
+        # chain's last link is forged: at f(k+1) the radicand is 0, one unit over
+        # it the outer root refuses it
         real_chain = radpi.recursion._plus_chain
 
         def chain_over(units):
@@ -407,11 +408,43 @@ class TestNestedLiteral:
                 yield from [*links, FixedReal(f[k + 1].mantissa + units, f[k + 1].scale_bits)]
             return chain
 
-        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(64 + 4 * k))
+        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(0))
         assert nested_literal(Seed(2, 2, 1), k, ctx128) == FixedReal(0, 128)
-        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(65 + 4 * k))
-        with pytest.raises(DomainError, match="beyond rounding slack"):
+        monkeypatch.setattr(radpi.recursion, "_plus_chain", chain_over(1))
+        with pytest.raises(DomainError, match="square root of negative value"):
             nested_literal(Seed(2, 2, 1), k, ctx128)
+
+
+def _outer_radicand(seed: Seed, k: int, bits: int) -> int:
+    """nested_literal's f(k+1) - g_(k-1), as a mantissa at ``bits``."""
+    factors = scale_factors(seed.m, k + 2, bits)
+    *_, g = islice(radpi.recursion._plus_chain(seed, factors), k)
+    return (factors[k + 1] - g).mantissa
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    s_frac=st.fractions(min_value=0, max_value=1),
+    sign=st.sampled_from([1, -1]),
+    k=st.integers(min_value=1, max_value=40),
+    bits=st.sampled_from([64, 96, 200]),
+)
+def test_the_outer_radicand_is_never_negative(m, s_frac, sign, k, bits):
+    # every root is a floor root, so f(j+1) >= g_(j-1) by induction from
+    # f(2) >= |g_0|: no seed and no depth needs a clamp (and a plus-chain link
+    # would raise on a negative radicand of its own)
+    if s_frac == 1 and sign == 1:
+        sign = -1  # x0 = 1 is rejected
+    assert _outer_radicand(Seed(m, s_frac * m * m, sign), k, bits) >= 0
+
+
+def test_the_outer_radicand_reaches_exactly_zero():
+    # s one part in 10^300 under m^2: g_0 is one unit under f(2), and from
+    # k = 2 on the floors bring g_(k-1) level with f(k+1)
+    seed = Seed(3, 9 - Fraction(1, 10**300), 1)
+    assert [_outer_radicand(seed, k, 64) for k in (1, 2, 3, 40)] == [1, 0, 0, 0]
+    assert all(_outer_radicand(seed, k, bits) == 0 for k in (2, 40) for bits in (96, 200))
 
 
 def test_run_at_scale_rejects_unknown_variant():

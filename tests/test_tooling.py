@@ -1,9 +1,13 @@
 """Names that code outside the package binds: the benchmark tracer, its
 microbenchmarks and the experiment scripts. Renaming or folding away any of
-them breaks only those tools, so they are checked here."""
+them breaks only those tools, so they are checked here. Also the rules on the
+package's own code: no definition, dunder or statement that nothing reaches."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +17,7 @@ import pytest
 
 import radpi
 from radpi.arith import FixedReal
+from radpi.cli import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -268,6 +273,151 @@ def test_every_dunder_is_listed_with_a_line_that_uses_it():
     unused = [name for name, (path, line) in _DUNDERS.items() if line not in
               {text.strip() for text in (ROOT / path).read_text(encoding="utf-8").splitlines()}]
     assert unused == []
+
+
+def _unrun(body: list, ran: set[int], out: list) -> bool:
+    """Appends to ``out`` each statement of a function body, and of the blocks
+    nested in it, that did not run by the lines in ``ran``; returns whether any
+    statement of ``body`` ran. A simple statement ran if any of its lines did; a
+    compound one if a line of its header did, or a statement of its body,
+    whatever line events its header makes on a given Python. A nested function
+    or class is walked as a definition of its own; a docstring is no statement,
+    nor is an except clause."""
+    any_ran = False
+    for node in body:
+        inner = getattr(node, "body", None)
+        blocks = [] if inner is None or isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
+            *inner, *(s for handler in getattr(node, "handlers", ()) for s in handler.body),
+            *getattr(node, "orelse", ()), *getattr(node, "finalbody", ())]
+        last = node.end_lineno if inner is None else max(inner[0].lineno - 1, node.lineno)
+        hit = _unrun(blocks, ran, out) | (not ran.isdisjoint(range(node.lineno, last + 1)))
+        if not hit:
+            out.append(node)
+        any_ran |= hit
+    return any_ran
+
+
+def _pinned_argvs() -> list[list[str]]:
+    """Every cli_matrix and cli_usage argv, the three reports, and verify at 1024 bits."""
+    data = ROOT / "tests" / "data"
+    return [entry["argv"] for name in ("cli_matrix.json", "cli_usage.json")
+            for entry in json.loads((data / name).read_text(encoding="utf-8"))] + [
+        ["verify"], ["reproduce"], ["audit"], ["verify", "--bits", "1024"]]
+
+
+def _lines_run(argvs: list[list[str]], files: set[str]) -> set[tuple[str, int]]:
+    """(file, line) of every line event in ``files`` while ``argvs`` run in process."""
+    lines = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    saved = sys.gettrace()  # hypothesis may hold a tracer
+    radpi.arith._pi_mantissa.cache_clear()  # a cached pi would skip the series
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename in files else None)
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                run_command(argv)
+    finally:
+        sys.settrace(saved)
+    return lines
+
+
+# Every statement in a function of src/radpi that the pinned traffic leaves
+# unexecuted, other than a raise, keyed by its function and its first line, with
+# the test (file, name) that reaches it.
+_UNREACHED: dict[tuple[str, str], tuple[str, str]] = {
+    # a record compared with another class defers to it
+    ("_record.Record.__eq__", "return NotImplemented"):
+        ("tests/test_records.py", "test_equality_is_field_wise"),
+    # a public function's zero error and errors of 10 or more
+    ("analysis.correct_decimal_digits", "return None"):
+        ("tests/test_analysis.py", "test_zero_is_none"),
+    ("analysis.correct_decimal_digits", "t += 1"): ("tests/test_analysis.py", "test_values"),
+    # Fraction's hash of a denominator that is a multiple of the hash prime
+    ("arith.Rational.__hash__", "h = sys.hash_info.inf"):
+        ("tests/test_arith.py", "test_hash_and_text"),
+    # text of over 500 digits, past the pinned requests' 1024 bits
+    ("arith._digits", "n, low = divmod(n, _CHUNK_BASE)"):
+        ("tests/test_cli.py", "test_an_output_past_4300_digits_prints"),
+    ("arith._digits", "chunks.append(str(low).zfill(_CHUNK))"):
+        ("tests/test_cli.py", "test_an_output_past_4300_digits_prints"),
+    # the message of a refusal
+    ("arith._rational_literal", "n = (size.bit_length() - 1) * 30102999 // 10**8"):
+        ("tests/test_arith.py", "test_size_past_19_digits_prints_as_a_bound"),
+    ("arith._rational_literal", 'shown = size if size < 10**19 else f"more than 10^{n}"'):
+        ("tests/test_arith.py", "test_size_past_19_digits_prints_as_a_bound"),
+    # the public pi reference, which the tests and the benchmark's checks read
+    ("arith.pi_oracle", "return FixedReal(_pi_mantissa(ctx.scale_bits), ctx.scale_bits)"):
+        ("tests/test_arith.py", "test_six_hundred_digits_vs_mpmath"),
+    ("cli._emit", "handle.write(text)"): ("tests/test_cli.py", "test_out_file"),
+    # json.dumps's escapes of non-ASCII text, which no report prints today
+    ("cli._json", 'units = memoryview(text.encode("utf-16", "surrogatepass")).cast("H")[1:]'):
+        ("tests/test_cli.py", "test_json_writer_is_json_dumps"),
+    ("cli._json", 'text = "".join(chr(u) if u < 128 else f"\\\\u{u:04x}" for u in units)'):
+        ("tests/test_cli.py", "test_json_writer_is_json_dumps"),
+    # runs once, at import, to declare --method in _SUBCOMMANDS
+    ("cli._method_flags", "return {"):
+        ("tests/test_cli.py", "test_help_and_usage_bytes_are_pinned"),
+    # a missing required flag, declined to argparse, which words the error
+    ("cli._parse_table", "return None"): ("tests/test_cli.py", "test_table_parse_declines"),
+    # the console script and python -m radpi, which run in a process of their own
+    ("cli.main", "sys.exit(run_command())"):
+        ("tests/test_admission.py", "test_request_over_the_cost_bound_exits_3_at_once"),
+    # a defect reported in one line (safety code, like a raise)
+    ("cli.run_command",
+     'print(f"radpi: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)'):
+        ("tests/test_cli.py", "test_internal_error_is_70_without_traceback"),
+    ("cli.run_command", "return _EXIT_SOFTWARE"):
+        ("tests/test_cli.py", "test_internal_error_is_70_without_traceback"),
+    # an x0 finer than the working bits, which the CLI never builds
+    ("drivers.plan", "work = x0.scale_bits + 1"):
+        ("tests/test_admission.py", "test_an_x0_finer_than_the_working_bits_admits_its_own_scale"),
+    ("drivers.plan", "admit_cost(work * steps, work)"):
+        ("tests/test_admission.py", "test_an_x0_finer_than_the_working_bits_admits_its_own_scale"),
+    # public PowerForm and scale-factor API: an m that is no power of two, and an
+    # m given as neither an int nor a Rational
+    ("recursion.PowerForm.exact_log2", "return None"):
+        ("tests/test_recursion.py", "test_exponents_and_exact_value"),
+    ("recursion._positive", "m = Rational(m)"):
+        ("tests/test_recursion.py", "test_scale_identity_exact"),
+}
+
+
+def test_every_statement_runs_for_a_pinned_request_or_is_listed():
+    # a statement that no pinned request runs is listed with a test that runs
+    # it, or deleted; a refusal's raise is safety code and needs neither
+    modules = [importlib.import_module(f"radpi.{path.stem}")
+               for path in sorted((ROOT / "src" / "radpi").glob("*.py"))
+               if path.stem != "__main__"]  # importing __main__ would run the CLI
+    files = {module.__file__: Path(module.__file__) for module in modules}
+    lines = _lines_run(_pinned_argvs(), set(files))
+    unrun = {}
+    for name, path in files.items():
+        source = path.read_text(encoding="utf-8")
+        ran = {line for where, line in lines if where == name}
+        for qualname, func in _definitions(ast.parse(source), path.stem):
+            out = []
+            if isinstance(func, ast.FunctionDef):
+                _unrun(func.body[bool(ast.get_docstring(func)):], ran, out)
+            for node in out:
+                if not isinstance(node, ast.Raise):
+                    key = (qualname, source.splitlines()[node.lineno - 1].strip())
+                    unrun[key] = f"{path.name}:{node.lineno} {qualname}: {key[1]}"
+    assert unrun.keys() == _UNREACHED.keys(), "\n".join(
+        [f"unexecuted: {unrun[key]}" for key in sorted(unrun.keys() - _UNREACHED.keys())]
+        + [f"listed but run: {key}" for key in sorted(_UNREACHED.keys() - unrun.keys())])
+
+
+def test_every_unreached_statement_names_a_test_that_exists():
+    tests = {(f"tests/{path.name}", node.name) for path in (ROOT / "tests").glob("test_*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    assert [test for test in _UNREACHED.values() if test not in tests] == []
 
 
 def test_no_runtime_dependencies():
