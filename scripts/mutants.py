@@ -31,19 +31,22 @@ ROOT = Path(__file__).resolve().parent.parent
 class Site(NamedTuple):
     name: str
     module: str  # a file of src/radpi
-    function: str  # the function that holds the expression
+    function: str  # the function that holds the expression, or "<module>" for top-level code
     original: str
     mutant: str
     tests: tuple[str, ...]  # each must fail under the mutant
 
 
 SITES = (
-    Site("arccos-returns-column-9", "drivers.py", "arccos_by_recursion",
-         "FixedReal(row[10], run.work)", "FixedReal(row[9], run.work)",
+    Site("arccos-returns-column-9", "drivers.py", "<module>",
+         "range(1, 15)", "range(1, 10)",
          ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_analysis.py",
           "tests/test_cli.py")),
+    Site("arccos-weights-one-column-short", "drivers.py", "<module>",
+         "range(1, 15)", "range(1, 14)",
+         ("tests/test_drivers.py", "tests/test_engine_pins.py")),
     Site("arccos-column-divided-by-4**c", "drivers.py", "arccos_by_recursion",
-         "(4 ** c * row[-1] - above) // (4 ** c - 1)", "(4 ** c * row[-1] - above) // 4 ** c",
+         "total // _WEIGHT_SUM", "total // 4 ** 105",
          ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_acceptance.py",
           "tests/test_analysis.py", "tests/test_cli.py")),
     Site("arccos-rejects-the-largest-x0-near-1", "drivers.py", "arccos_by_recursion",
@@ -53,12 +56,12 @@ SITES = (
     Site("arccos-runs-one-step-short-of-its-plan", "drivers.py", "arccos_by_recursion",
          "run.steps", "run.steps - 1", ("tests/test_engine_pins.py",)),
     Site("plan-arccos-count-one-step-short", "drivers.py", "plan",
-         "max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44))",
-         "max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44)) - 1",
+         "max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60))",
+         "max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60)) - 1",
          ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_admission.py",
           "tests/test_tooling.py")),
     Site("plan-arccos-lam-taken-as-0", "drivers.py", "plan",
-         "23 * lam", "23 * 0", ("tests/test_drivers.py", "tests/test_admission.py")),
+         "31 * lam", "31 * 0", ("tests/test_drivers.py", "tests/test_admission.py")),
     Site("plan-widens-x0-only-past-the-working-bits", "drivers.py", "plan",
          "x0.scale_bits >= work", "x0.scale_bits > work",
          ("tests/test_drivers.py", "tests/test_admission.py")),
@@ -114,13 +117,18 @@ class _Swap(ast.NodeTransformer):
 
 def mutate(source: str, site: Site) -> str:
     """The module source with the site's expression swapped for its mutant,
-    which must occur exactly once in the site's function."""
+    which must occur exactly once in the site's function (or in the module's
+    top-level statements other than definitions)."""
     tree = ast.parse(source)
-    functions = [node for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef) and node.name == site.function]
+    if site.function == "<module>":
+        scopes = [node for node in tree.body if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    else:
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == site.function]
     swap = _Swap(site.original, site.mutant)
-    for function in functions:
-        swap.visit(function)
+    for scope in scopes:
+        swap.visit(scope)
     if swap.hits != 1:
         raise LookupError(f"{site.name}: {site.original!r} occurs {swap.hits} times "
                           f"in {site.module} {site.function}, not once")

@@ -11,6 +11,7 @@ used so callers can tell the two apart.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice
 
 from ._record import Record
@@ -31,6 +32,15 @@ _EXACT_RATIOS: dict[tuple[Rational, int], Rational] = {
     (Rational(3, 4), -1): Rational(12, 5),
     (Rational(1), -1): Rational(2),
 }
+
+# Romberg's column 14 as one exact sum: unrolled, R_(j,c) = (4**c * R_(j,c-1) -
+# R_(j-1,c-1)) / (4**c - 1) gives R_(J,14) = sum(w_i * T_(J-i)) / sum(w_i), the
+# w_i the coefficients of prod_(c=1..14) (4**c - z) in z**i, summing to
+# prod_(c=1..14) (4**c - 1)
+_WEIGHTS = [1]
+for _c in range(1, 15):
+    _WEIGHTS = [4**_c * w - prev for w, prev in zip(_WEIGHTS + [0], [0] + _WEIGHTS)]
+_WEIGHT_SUM = sum(_WEIGHTS)
 
 MISPRINT_DIAGNOSTIC = (
     "MISPRINT: the as-printed prefactor 1/sqrt(m*s) makes this expression "
@@ -102,8 +112,9 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
 
 
 class Plan(Record):
-    """An admitted request: its working bits, its steps (the steps an arccos
-    runs, a series' terms), its whole cost in working bits x steps, and its reference scale."""
+    """An admitted request: its working bits, its steps (the half-angle steps
+    an arccos runs before its one column-14 sum, a series' terms), its whole
+    cost in working bits x steps, and its reference scale."""
 
     __slots__ = ("work", "steps", "bit_steps", "measure_bits")
     work: int
@@ -121,9 +132,10 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              the run, a ``_self_consistent`` ratio's arccos and their sum are
              refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    arccos   x0 (None): the run's max(12, ceil((B + 90 + 23*lam/2) / 22)) steps, lam >=
-             log2((1 - x0)/2) (0 before x0 is built), at the working bits, or at an
-             x0's own scale plus one when it is that fine
+    arccos   x0 (None): the run's max(16, ceil((2B + 332 + 31*lam) / 60)) steps, which
+             bring Romberg's column 14 within 2**-(B + 16), lam >= log2((1 - x0)/2)
+             (0 before x0 is built), at the working bits, or at an x0's own scale
+             plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
     audit    seed, k, audited_bits: both variants at the audited bits and the
@@ -145,7 +157,7 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         work, x0 = ctx.working_bits, params.get("x0")
         lam = 0 if x0 is None else min(  # >= log2((1 - x0)/2), from bit lengths
             0, ((1 << x0.scale_bits) - x0.mantissa).bit_length() - x0.scale_bits - 1)
-        steps = max(12, -(-(2 * ctx.scale_bits + 180 + 23 * lam) // 44))
+        steps = max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60))
         admit_cost(work * steps, work)
         if x0 is not None and x0.scale_bits >= work:
             work = x0.scale_bits + 1
@@ -303,20 +315,24 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
     R_(j,0) = T_j, R_(j,c) = (4**c * R_(j,c-1) - R_(j-1,c-1)) / (4**c - 1)
     cancels one more term per column: column 1 is Huygens' extrapolation, and
     column C leaves 4**(C*(C+1)/2) * theta0**(2C+3) / ((2C+3)! * 4**((C+1)*j)),
-    so 0 <= theta0 - R_(j,10) <= 2**110 * theta0**23 / (23! * 4**(11*j)): the
-    O(4**(-12*j)) tail, the sine series' later terms, alternates and decreases.
-    That is at most 2**-(B + 16) at B = scale_bits once 22*j >= B + 52 +
-    23*log2(theta0), 52 = 16 + 110 - floor(log2 23!). With theta0 <= pi *
-    2**(lam/2), lam >= log2((1 - x0)/2), and 23*log2(pi) < 38, run exactly the
-    plan's j = max(12, ceil((B + 90 + 23*lam/2) / 22)) steps (B/22 + 5 at -1,
-    12 to fill the row) at its working bits G + B, and round R_(j,10) to the
-    output scale: within 2**(-scale_bits + 16) of arccos.
+    so 0 <= theta0 - R_(j,14) <= 2**210 * theta0**31 / (31! * 4**(15*j)): the
+    O(4**(-16*j)) tail, the sine series' later terms, alternates and decreases.
+    That is at most 2**-(B + 16) at B = scale_bits once 30*j >= B + 114 +
+    31*log2(theta0), 114 = 16 + 210 - floor(log2 31!). With theta0 <= pi *
+    2**(lam/2), lam >= log2((1 - x0)/2), and 31*log2(pi) < 52, run exactly the
+    plan's j = max(16, ceil((2B + 332 + 31*lam) / 60)) steps (B/30 + 6 at -1,
+    16, one past the 15 sines the sum reads) at its working bits G + B, and
+    round R_(j,14) to the output scale: within 2**(-scale_bits + 16) of arccos.
 
+    Unrolled, the table's column 14 is one sum over the last 15 doubled
+    sines, R_(J,14) = sum(w_i * T_(J-i)) / prod(4**c - 1) with w_i the
+    coefficients of prod_(c=1..14) (4**c - z) in z**i (``_WEIGHTS``); the loop
+    keeps those 15 mantissas, and takes the sum exactly and floors it once.
     x0 enters exact and each step rounds about one unit (one root, one
-    division by a cosine near 1): a few j units in T_j after j steps. Column
-    c scales the error of the column before by (4**c + 1) / (4**c - 1), 1.97
-    in product over c <= 10, and its floor division adds one unit, so R_(j,10)
-    is off by under twice T_j's error plus 11 units. A rounded x0 would cost
+    division by a cosine near 1): a few j units in T_j after j steps. The sum
+    scales T_j's error by sum(|w_i|) / sum(w_i) = prod (4**c + 1) / (4**c - 1),
+    under 1.97 over c <= 14, and its floor adds one unit, so R_(j,14) is off
+    by under 1.97 times T_j's error plus one unit. A rounded x0 would cost
     more: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
     at an s-bit x0 next to -1. So an x0 at the working bits or finer runs, and
     is admitted, at its own scale plus one: the first (1 + x0)/2 is exact too.
@@ -331,12 +347,10 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
     run = plan("arccos", ctx, x0=x0)
-    row = []  # Romberg's row j: R_(j,0) = T_j to R_(j,10)
-    for _, scaled in islice(_doubled_sines(x0.rescale(run.work), "stable"), run.steps):
-        prev, row = row, [scaled.mantissa]
-        for c, above in enumerate(prev[:10], 1):  # T_j > 0, so the floors truncate
-            row.append((4**c * row[-1] - above) // (4**c - 1))
-    return FixedReal(row[10], run.work).rescale(out_bits)
+    last = deque((scaled.mantissa for _, scaled in islice(
+        _doubled_sines(x0.rescale(run.work), "stable"), run.steps)), maxlen=15)
+    total = sum(w * t for w, t in zip(_WEIGHTS, reversed(last)))  # w_0 * T_J first
+    return FixedReal(total // _WEIGHT_SUM, run.work).rescale(out_bits)
 
 
 def viete_product(k: int, ctx: PrecisionContext) -> Approximant:

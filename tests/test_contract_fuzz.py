@@ -5,20 +5,26 @@ Every drawn request keeps the documented contract: an exit code of 0, 2, 3,
 under 200 bytes, a refusal (exit 3) before any engine root, and an exit-0
 output that parses in its format. An admitted request over a small cost is
 skipped before its work starts, so the test stays fast.
+
+The flag table parses only exact long flags, each followed by its value;
+argparse parses the rest. So each exit-0 request is also run with every flag
+written as --flag=value, and with every flag cut to its shortest unambiguous
+prefix, and must print the same bytes with the same exit code.
 """
 
 import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import radpi.arith
 import radpi.drivers
-from radpi.cli import _METHODS, _SUBCOMMANDS, _fraction_arg, run_command
+from radpi.cli import _METHODS, _SUBCOMMANDS, _fraction_arg, _parse_table, run_command
 
 # admitted work above this many working bits x half-angle steps is skipped
 _BUDGET = 1 << 18
@@ -125,10 +131,10 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_every_drawn_request_keeps_the_contract(out_dir, data):
-    argv = data.draw(_argvs(out_dir), label="argv")
+def _run(argv: list[str]):
+    """run_command(argv) in process: its exit code (None when an admitted cost
+    is over the budget, before that work starts), its stdout and stderr, and
+    the radicands of the engine roots it took."""
     roots = []
     real_admit, real_isqrt = radpi.drivers.admit_cost, radpi.arith.isqrt
 
@@ -150,8 +156,15 @@ def test_every_drawn_request_keeps_the_contract(out_dir, data):
                 code = run_command(argv)
         except _Costly:
             code = None
+    return code, stdout.getvalue(), stderr.getvalue(), roots
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_drawn_request_keeps_the_contract(out_dir, data):
+    argv = data.draw(_argvs(out_dir), label="argv")
+    code, out, err, roots = _run(argv)
     assume(code is not None)
-    err = stderr.getvalue()
     assert "Traceback" not in err
     assert code in (0, 2, 3, 64, 74) or (code, argv[0]) == (1, "verify"), (code, err)
     if code == 74:
@@ -169,5 +182,39 @@ def test_every_drawn_request_keeps_the_contract(out_dir, data):
             with open(argv[argv.index("--out") + 1], encoding="utf-8") as handle:
                 text = handle.read()
         else:
-            text = stdout.getvalue()
+            text = out
         assert _parses(text, fmt), text[:300]
+
+
+def _shortest_prefix(flag: str, options: list[str]) -> str:
+    """The shortest prefix of ``flag`` that argparse expands to it alone: no
+    other option starts with it (so none equals it), or the flag itself."""
+    for n in range(3, len(flag)):
+        if [option for option in options if option.startswith(flag[:n])] == [flag]:
+            return flag[:n]
+    return flag
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_equals_and_abbreviated_flags_print_the_same_bytes(out_dir, data):
+    argv = data.draw(_argvs(out_dir), label="argv")
+    out_path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+
+    def output(form):  # the exit code, stdout and the --out file's text
+        if out_path is not None:
+            out_path.unlink(missing_ok=True)
+        code, out, _, _ = _run(form)
+        written = out_path.read_text(encoding="utf-8") if out_path and out_path.exists() else None
+        return code, out, written
+
+    want = output(argv)
+    assume(want[0] == 0)
+    subcommand, pairs = argv[0], list(zip(argv[1::2], argv[2::2]))
+    options = [*_SUBCOMMANDS[subcommand][1], "--help"]
+    equals = [subcommand, *(f"{flag}={value}" for flag, value in pairs)]
+    abbreviated = [subcommand, *(word for flag, value in pairs
+                                 for word in (_shortest_prefix(flag, options), value))]
+    assert pairs == [] or _parse_table(equals) is None  # argparse parses it
+    for form in (equals, abbreviated):
+        assert output(form) == want, form

@@ -5,6 +5,7 @@ Frozen values are 60-digit mpmath evaluations of the closed forms; several
 tests re-derive them in place to keep the strings honest.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -313,7 +314,7 @@ class TestArccosByRecursion:
     @pytest.mark.parametrize("bits", [64, 96, 128, 200, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("guard", [None, 32, 33, 100])
     def test_planned_count_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
-        # Romberg's R_(j,10) after the planned j steps is within 2**-(B + 16) of
+        # Romberg's R_(j,14) after the planned j steps is within 2**-(B + 16) of
         # theta0: at -1, one ulp above it (where the unextrapolated loop at 1024
         # bits fell one unit under), the largest accepted x0, and an x0 finer
         # than the working bits
@@ -336,20 +337,44 @@ class TestArccosByRecursion:
         want = arccos_oracle(x, PrecisionContext(4 * bits)).rescale(bits)
         assert arccos_by_recursion(x, PrecisionContext(bits)) == want
 
+    def test_the_weights_cancel_the_first_14_error_terms_and_no_more(self):
+        # the w_i are prod_(c=1..14) (4**c - z) in z**i: a root at z = 4**n for
+        # n = 1..14 is the column's cancelled 4**(-n*j) term, and 4**15 is not a root
+        weights, total = radpi.drivers._WEIGHTS, radpi.drivers._WEIGHT_SUM
+        assert len(weights) == 15
+        for n in range(1, 16):
+            assert (sum(w * 4 ** (n * i) for i, w in enumerate(weights)) == 0) == (n <= 14)
+        assert sum(weights) == total == math.prod(4**c - 1 for c in range(1, 15))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=-(1 << 200), max_value=1 << 200),
+                    min_size=15, max_size=15))
+    def test_the_one_sum_is_rombergs_column_14(self, sines):
+        # sines[i] = T_(j0 + i): the exact Romberg table over them, built by the
+        # recurrence in Fractions, ends at R_(J,14), J the last
+        row = []
+        for t in sines:
+            prev, row = row, [Fraction(t)]
+            for c, above in enumerate(prev, 1):
+                row.append((4**c * row[-1] - above) / (4**c - 1))
+        newest_first = sines[::-1]
+        total = sum(w * t for w, t in zip(radpi.drivers._WEIGHTS, newest_first))
+        assert Fraction(total, radpi.drivers._WEIGHT_SUM) == row[14]
+
     @pytest.mark.parametrize("bits", [128, 1024, 2048, 4096])
-    def test_the_count_is_the_least_that_meets_the_column_10_bound(self, bits):
+    def test_the_count_is_the_least_that_meets_the_column_14_bound(self, bits):
         # at x0 = -1, theta0 = pi, the largest angle: in exact arithmetic the
-        # planned row's R_(j,10) is within 2**-(B + 16) of pi, from below, and
+        # planned row's R_(j,14) is within 2**-(B + 16) of pi, from below, and
         # the row before misses that bound. At 128 bits the count is the floor
-        # of 12 steps, one past the first full row, and ceil((B + 90)/22) is under it
+        # of 16 steps, one past the first full row, and ceil((2B + 332)/60) is under it
         j = radpi.drivers.plan("arccos", PrecisionContext(bits),
                                x0=FixedReal.from_fraction(-1, bits)).steps
-        assert (j == 12) == (bits == 128) and j == max(12, -(-(bits + 90) // 22))
+        assert (j == 16) == (bits == 128) and j == max(16, -(-(2 * bits + 332) // 60))
         with mpmath.workprec(bits + 128):
             row, gaps = [], []
             for i in range(1, j + 1):
                 prev, row = row, [mpmath.ldexp(mpmath.sin(mpmath.ldexp(mpmath.pi, -i)), i)]
-                for c, above in enumerate(prev[:10], 1):
+                for c, above in enumerate(prev[:14], 1):
                     row.append((4**c * row[-1] - above) / (4**c - 1))
                 gaps.append(mpmath.pi - row[-1])
             bound = mpmath.ldexp(1, -(bits + 16))
@@ -357,13 +382,13 @@ class TestArccosByRecursion:
             assert (gaps[-2] > bound) == (bits > 128), gaps[-2] / bound
 
     @pytest.mark.parametrize("bits, x0, steps", [
-        (128, None, 12), (1024, None, 51), (4096, None, 191), (16384, None, 749),
-        (1024, "-1", 51), (1024, "0", 51), (1024, "0.3", 51), (1024, "0.9", 49),
-        (1024, "0.999", 46),
+        (128, None, 16), (1024, None, 40), (4096, None, 143), (16384, None, 552),
+        (1024, "-1", 40), (1024, "0", 40), (1024, "0.3", 40), (1024, "0.9", 38),
+        (1024, "0.999", 35),
         # arccos --m 1000000 --d 1 --bits 1024: theta0 ~ 1e-6, ~2**-20
-        (1024, (10**6, 1), 30),
-        # the largest accepted x0, 1 - 2**-512, runs the floor of 12
-        (1024, "1-2^-512", 12),
+        (1024, (10**6, 1), 19),
+        # the largest accepted x0, 1 - 2**-512, runs the floor of 16
+        (1024, "1-2^-512", 16),
     ])
     def test_the_planned_count_shrinks_with_the_angle(self, bits, x0, steps):
         # lam >= log2((1 - x0)/2) from bit lengths, 0 without an x0: the depth

@@ -7,8 +7,10 @@ where the extrapolated stop runs longest, were taken from the loop that
 stopped on Romberg's second column, before it stopped on the fourth; those at
 guard 32, where the tolerance is tightest, and at the ends of the domain from
 the loop that stopped on the fourth column, before it stopped on the sixth.
-The arccos now runs its plan's count of steps on the tenth column, and every
-pin replays.
+The arccos then ran its plan's count of steps on the tenth column, built one
+Romberg row per step; it now runs a shorter count and takes the fourteenth
+column as one exact sum over its last 15 doubled sines, and every pin
+replays.
 
 Each entry of tests/data/engine_pins.json names its inputs and the hex
 mantissas they gave; the test recomputes them. Running this file as a script

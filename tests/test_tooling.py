@@ -66,9 +66,9 @@ def test_tracer_sees_every_engine_step_under_its_caller():
     callers = [(spans[i][0], n) for i, n in sorted(steps.items())]
     assert [name for name, _ in callers] == ["drivers.arccos", "recursion.run_at_scale",
                                             "recursion.run_at_scale"]
-    # the arccos runs its plan's count: at 128 bits the floor of 12 steps
+    # the arccos runs its plan's count: at 128 bits the floor of 16 steps
     assert callers[0][1] == radpi.drivers.plan("arccos", radpi.PrecisionContext(128),
-                                               x0=x0).steps == 12
+                                               x0=x0).steps == 16
     assert [n for _, n in callers[1:]] == [17, 9]
 
 
