@@ -38,32 +38,30 @@ class Site(NamedTuple):
 
 
 SITES = (
-    Site("arccos-returns-column-9", "drivers.py", "<module>",
-         "range(1, 15)", "range(1, 10)",
-         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_analysis.py",
-          "tests/test_cli.py")),
-    Site("arccos-weights-one-column-short", "drivers.py", "<module>",
-         "range(1, 15)", "range(1, 14)",
-         ("tests/test_drivers.py", "tests/test_engine_pins.py")),
-    Site("arccos-column-divided-by-4**c", "drivers.py", "arccos_by_recursion",
-         "total // _WEIGHT_SUM", "total // 4 ** 105",
-         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_acceptance.py",
-          "tests/test_analysis.py", "tests/test_cli.py")),
     Site("arccos-rejects-the-largest-x0-near-1", "drivers.py", "arccos_by_recursion",
          "x0.mantissa > one_in - (1 << max(0, x0.scale_bits - out_bits // 2))",
          "x0.mantissa >= one_in - (1 << max(0, x0.scale_bits - out_bits // 2))",
          ("tests/test_drivers.py", "tests/test_engine_pins.py")),
     Site("arccos-runs-one-step-short-of-its-plan", "drivers.py", "arccos_by_recursion",
-         "run.steps", "run.steps - 1", ("tests/test_engine_pins.py",)),
+         "run.steps - 1", "run.steps - 2",
+         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_analysis.py",
+          "tests/test_cli.py")),
+    Site("arcsin-series-drops-the-squared-odd-factor", "drivers.py", "_arcsin_terms",
+         "(2 * n + 1) ** 2", "(2 * n + 1)",
+         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_analysis.py",
+          "tests/test_cli.py")),
+    Site("arcsin-u-one-bit-short", "drivers.py", "_arcsin_terms",
+         "w + 2 * j", "w + 2 * j - 1",
+         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_acceptance.py",
+          "tests/test_cli.py")),
     Site("plan-arccos-count-one-step-short", "drivers.py", "plan",
-         "max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60))",
-         "max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60)) - 1",
-         ("tests/test_drivers.py", "tests/test_engine_pins.py", "tests/test_admission.py",
-          "tests/test_tooling.py")),
-    Site("plan-arccos-lam-taken-as-0", "drivers.py", "plan",
-         "31 * lam", "31 * 0", ("tests/test_drivers.py", "tests/test_admission.py")),
+         "isqrt(ctx.scale_bits)", "isqrt(ctx.scale_bits) - 1",
+         ("tests/test_drivers.py", "tests/test_admission.py", "tests/test_tooling.py")),
+    Site("plan-arccos-series-one-term-short", "drivers.py", "plan",
+         "steps + (work + 2) // (2 * steps - 4) + 1", "steps + (work + 2) // (2 * steps - 4)",
+         ("tests/test_engine_pins.py", "tests/test_admission.py")),
     Site("plan-widens-x0-only-past-the-working-bits", "drivers.py", "plan",
-         "x0.scale_bits >= work", "x0.scale_bits > work",
+         "x0.scale_bits < work", "x0.scale_bits <= work",
          ("tests/test_drivers.py", "tests/test_admission.py")),
     Site("admission-refuses-exactly-the-bound-in-working-bits", "arith.py", "admit_cost",
          "work > MAX_WORKING_BITS", "work >= MAX_WORKING_BITS", ("tests/test_admission.py",)),

@@ -11,8 +11,9 @@ used so callers can tell the two apart.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator
 from itertools import islice
+from math import isqrt
 
 from ._record import Record
 from .arith import FixedReal, PrecisionContext, Rational, admit_cost, pi_fixed
@@ -32,15 +33,6 @@ _EXACT_RATIOS: dict[tuple[Rational, int], Rational] = {
     (Rational(3, 4), -1): Rational(12, 5),
     (Rational(1), -1): Rational(2),
 }
-
-# Romberg's column 14 as one exact sum: unrolled, R_(j,c) = (4**c * R_(j,c-1) -
-# R_(j-1,c-1)) / (4**c - 1) gives R_(J,14) = sum(w_i * T_(J-i)) / sum(w_i), the
-# w_i the coefficients of prod_(c=1..14) (4**c - z) in z**i, summing to
-# prod_(c=1..14) (4**c - 1)
-_WEIGHTS = [1]
-for _c in range(1, 15):
-    _WEIGHTS = [4**_c * w - prev for w, prev in zip(_WEIGHTS + [0], [0] + _WEIGHTS)]
-_WEIGHT_SUM = sum(_WEIGHTS)
 
 MISPRINT_DIAGNOSTIC = (
     "MISPRINT: the as-printed prefactor 1/sqrt(m*s) makes this expression "
@@ -113,8 +105,9 @@ def _resolve_ratio(seed: Seed, mode: str, work: int) -> AngleRatio:
 
 class Plan(Record):
     """An admitted request: its working bits, its steps (the half-angle steps
-    an arccos runs before its one column-14 sum, a series' terms), its whole
-    cost in working bits x steps, and its reference scale."""
+    an arccos runs before its arcsine series, a series' terms), its whole cost
+    in working bits x steps (an arccos's series terms count as steps), and its
+    reference scale."""
 
     __slots__ = ("work", "steps", "bit_steps", "measure_bits")
     work: int
@@ -132,10 +125,9 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
              the run, a ``_self_consistent`` ratio's arccos and their sum are
              refused in that order
     method2  m, d: one step at twice the cancelled bits plus slack, as depth
-    arccos   x0 (None): the run's max(16, ceil((2B + 332 + 31*lam) / 60)) steps, which
-             bring Romberg's column 14 within 2**-(B + 16), lam >= log2((1 - x0)/2)
-             (0 before x0 is built), at the working bits, or at an x0's own scale
-             plus one when it is that fine
+    arccos   x0 (None): j = floor(sqrt(B)) steps whatever x0, costed with the
+             series' at most N_max = floor((w + 2)/(2j - 4)) + 1 terms, at the
+             working bits w, or at an x0's own scale plus one when it is that fine
     taylor   m, d, terms: the exact sum, rounded once at the output scale (no
              guard); ctx None plans the sum alone
     audit    seed, k, audited_bits: both variants at the audited bits and the
@@ -154,15 +146,13 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
             admit_cost(bit_steps)
         return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
     if route == "arccos":
-        work, x0 = ctx.working_bits, params.get("x0")
-        lam = 0 if x0 is None else min(  # >= log2((1 - x0)/2), from bit lengths
-            0, ((1 << x0.scale_bits) - x0.mantissa).bit_length() - x0.scale_bits - 1)
-        steps = max(16, -(-(2 * ctx.scale_bits + 332 + 31 * lam) // 60))
-        admit_cost(work * steps, work)
-        if x0 is not None and x0.scale_bits >= work:
+        work, x0, steps = ctx.working_bits, params.get("x0"), isqrt(ctx.scale_bits)
+        while True:  # at the working bits, then at an x0's own scale plus one
+            bit_steps = work * (steps + (work + 2) // (2 * steps - 4) + 1)  # j + N_max
+            admit_cost(bit_steps, work)
+            if x0 is None or x0.scale_bits < work:
+                return Plan(work, steps, bit_steps, 4 * work)
             work = x0.scale_bits + 1
-            admit_cost(work * steps, work)
-        return Plan(work, steps, work * steps, 4 * work)
     if route == "taylor":
         m, d, terms = Rational(params["m"]), Rational(params["d"]), params["terms"]
         if m <= 0 or d <= 0:
@@ -293,7 +283,8 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
     """2**k * sin(theta0 / 2**k) / theta0, converging to 1 like theta0**2/(6*4**k).
 
     theta0 comes from the self-consistent arccos at the route's working bits
-    w, within 2**(16 - w): far under the approximant's own error.
+    w, run 64 bits finer and rounded once: within about 2**-w, far under the
+    approximant's own error.
     """
     work = plan("depth", ctx, seed=seed, k=k, ratio_mode="self").work
     theta0 = arccos_by_recursion(seed.value(work), PrecisionContext(work))
@@ -308,31 +299,31 @@ def unity_formula(seed: Seed, k: int, ctx: PrecisionContext) -> Approximant:
 
 
 def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
-    """arccos(x0) as the limit of the doubled sines T_j = 2**j * sin(theta0/2**j).
+    """arccos(x0) from the doubled sine T = T_j = 2**j * sin(theta0/2**j) and
+    the arcsine series, theta0 = 2**j * arcsin(T/2**j) = T * sum(a_n * u**n),
+    u = T**2/4**j, a_n = (2n)!/(4**n * (n!)**2 * (2n + 1)): Brent's argument
+    reduction (JACM 23, 1976). Needs no stored value of pi.
 
-    Needs no stored value of pi. T_j, Archimedes' polygon perimeter, sits
-    below theta0 by theta0**3 / (6 * 4**j) + O(16**-j). Romberg's table
-    R_(j,0) = T_j, R_(j,c) = (4**c * R_(j,c-1) - R_(j-1,c-1)) / (4**c - 1)
-    cancels one more term per column: column 1 is Huygens' extrapolation, and
-    column C leaves 4**(C*(C+1)/2) * theta0**(2C+3) / ((2C+3)! * 4**((C+1)*j)),
-    so 0 <= theta0 - R_(j,14) <= 2**210 * theta0**31 / (31! * 4**(15*j)): the
-    O(4**(-16*j)) tail, the sine series' later terms, alternates and decreases.
-    That is at most 2**-(B + 16) at B = scale_bits once 30*j >= B + 114 +
-    31*log2(theta0), 114 = 16 + 210 - floor(log2 31!). With theta0 <= pi *
-    2**(lam/2), lam >= log2((1 - x0)/2), and 31*log2(pi) < 52, run exactly the
-    plan's j = max(16, ceil((2B + 332 + 31*lam) / 60)) steps (B/30 + 6 at -1,
-    16, one past the 15 sines the sum reads) at its working bits G + B, and
-    round R_(j,14) to the output scale: within 2**(-scale_bits + 16) of arccos.
+    Run exactly the plan's j = floor(sqrt(B)) half-angle steps (B =
+    scale_bits) at its working bits w = B + G, sum the series on T_j's
+    mantissa by a_(n+1)/a_n = (2n + 1)**2/((2n + 2)(2n + 3)) until a term
+    floors to 0 (``_arcsin_terms``), and round once to the output scale. As
+    theta0 <= pi, T < 4 and u < 2**(3.31 - 2j), term n is under
+    2**(w + 2 + (3.31 - 2j) * n) units and floors to 0 once n >= (w + 2) /
+    (2j - 3.31): at most N_max = floor((w + 2)/(2j - 4)) + 1 terms, and the
+    plan admits w * (j + N_max). Of j roots and N ~ w/(2j) cheap terms, j + N
+    is least, about sqrt(2w), at j = sqrt(w/2); floor(sqrt(B)) (N ~ j/2) is
+    within 7% of that. A smaller j is faster, as a term costs less than a
+    root, but it waits until the benchmark's peak memory stops growing with
+    its op count (ROADMAP items 1 and 3).
 
-    Unrolled, the table's column 14 is one sum over the last 15 doubled
-    sines, R_(J,14) = sum(w_i * T_(J-i)) / prod(4**c - 1) with w_i the
-    coefficients of prod_(c=1..14) (4**c - z) in z**i (``_WEIGHTS``); the loop
-    keeps those 15 mantissas, and takes the sum exactly and floors it once.
     x0 enters exact and each step rounds about one unit (one root, one
-    division by a cosine near 1): a few j units in T_j after j steps. The sum
-    scales T_j's error by sum(|w_i|) / sum(w_i) = prod (4**c + 1) / (4**c - 1),
-    under 1.97 over c <= 14, and its floor adds one unit, so R_(j,14) is off
-    by under 1.97 times T_j's error plus one unit. A rounded x0 would cost
+    division by a cosine near 1): T_j is off by a few units per step. The
+    series carries that error by dtheta/dT = 1/cos(theta0/2**j), at most
+    1/cos(pi/2**j), and each term floors twice, so the sum is within
+    |T_j's error|/cos(pi/2**j) + 2(N + 2) units of 2**w * theta0, N the terms
+    summed (the 2 more cover the untaken tail and u's floor): well within
+    2**(-scale_bits + 16) of arccos after the round. A rounded x0 would cost
     more: d(arccos)/dx = -1/sin(theta0) magnifies its error by up to 2**(s/2)
     at an s-bit x0 next to -1. So an x0 at the working bits or finer runs, and
     is admitted, at its own scale plus one: the first (1 + x0)/2 is exact too.
@@ -347,10 +338,19 @@ def arccos_by_recursion(x0: FixedReal, ctx: PrecisionContext) -> FixedReal:
             "(requires x0 <= 1 - 2**(-scale_bits/2))"
         )
     run = plan("arccos", ctx, x0=x0)
-    last = deque((scaled.mantissa for _, scaled in islice(
-        _doubled_sines(x0.rescale(run.work), "stable"), run.steps)), maxlen=15)
-    total = sum(w * t for w, t in zip(_WEIGHTS, reversed(last)))  # w_0 * T_J first
-    return FixedReal(total // _WEIGHT_SUM, run.work).rescale(out_bits)
+    _, t = next(islice(_doubled_sines(x0.rescale(run.work), "stable"), run.steps - 1, None))
+    theta0 = sum(_arcsin_terms(t.mantissa, run.steps, run.work))
+    return FixedReal(theta0, run.work).rescale(out_bits)
+
+
+def _arcsin_terms(t: int, j: int, w: int) -> Iterator[int]:
+    """The terms T * a_n * u**n of 2**j * arcsin(T/2**j) at w bits from T_j's
+    mantissa t, each floored, up to the first that floors to 0."""
+    u, n = t**2 >> (w + 2 * j), 0
+    while t:
+        yield t
+        t = (t * u >> w) * (2 * n + 1) ** 2 // ((2 * n + 2) * (2 * n + 3))
+        n += 1
 
 
 def viete_product(k: int, ctx: PrecisionContext) -> Approximant:

@@ -103,19 +103,21 @@ def arccos_bits(ctx):
 
 def test_arccos_is_admitted_at_16384_bits_and_explicit_guards_at_the_bound():
     # the default run is at the context's working bits, as an explicit guard's is
-    assert arccos_bits(PrecisionContext(16384)) == (552, 16384 + 64)
+    assert arccos_bits(PrecisionContext(16384)) == (128, 16384 + 64)
     # an explicit guard sets the working bits at the same count
     guard = MAX_WORKING_BITS - 16384
-    assert arccos_bits(PrecisionContext(16384, guard)) == (552, MAX_WORKING_BITS)
+    assert arccos_bits(PrecisionContext(16384, guard)) == (128, MAX_WORKING_BITS)
     with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
         arccos_bits(PrecisionContext(16384, guard + 1))
 
 
 def test_the_largest_admitted_arccos_is_bound_by_its_working_bits():
-    # ceil((2B + 332)/60) steps at B + 64 bits stay under 2**29 bit-steps up to
-    # the working-bits bound, so that bound is the one that refuses
-    steps, work = arccos_bits(PrecisionContext(MAX_WORKING_BITS - 64))
-    assert (steps, work) == (2188, MAX_WORKING_BITS) and steps * work < MAX_BIT_STEPS
+    # floor(sqrt(B)) steps and at most (w + 2) // (2j - 4) + 1 terms at
+    # w = B + 64 bits stay under 2**29 bit-steps up to the working-bits bound,
+    # so that bound is the one that refuses
+    run = plan("arccos", PrecisionContext(MAX_WORKING_BITS - 64))
+    assert (run.steps, run.work) == (255, MAX_WORKING_BITS)
+    assert run.bit_steps == MAX_WORKING_BITS * (255 + 130) < MAX_BIT_STEPS
     with pytest.raises(PrecisionError, match=r"65537 working bits \(at most 65536\)$"):
         arccos_bits(PrecisionContext(MAX_WORKING_BITS - 63))
 
@@ -129,7 +131,7 @@ def test_an_x0_finer_than_the_working_bits_admits_its_own_scale():
 def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
     ctx = PrecisionContext(16000)
     work = depth_bits(ctx, 3)
-    depth_cap, arccos_work = arccos_bits(PrecisionContext(work))
+    arccos = plan("arccos", PrecisionContext(work)).bit_steps
     x0 = Seed.from_x0(Fraction(3, 10))
 
     def cost(method, params):
@@ -137,8 +139,8 @@ def test_a_table_row_counts_its_depth_run_and_its_self_consistent_arccos():
 
     assert cost("viete", {}) == work * 3
     assert cost("method1", {"seed": Seed(2, 2, 1)}) == work * 3
-    assert cost("method1", {"seed": x0}) == work * 3 + arccos_work * depth_cap
-    assert cost("unity", {"seed": Seed(2, 2, 1)}) == work * 3 + arccos_work * depth_cap
+    assert cost("method1", {"seed": x0}) == work * 3 + arccos
+    assert cost("unity", {"seed": Seed(2, 2, 1)}) == work * 3 + arccos
 
 
 @pytest.mark.parametrize("sweep", [[], [1]])
@@ -165,23 +167,23 @@ def no_work(monkeypatch):
 def test_table_is_refused_before_its_first_row(no_work):
     with pytest.raises(PrecisionError, match="cost bound"):
         convergence_table("viete", {}, range(1, 10**8), PrecisionContext(128))
-    # 58 self-consistent rows at 16000 bits: each arccos alone is admitted,
-    # and the first 57 rows together (528043852 bit-steps) are too
-    with pytest.raises(PrecisionError, match="537835272 working bits x half-angle steps"):
-        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 59),
+    # 129 self-consistent rows at 16000 bits: each arccos alone is admitted,
+    # and the first 128 rows together (534696748 bit-steps) are too
+    with pytest.raises(PrecisionError, match="539964784 working bits x half-angle steps"):
+        convergence_table("unity", {"seed": Seed.from_x0(Fraction(3, 10))}, range(1, 130),
                           PrecisionContext(16000))
 
 
-# 7000 steps at 59672 working bits (417704000 bit-steps), and the self-consistent
-# arccos past those bits (1995 steps at 59736 bits, 119173320): each part is
-# inside the bound, and their sum is not
+# 8000 steps at 64056 working bits (512448000 bit-steps), and the self-consistent
+# arccos past those bits (253 steps and 128 terms at 64120 bits, 24429720): each
+# part is inside the bound, and their sum is not
 @pytest.mark.parametrize("driver", [
     lambda seed, k, ctx: pi_method1(seed, k, ctx, "self"),
     unity_formula,
 ], ids=["method1", "unity"])
 def test_a_driver_admits_its_depth_run_and_its_arccos_as_one_cost(no_work, driver):
-    with pytest.raises(PrecisionError, match=r"536877320 working bits x half-angle steps"):
-        driver(Seed.from_x0(Fraction(3, 10)), 7000, PrecisionContext(45608))
+    with pytest.raises(PrecisionError, match=r"536877720 working bits x half-angle steps"):
+        driver(Seed.from_x0(Fraction(3, 10)), 8000, PrecisionContext(47992))
 
 
 @pytest.mark.parametrize("call", [
@@ -261,10 +263,10 @@ REFUSED = [
     ["compute", "--method", "taylor", "--m", "5", "--d", "3", "--terms", "1000000000"],
     ["verify", "--bits", "100000000"],
     ["reproduce", "--bits", "100000000"],
-    ["compute", "--method", "unity", "--x0", "0.3", "--k", "7000", "--bits", "45608"],
-    ["compute", "--method", "method1", "--x0", "0.3", "--k", "7000", "--bits", "45608"],
-    ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "7000",
-     "--bits", "45608"],
+    ["compute", "--method", "unity", "--x0", "0.3", "--k", "8000", "--bits", "47992"],
+    ["compute", "--method", "method1", "--x0", "0.3", "--k", "8000", "--bits", "47992"],
+    ["compute", "--method", "combined", "--m", "50", "--d", "1", "--k", "8000",
+     "--bits", "47992"],
     # rationals past MAX_WORKING_BITS bits, refused before their power of ten is built
     ["arccos", "--x0", "1e-1000000"],
     ["arccos", "--x0", "1e-99999999"],
@@ -288,9 +290,9 @@ def test_request_over_the_cost_bound_exits_3_at_once(argv):
 
 # Grids around the bound. With an arccos at x0 = 0.3 or for m = 50, d = 1, a
 # depth run is admitted up to 65406 bits at k = 1, where the arccos's working
-# bits bind, and up to 45607 bits at k = 7000, where the sum binds; method2
+# bits bind, and up to 47991 bits at k = 8000, where the sum binds; method2
 # with d = 1 up to 65320 bits at m = 50 and up to 65304 bits at m = 1000.
-_DEPTH_GRID = [(bits, k) for bits in (45607, 45608, 65406, 65407) for k in (1, 7000)]
+_DEPTH_GRID = [(bits, k) for bits in (47991, 47992, 65406, 65407) for k in (1, 8000)]
 _STRADDLES = {
     "method1 --x0": (["--method", "method1", "--x0", "0.3"], "--k", _DEPTH_GRID),
     "unity": (["--method", "unity", "--x0", "0.3"], "--k", _DEPTH_GRID),

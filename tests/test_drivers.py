@@ -5,8 +5,8 @@ Frozen values are 60-digit mpmath evaluations of the closed forms; several
 tests re-derive them in place to keep the strings honest.
 """
 
-import math
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -314,8 +314,8 @@ class TestArccosByRecursion:
     @pytest.mark.parametrize("bits", [64, 96, 128, 200, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("guard", [None, 32, 33, 100])
     def test_planned_count_gives_the_truncated_oracle_at_its_limits(self, bits, guard):
-        # Romberg's R_(j,14) after the planned j steps is within 2**-(B + 16) of
-        # theta0: at -1, one ulp above it (where the unextrapolated loop at 1024
+        # the series after the planned j steps, rounded once, is the truncated
+        # oracle: at -1, one ulp above it (where the unextrapolated loop at 1024
         # bits fell one unit under), the largest accepted x0, and an x0 finer
         # than the working bits
         ctx = PrecisionContext(bits, guard)
@@ -337,62 +337,47 @@ class TestArccosByRecursion:
         want = arccos_oracle(x, PrecisionContext(4 * bits)).rescale(bits)
         assert arccos_by_recursion(x, PrecisionContext(bits)) == want
 
-    def test_the_weights_cancel_the_first_14_error_terms_and_no_more(self):
-        # the w_i are prod_(c=1..14) (4**c - z) in z**i: a root at z = 4**n for
-        # n = 1..14 is the column's cancelled 4**(-n*j) term, and 4**15 is not a root
-        weights, total = radpi.drivers._WEIGHTS, radpi.drivers._WEIGHT_SUM
-        assert len(weights) == 15
-        for n in range(1, 16):
-            assert (sum(w * 4 ** (n * i) for i, w in enumerate(weights)) == 0) == (n <= 14)
-        assert sum(weights) == total == math.prod(4**c - 1 for c in range(1, 15))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(min_value=-(1 << 200), max_value=1 << 200),
-                    min_size=15, max_size=15))
-    def test_the_one_sum_is_rombergs_column_14(self, sines):
-        # sines[i] = T_(j0 + i): the exact Romberg table over them, built by the
-        # recurrence in Fractions, ends at R_(J,14), J the last
-        row = []
-        for t in sines:
-            prev, row = row, [Fraction(t)]
-            for c, above in enumerate(prev, 1):
-                row.append((4**c * row[-1] - above) / (4**c - 1))
-        newest_first = sines[::-1]
-        total = sum(w * t for w, t in zip(radpi.drivers._WEIGHTS, newest_first))
-        assert Fraction(total, radpi.drivers._WEIGHT_SUM) == row[14]
-
-    @pytest.mark.parametrize("bits", [128, 1024, 2048, 4096])
-    def test_the_count_is_the_least_that_meets_the_column_14_bound(self, bits):
-        # at x0 = -1, theta0 = pi, the largest angle: in exact arithmetic the
-        # planned row's R_(j,14) is within 2**-(B + 16) of pi, from below, and
-        # the row before misses that bound. At 128 bits the count is the floor
-        # of 16 steps, one past the first full row, and ceil((2B + 332)/60) is under it
-        j = radpi.drivers.plan("arccos", PrecisionContext(bits),
-                               x0=FixedReal.from_fraction(-1, bits)).steps
-        assert (j == 16) == (bits == 128) and j == max(16, -(-(2 * bits + 332) // 60))
-        with mpmath.workprec(bits + 128):
-            row, gaps = [], []
-            for i in range(1, j + 1):
-                prev, row = row, [mpmath.ldexp(mpmath.sin(mpmath.ldexp(mpmath.pi, -i)), i)]
-                for c, above in enumerate(prev[:14], 1):
-                    row.append((4**c * row[-1] - above) / (4**c - 1))
-                gaps.append(mpmath.pi - row[-1])
-            bound = mpmath.ldexp(1, -(bits + 16))
-            assert 0 <= gaps[-1] <= bound
-            assert (gaps[-2] > bound) == (bits > 128), gaps[-2] / bound
+    @pytest.mark.parametrize("bits", [64, 128, 1024, 4096])
+    @pytest.mark.parametrize("guard", [None, 32])
+    def test_the_series_is_within_its_bound_at_its_limits(self, bits, guard):
+        # at -1 (the largest u), the largest accepted x0 and 0.3: at w working
+        # bits the series' sum on the engine's T_j is within |E| / cos(pi/2**j)
+        # + 2(N + 2) units of 2**w * theta0, E the error of T_j in units (a few
+        # per step) and N the terms summed, and the bound is not vacuous
+        ctx, one = PrecisionContext(bits, guard), 1 << bits
+        ratios = []
+        for x in (FixedReal(-one, bits), FixedReal(one - (1 << (bits - bits // 2)), bits),
+                  FixedReal.from_fraction(Fraction(3, 10), bits)):
+            run = radpi.drivers.plan("arccos", ctx, x0=x)
+            j, w = run.steps, run.work
+            sines = radpi.recursion._doubled_sines(x.rescale(w), "stable")
+            _, t = next(islice(sines, j - 1, None))
+            terms = list(radpi.drivers._arcsin_terms(t.mantissa, j, w))
+            assert arccos_by_recursion(x, ctx) == FixedReal(sum(terms), w).rescale(bits)
+            assert len(terms) <= (w + 2) // (2 * j - 4) + 1
+            with mpmath.workprec(2 * w + 64):
+                theta0 = mpmath.acos(mpmath.ldexp(x.mantissa, -bits))
+                error = t.mantissa - mpmath.ldexp(mpmath.sin(mpmath.ldexp(theta0, -j)), j + w)
+                bound = abs(error) / mpmath.cos(mpmath.pi / 2**j) + 2 * (len(terms) + 2)
+                gap = abs(sum(terms) - mpmath.ldexp(theta0, w))
+            assert abs(error) <= 3 * j, (x.mantissa, error / j)
+            assert gap <= bound, (x.mantissa, gap, bound)
+            ratios.append(gap / bound)
+        assert max(ratios) > 1 / 8, ratios
 
     @pytest.mark.parametrize("bits, x0, steps", [
-        (128, None, 16), (1024, None, 40), (4096, None, 143), (16384, None, 552),
-        (1024, "-1", 40), (1024, "0", 40), (1024, "0.3", 40), (1024, "0.9", 38),
-        (1024, "0.999", 35),
+        (64, None, 8), (128, None, 11), (1024, None, 32), (4096, None, 64),
+        (16384, None, 128), (65472, None, 255),
+        (1024, "-1", 32), (1024, "0", 32), (1024, "0.3", 32), (1024, "0.9", 32),
+        (1024, "0.999", 32),
         # arccos --m 1000000 --d 1 --bits 1024: theta0 ~ 1e-6, ~2**-20
-        (1024, (10**6, 1), 19),
-        # the largest accepted x0, 1 - 2**-512, runs the floor of 16
-        (1024, "1-2^-512", 16),
+        (1024, (10**6, 1), 32),
+        # the largest accepted x0, 1 - 2**-512
+        (1024, "1-2^-512", 32),
     ])
-    def test_the_planned_count_shrinks_with_the_angle(self, bits, x0, steps):
-        # lam >= log2((1 - x0)/2) from bit lengths, 0 without an x0: the depth
-        # routes and the command line admit that count before x0 is built
+    def test_the_planned_count_is_the_root_of_the_bits(self, bits, x0, steps):
+        # j = floor(sqrt(B)) whatever the angle: the depth routes and the
+        # command line admit that count before x0 is built
         if x0 == "1-2^-512":
             x0 = FixedReal((1 << bits) - (1 << (bits - 512)), bits)
         elif isinstance(x0, tuple):

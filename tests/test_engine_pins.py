@@ -8,9 +8,9 @@ stopped on Romberg's second column, before it stopped on the fourth; those at
 guard 32, where the tolerance is tightest, and at the ends of the domain from
 the loop that stopped on the fourth column, before it stopped on the sixth.
 The arccos then ran its plan's count of steps on the tenth column, built one
-Romberg row per step; it now runs a shorter count and takes the fourteenth
-column as one exact sum over its last 15 doubled sines, and every pin
-replays.
+Romberg row per step, and then a shorter count on the fourteenth column, one
+exact sum over its last 15 doubled sines; it now runs floor(sqrt(B)) steps
+and sums the arcsine series of its last doubled sine, and every pin replays.
 
 Each entry of tests/data/engine_pins.json names its inputs and the hex
 mantissas they gave; the test recomputes them. Running this file as a script
@@ -129,17 +129,25 @@ def test_engine_bits_are_pinned(case):
 
 
 def test_the_arccos_runs_its_planned_count_at_every_pinned_input(monkeypatch):
-    # the loop reads exactly plan("arccos", ctx, x0=x0).steps doubled sines
-    yields = []
-    sines = radpi.drivers._doubled_sines
+    # the loop reads exactly plan("arccos", ctx, x0=x0).steps = j doubled
+    # sines, and its series sums at most N_max = (w + 2) // (2j - 4) + 1 terms
+    yields, terms = [], []
+    sines, series = radpi.drivers._doubled_sines, radpi.drivers._arcsin_terms
     monkeypatch.setattr(radpi.drivers, "_doubled_sines", lambda x, variant: (
         yields.append(pair) or pair for pair in sines(x, variant)))
-    for case in PINS:
-        if case["kind"] == "arccos":
-            x0, ctx = _arccos_input(case)
-            yields.clear()
-            arccos_by_recursion(x0, ctx)
-            assert len(yields) == plan("arccos", ctx, x0=x0).steps, _case_id(case)
+    monkeypatch.setattr(radpi.drivers, "_arcsin_terms", lambda t, j, w: (
+        terms.append(term) or term for term in series(t, j, w)))
+    cases = [case for case in PINS if case["kind"] == "arccos"]
+    for case in cases:
+        x0, ctx = _arccos_input(case)
+        yields.clear()
+        terms.clear()
+        arccos_by_recursion(x0, ctx)
+        run = plan("arccos", ctx, x0=x0)
+        assert len(yields) == run.steps, _case_id(case)
+        assert len(terms) <= (run.work + 2) // (2 * run.steps - 4) + 1, _case_id(case)
+        assert run.bit_steps == run.work * (run.steps + (run.work + 2) // (2 * run.steps - 4) + 1)
+    assert len(cases) == 164
 
 
 def test_pins_cover_every_case():
