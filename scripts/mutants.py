@@ -61,7 +61,7 @@ SITES = (
          "steps + (work + 2) // (2 * steps - 4) + 1", "steps + (work + 2) // (2 * steps - 4)",
          ("tests/test_engine_pins.py", "tests/test_admission.py")),
     Site("plan-widens-x0-only-past-the-working-bits", "drivers.py", "plan",
-         "x0.scale_bits < work", "x0.scale_bits <= work",
+         "x0.scale_bits + 1", "x0.scale_bits",
          ("tests/test_drivers.py", "tests/test_admission.py")),
     Site("admission-refuses-exactly-the-bound-in-working-bits", "arith.py", "admit_cost",
          "work > MAX_WORKING_BITS", "work >= MAX_WORKING_BITS", ("tests/test_admission.py",)),

@@ -10,7 +10,7 @@ from .arith import (
     pi_oracle,
 )
 from .analysis import (
-    IdentityReport,
+    Report,
     cancellation_audit,
     convergence_table,
     correct_decimal_digits,
@@ -56,11 +56,11 @@ __all__ = [
     "CatalogMissError",
     "DomainError",
     "FixedReal",
-    "IdentityReport",
     "PowerForm",
     "PrecisionContext",
     "PrecisionError",
     "RadpiError",
+    "Report",
     "Seed",
     "UsageError",
     "arccos_by_recursion",

@@ -48,16 +48,19 @@ class ReportRow(Record):
     error_ratio: str | None
 
 
-class ConvergenceReport(Record):
-    """Tabulated approximants with errors against the reference target.
+class Report(Record):
+    """The rows of one analysis and the meta that labels them: a convergence
+    table's ``ReportRow``s, the audit's ``AuditRow``s, the catalog's
+    ``CatalogResult``s or the identity suite's ``IdentityResult``s.
 
-    Rows are exactly recomputable: parsing a row's approximant string at
-    meta["measure_bits"] and differencing against the reference at that scale
-    reproduces the stored abs_error string byte for byte.
+    A convergence table's rows are exactly recomputable: parsing a row's
+    approximant string at meta["measure_bits"] and differencing against the
+    reference at that scale reproduces the stored abs_error string byte for
+    byte.
     """
 
     __slots__ = ("rows", "meta")
-    rows: list[ReportRow]
+    rows: list
     meta: dict[str, object]
 
 
@@ -122,7 +125,7 @@ def _measure_row(
 
 def convergence_table(
     method: str, params: dict, sweep: Sequence[int], ctx: PrecisionContext
-) -> ConvergenceReport:
+) -> Report:
     """One row per sweep index (recursion depth k, or starting term m).
 
     The whole sweep is refused before its first row if its method is unknown
@@ -157,7 +160,7 @@ def _param_text(params: dict) -> dict[str, str]:
 def _report(
     indices: Sequence[int], values: Sequence[FixedReal], reference: FixedReal | None,
     ctx: PrecisionContext, work: int, method: str, params: dict, **labels,
-) -> ConvergenceReport:
+) -> Report:
     """Rows of values measured against the reference, each error ratio taken
     over the row before; the labels gain the method, the params as printed,
     and the precision keys of every report (the guard over ``work``,
@@ -171,18 +174,20 @@ def _report(
                   bits=ctx.scale_bits, guard_bits=work - ctx.scale_bits,
                   measure_bits=0 if reference is None else reference.scale_bits,
                   oracle_digits=decimal_digits_for_bits(ctx.scale_bits))
-    return ConvergenceReport(rows=rows, meta=labels)
+    return Report(rows, labels)
 
 
 def cancellation_audit(
     seed: Seed, k_max: int, audited_bits: int, ctx_reference: PrecisionContext
-) -> list[AuditRow]:
+) -> Report:
     """Read both variants of the doubled-sine loop (``_doubled_sines``) from x0
     at a raw fixed scale and measure both against a far more precise reference.
 
     The naive error shows the characteristic U shape (truncation falls, then
     amplified cancellation noise climbs until the sine collapses entirely);
     the stable error falls to the rounding floor of about k units and stays.
+    The meta names the method, the params as printed, and the reference's bits
+    and oracle digits.
     """
     audit = plan("audit", ctx_reference, seed=seed, k=k_max, audited_bits=audited_bits)
     scale = audit.measure_bits
@@ -196,7 +201,9 @@ def cancellation_audit(
                                  for sine in (naive, stable))
         lost = (correct_decimal_digits(stable_err) or 0) - (correct_decimal_digits(naive_err) or 0)
         rows.append(AuditRow(k=k, naive_error=naive_err, stable_error=stable_err, digits_lost=lost))
-    return rows
+    return Report(rows, {"method": "cancellation_audit",
+                         "params": _param_text({"seed": seed, "audited_bits": audited_bits}),
+                         "bits": scale, "oracle_digits": decimal_digits_for_bits(scale)})
 
 
 # -- classical catalog --------------------------------------------------------
@@ -233,20 +240,12 @@ CATALOG: tuple[CatalogEntry, ...] = (
 
 
 class CatalogResult(Record):
-    __slots__ = ("name", "seed", "prefactor_exact", "radical_shape_ok",
-                 "error_at_depth", "converged")
+    """A formula that passed every check (a failed one raises CatalogFailure)."""
+
+    __slots__ = ("name", "seed", "error_at_depth")
     name: str
     seed: str
-    prefactor_exact: bool
-    radical_shape_ok: bool
     error_at_depth: FixedReal
-    converged: bool
-
-
-class CatalogReport(Record):
-    __slots__ = ("results", "meta")
-    results: list[CatalogResult]
-    meta: dict[str, object]
 
 
 def _printed_all_twos_radical(s: Rational, inner_sign: int, n: int, scale: int) -> FixedReal:
@@ -262,7 +261,7 @@ def _printed_all_twos_radical(s: Rational, inner_sign: int, n: int, scale: int) 
     return (two - t).sqrt()
 
 
-def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
+def reproduce_catalog(ctx: PrecisionContext) -> Report:
     """Verify the four classical formulas against the general machinery.
 
     For each entry: (a) the engine prefactor R * 2**(k-1) / f(k+2) reduces to
@@ -309,23 +308,14 @@ def reproduce_catalog(ctx: PrecisionContext) -> CatalogReport:
             raise CatalogFailure(
                 f"{entry.name}: depth-{_CATALOG_DEPTH} approximant off by {err.to_decimal(18)}"
             )
-        results.append(
-            CatalogResult(
-                name=entry.name,
-                seed=entry.seed.describe(),
-                prefactor_exact=True,
-                radical_shape_ok=True,
-                error_at_depth=err,
-                converged=True,
-            )
-        )
+        results.append(CatalogResult(entry.name, entry.seed.describe(), err))
     meta = {
         "depth": _CATALOG_DEPTH,
         "bits": ctx.scale_bits,
         "index_shift": "printed n = engine k + 1",
         "tolerance": str(_CATALOG_TOLERANCE),
     }
-    return CatalogReport(results=results, meta=meta)
+    return Report(results, meta)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -337,16 +327,6 @@ class IdentityResult(Record):
     passed: bool
     worst_residual: str
     detail: str
-
-
-class IdentityReport(Record):
-    __slots__ = ("results", "meta")
-    results: list[IdentityResult]
-    meta: dict[str, object]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 def _within(pairs) -> tuple[bool, int]:
@@ -366,7 +346,7 @@ def _theta0(seed: Seed, scale_bits: int) -> FixedReal:
     return pi_fixed(scale_bits).mul_fraction(2 / exact_ratio_lookup(seed))
 
 
-def verify_identities(ctx: PrecisionContext) -> IdentityReport:
+def verify_identities(ctx: PrecisionContext) -> Report:
     """Run the recursion module's invariant suite and report per-identity
     pass/fail with worst-case residuals."""
     seeds = [entry.seed for entry in CATALOG]
@@ -467,7 +447,4 @@ def verify_identities(ctx: PrecisionContext) -> IdentityReport:
         )
     )
 
-    return IdentityReport(
-        results=results,
-        meta={"bits": ctx.scale_bits, "working_bits": work},
-    )
+    return Report(results, {"bits": ctx.scale_bits, "working_bits": work})

@@ -23,11 +23,8 @@ from types import SimpleNamespace
 
 from .analysis import (
     AuditRow,
-    CatalogReport,
-    ConvergenceReport,
-    IdentityReport,
+    Report,
     ReportRow,
-    _param_text,
     _report,
     _table_rows,
     cancellation_audit,
@@ -263,7 +260,7 @@ def _parse_m_range(text: str | None) -> list[int]:
     return values
 
 
-def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> Report:
     _reject_unread_flags(args)
     method = args.method
     reads, required, _, printed = _METHODS[method]
@@ -288,7 +285,7 @@ def _cmd_compute(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRep
                    ratio_kind=approx.ratio_kind, target=approx.target)
 
 
-def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> Report:
     taylor = plan("taylor", ctx, m=args.m, d=args.d, terms=args.terms)
     value = FixedReal.from_fraction(taylor_seed_exact(args.m, args.d, args.terms), taylor.work)
     scale = taylor.measure_bits
@@ -299,7 +296,7 @@ def _compute_taylor(args: SimpleNamespace, ctx: PrecisionContext) -> Convergence
                    target="seed_value")
 
 
-def _cmd_table(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_table(args: SimpleNamespace, ctx: PrecisionContext) -> Report:
     # an unread flag first; then method2 reports a bad variant before a bad
     # sweep, the others a bad sweep before a bad seed
     _reject_unread_flags(args)
@@ -314,7 +311,7 @@ def _cmd_table(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRepor
     return convergence_table(method, params, sweep, ctx)
 
 
-def _cmd_arccos(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceReport:
+def _cmd_arccos(args: SimpleNamespace, ctx: PrecisionContext) -> Report:
     seed = _seed_from_args(args)
     run = plan("arccos", ctx)  # refuse a request over the cost bound before x0 is built
     x0 = seed.value(ctx.scale_bits)
@@ -324,7 +321,7 @@ def _cmd_arccos(args: SimpleNamespace, ctx: PrecisionContext) -> ConvergenceRepo
                    {"seed": seed}, target="arccos")
 
 
-def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
+def _cmd_audit(args: SimpleNamespace) -> Report:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     seed = _seed_from_args(args, default=Seed(2, 2, 1))
@@ -333,14 +330,7 @@ def _cmd_audit(args: SimpleNamespace) -> tuple[list[AuditRow], dict]:
         raise UsageError("audit does not read --guard-bits")
     # the reference at 4x the audited bits or finer; the audit plans and admits itself there
     reference = PrecisionContext(max(args.bits, 4 * args.audited_bits))
-    rows = cancellation_audit(seed, args.k, args.audited_bits, reference)
-    meta = {
-        "method": "cancellation_audit",
-        "params": _param_text({"seed": seed, "audited_bits": args.audited_bits}),
-        "bits": reference.scale_bits,
-        "oracle_digits": decimal_digits_for_bits(reference.scale_bits),
-    }
-    return rows, meta
+    return cancellation_audit(seed, args.k, args.audited_bits, reference)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -405,40 +395,39 @@ def _columns(headers: tuple[str, ...], table: list[list[str]]) -> list[str]:
             for row in [headers, *table]]
 
 
-def render_report(report: ConvergenceReport, fmt: str) -> str:
+def render_report(report: Report, fmt: str) -> str:
     header = ReportRow.__slots__
     rows = [dict(zip(header, r._values())) for r in report.rows]
     return _render(fmt, report.meta, header, rows, (),
                    _columns(("index", "approximant", "abs_error", "digits", "ratio"), _cells(rows)))
 
 
-def render_audit(rows: list[AuditRow], meta: dict, fmt: str) -> str:
+def render_audit(report: Report, fmt: str) -> str:
     digits = decimal_digits_for_bits(53) + 14
     header = AuditRow.__slots__
     rendered = [
         dict(zip(header, (r.k, r.naive_error.rescale(120).to_decimal(digits),
                           r.stable_error.rescale(120).to_decimal(digits), r.digits_lost)))
-        for r in rows
+        for r in report.rows
     ]
-    return _render(fmt, meta, header, rendered, (), _columns(header, _cells(rendered)))
+    return _render(fmt, report.meta, header, rendered, (), _columns(header, _cells(rendered)))
 
 
-def render_catalog(report: CatalogReport, fmt: str) -> str:
+def render_catalog(report: Report, fmt: str) -> str:
+    """Each formula's row; it passed every check, or reproduce_catalog raised."""
     header = ("form", "seed", "prefactor_exact", "radical_shape_ok", "converged",
               "abs_error_at_depth")
-    rows = [
-        dict(zip(header, (r.name, r.seed, r.prefactor_exact, r.radical_shape_ok, r.converged,
-                          r.error_at_depth.rescale(128).to_decimal(20))))
-        for r in report.results
-    ]
+    rows = [dict(zip(header, (r.name, r.seed, True, True, True,
+                              r.error_at_depth.rescale(128).to_decimal(20))))
+            for r in report.rows]
     text_lines = [f"PASS {r['form']}  [seed {r['seed']}, error {r['abs_error_at_depth']}]"
                   for r in rows]
     return _render(fmt, report.meta, header, rows, ("form", "seed"), text_lines)
 
 
-def render_identities(report: IdentityReport, fmt: str) -> str:
+def render_identities(report: Report, fmt: str) -> str:
     header = ("identity", "passed", "worst_residual", "detail")
-    rows = [dict(zip(header, r._values())) for r in report.results]
+    rows = [dict(zip(header, r._values())) for r in report.rows]
     text_lines = [
         f"{'PASS' if r['passed'] else 'FAIL'} {r['identity']}  [{r['worst_residual']}]"
         for r in rows
@@ -457,15 +446,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run(args: SimpleNamespace) -> tuple[str, int]:
     """The rendered output of one parsed command line, and its exit code."""
-    if args.subcommand == "audit":
-        rows, meta = _cmd_audit(args)
-        return render_audit(rows, meta, args.format), 0
+    if args.subcommand == "audit":  # the audit builds its reference context itself
+        return render_audit(_cmd_audit(args), args.format), 0
     ctx = PrecisionContext(args.bits, args.guard_bits)
     if args.subcommand == "reproduce":
         return render_catalog(reproduce_catalog(ctx), args.format), 0
     if args.subcommand == "verify":
         report = verify_identities(ctx)
-        return render_identities(report, args.format), 0 if report.all_passed else 1
+        return render_identities(report, args.format), \
+            0 if all(r.passed for r in report.rows) else 1
     command = {"compute": _cmd_compute, "table": _cmd_table, "arccos": _cmd_arccos}
     return render_report(command[args.subcommand](args, ctx), args.format), 0
 

@@ -147,12 +147,11 @@ def plan(route: str, ctx: PrecisionContext | None, **params) -> Plan:
         return Plan(work, steps, bit_steps, 4 * work) if work else Plan(ctx.working_bits, 0, 0, 0)
     if route == "arccos":
         work, x0, steps = ctx.working_bits, params.get("x0"), isqrt(ctx.scale_bits)
-        while True:  # at the working bits, then at an x0's own scale plus one
-            bit_steps = work * (steps + (work + 2) // (2 * steps - 4) + 1)  # j + N_max
-            admit_cost(bit_steps, work)
-            if x0 is None or x0.scale_bits < work:
-                return Plan(work, steps, bit_steps, 4 * work)
-            work = x0.scale_bits + 1
+        if x0 is not None:  # at the working bits, or at an x0's own scale plus one
+            work = max(work, x0.scale_bits + 1)
+        bit_steps = work * (steps + (work + 2) // (2 * steps - 4) + 1)  # j + N_max
+        admit_cost(bit_steps, work)
+        return Plan(work, steps, bit_steps, 4 * work)
     if route == "taylor":
         m, d, terms = Rational(params["m"]), Rational(params["d"]), params["terms"]
         if m <= 0 or d <= 0:

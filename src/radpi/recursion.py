@@ -112,10 +112,11 @@ class Seed(Record):
     allowed.
     """
 
-    __slots__ = ("m", "s", "sign")
+    __slots__ = ("m", "s", "sign", "x0_squared")
     m: Rational
     s: Rational
     sign: int
+    x0_squared: Rational  # s/m**2, computed once
 
     def __init__(self, m, s, sign: int = 1) -> None:
         m, s = Rational(m), Rational(s)
@@ -132,6 +133,7 @@ class Seed(Record):
         set_field(self, "m", m)
         set_field(self, "s", s)
         set_field(self, "sign", sign)
+        set_field(self, "x0_squared", s / m**2)
 
     @classmethod
     def from_m_d(cls, m, d, sign: int = 1) -> "Seed":
@@ -147,10 +149,6 @@ class Seed(Record):
     def from_x0(cls, x0) -> "Seed":
         x0 = Rational(x0)
         return cls(1, x0**2, -1 if x0 < 0 else 1)
-
-    @property
-    def x0_squared(self) -> Rational:
-        return self.s / self.m**2
 
     def value(self, scale_bits: int) -> FixedReal:
         """x0 as a FixedReal (one rounding: the square root of an exact ratio)."""

@@ -77,9 +77,7 @@ def test_criterion_02_quartic_step_rate():
 
 def test_criterion_03_catalog_reproduction():
     report = reproduce_catalog(PrecisionContext(128))
-    ok = len(report.results) == 4 and all(
-        r.prefactor_exact and r.converged for r in report.results
-    )
+    ok = len(report.rows) == 4  # a failed check raises CatalogFailure
     check(3, "all four classical forms: exact prefactors and error(25) < 1e-12", ok)
 
 
@@ -168,7 +166,7 @@ def test_criterion_10_self_consistent_arccos():
 
 
 def test_criterion_11_cancellation_audit():
-    rows = cancellation_audit(Seed(2, 2, 1), 40, 53, PrecisionContext(256))
+    rows = cancellation_audit(Seed(2, 2, 1), 40, 53, PrecisionContext(256)).rows
     scale = rows[-1].stable_error.scale_bits
     stable_ok = rows[-1].stable_error < tiny(13, scale)
     naive_ok = rows[-1].naive_error > tiny(7, scale)

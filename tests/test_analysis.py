@@ -103,7 +103,7 @@ class TestConvergenceTable:
 
 @pytest.fixture(scope="module")
 def audit_rows():
-    return cancellation_audit(Seed(2, 2, 1), 40, 53, PrecisionContext(256))
+    return cancellation_audit(Seed(2, 2, 1), 40, 53, PrecisionContext(256)).rows
 
 
 class TestCancellationAudit:
@@ -142,7 +142,7 @@ class TestCancellationAudit:
             cancellation_audit(Seed(2, 2, 1), 5, 53, PrecisionContext(128))
 
     def test_accepts_self_ratio_seed(self):
-        rows = cancellation_audit(Seed(5, 16, 1), 8, 53, PrecisionContext(256))
+        rows = cancellation_audit(Seed(5, 16, 1), 8, 53, PrecisionContext(256)).rows
         assert len(rows) == 8
         assert rows[0].naive_error.mantissa > 0
 
@@ -165,7 +165,7 @@ class TestCancellationAudit:
 
         monkeypatch.setattr(radpi.recursion, "radicand_step", tripwire)
         monkeypatch.setattr(radpi.recursion, "scale_factors", tripwire)
-        rows = cancellation_audit(seed, k_max, bits, ctx)
+        rows = cancellation_audit(seed, k_max, bits, ctx).rows
         assert [row.k for row in rows] == list(range(1, k_max + 1))
         assert [row.naive_error for row in rows] == expected["naive"]
         assert [row.stable_error for row in rows] == expected["stable"]
@@ -173,13 +173,13 @@ class TestCancellationAudit:
 
 class TestReproduceCatalog:
     def test_all_four_pass(self, ctx128):
+        # a failed check raises CatalogFailure, so four rows back is four passes
         report = reproduce_catalog(ctx128)
-        assert len(report.results) == 4
-        assert all(r.prefactor_exact and r.radical_shape_ok and r.converged for r in report.results)
+        assert [r.name for r in report.rows] == [entry.name for entry in CATALOG]
 
     def test_depth_errors_small(self, ctx128):
         report = reproduce_catalog(ctx128)
-        for r in report.results:
+        for r in report.rows:
             scale = r.error_at_depth.scale_bits
             assert r.error_at_depth < FixedReal.from_fraction(Fraction(1, 10**12), scale)
 
@@ -196,7 +196,7 @@ class TestReproduceCatalog:
         entry = CatalogEntry(first.name, first.seed, Rational(factor), shift)
         monkeypatch.setattr(radpi.analysis, "CATALOG", (entry, *CATALOG[1:]))
         if failure is None:
-            assert all(r.prefactor_exact for r in reproduce_catalog(ctx128).results)
+            assert len(reproduce_catalog(ctx128).rows) == 4
         else:
             with pytest.raises(CatalogFailure, match=failure):
                 reproduce_catalog(ctx128)
@@ -205,8 +205,8 @@ class TestReproduceCatalog:
 class TestVerifyIdentities:
     def test_all_pass(self, ctx128):
         report = verify_identities(ctx128)
-        assert report.all_passed, [r.name for r in report.results if not r.passed]
-        names = " ".join(r.name for r in report.results)
+        assert all(r.passed for r in report.rows), [r.name for r in report.rows if not r.passed]
+        names = " ".join(r.name for r in report.rows)
         assert "scale identity" in names
         assert "pythagorean" in names
         assert "normalization" in names
@@ -220,7 +220,7 @@ class TestVerifyIdentities:
             return real_run(seed, k, scale_bits, variant)
 
         monkeypatch.setattr(radpi.analysis, "run_at_scale", counting_run)
-        assert verify_identities(ctx128).all_passed
+        assert all(r.passed for r in verify_identities(ctx128).rows)
         # the three state checks share one run; monotonicity reads the doubled
         # sines alone, without the g/f chain of a run
         assert depths == [20] * 4
@@ -243,7 +243,7 @@ class TestVerifyIdentities:
         seen = []
         for bits in (64, 256, 1024, 2048):
             counts.update(steps=0, sqrt=0)
-            assert verify_identities(PrecisionContext(bits)).all_passed
+            assert all(r.passed for r in verify_identities(PrecisionContext(bits)).rows)
             seen.append((counts["steps"], counts["sqrt"]))
         # a fixed number of half-angle steps: theta0 comes from the exact ratio,
         # not from an arccos whose depth grows with the bits

@@ -681,6 +681,14 @@ class TestSubcommands:
         assert lines[0] == "k,naive_error,stable_error,digits_lost"
         assert len(lines) == 7
 
+    # the audit's meta is built with its rows, and printed as it is built
+    @pytest.mark.parametrize("flags, seed", [([], Seed(2, 2, 1)),
+                                             (["--m", "7/3", "--s", "5"], Seed(Fraction(7, 3), 5))])
+    def test_audit_prints_the_meta_of_its_report(self, capsys, flags, seed):
+        code, out, _ = run(capsys, "audit", "--k", "3", *flags, "--format", "json")
+        report = radpi.analysis.cancellation_audit(seed, 3, 53, PrecisionContext(4 * 53))
+        assert (code, json.loads(out)["meta"]) == (0, report.meta)
+
     def test_table_m_range_as_printed(self, capsys):
         code, out, _ = run(
             capsys, "table", "--method", "method2", "--variant", "as-printed",
@@ -850,10 +858,10 @@ def test_json_writer_is_json_dumps(value):
 
 
 def test_empty_report_renders_header_only_csv():
-    from radpi.analysis import ConvergenceReport
+    from radpi.analysis import Report
     from radpi.cli import render_report
 
-    empty = ConvergenceReport(rows=[], meta={"method": "method1", "bits": 128})
+    empty = Report(rows=[], meta={"method": "method1", "bits": 128})
     assert render_report(empty, "csv") == "index,approximant,abs_error,correct_digits,error_ratio\n"
 
 

@@ -221,7 +221,8 @@ _DUNDERS = {
                                 "scale_bits).sqrt()"),
     "arith.Rational.__mul__": ("src/radpi/analysis.py",
                                "return self.factor * Rational(2) ** (n + self.shift)"),
-    "arith.Rational.__truediv__": ("src/radpi/recursion.py", "return self.s / self.m**2"),
+    "arith.Rational.__truediv__": ("src/radpi/recursion.py",
+                                   'set_field(self, "x0_squared", s / m**2)'),
     "arith.Rational.__rtruediv__": ("src/radpi/analysis.py",
                                     "return pi_fixed(scale_bits).mul_fraction("
                                     "2 / exact_ratio_lookup(seed))"),
@@ -374,9 +375,6 @@ _UNREACHED: dict[tuple[str, str], tuple[str, str]] = {
         ("tests/test_cli.py", "test_internal_error_is_70_without_traceback"),
     ("cli.run_command", "return _EXIT_SOFTWARE"):
         ("tests/test_cli.py", "test_internal_error_is_70_without_traceback"),
-    # an x0 finer than the working bits, which the CLI never builds
-    ("drivers.plan", "work = x0.scale_bits + 1"):
-        ("tests/test_admission.py", "test_an_x0_finer_than_the_working_bits_admits_its_own_scale"),
     # public PowerForm and scale-factor API: an m that is no power of two, and an
     # m given as neither an int nor a Rational
     ("recursion.PowerForm.exact_log2", "return None"):
